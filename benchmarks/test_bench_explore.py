@@ -9,6 +9,11 @@ without simulation.  The ratio is a pure function of the plan and the
 victim trace — no wall-clock in it — so the committed baseline in
 ``benchmarks/trajectories/BENCH_explore.json`` is gated tightly by
 ``repro trajectory check`` in the registry-gate workflow.
+
+The explorer's speed is recorded beside it: ``injections_per_s`` is the
+open map's simulated injections per second of its wall time (ARMORY's
+injections simulated per host second), gated in the same workflow with
+a budget wide enough for CI host noise.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ def test_explore_coverage_and_prune_ratio(benchmark, skylake_characterization):
         + stats["injections_pruned_equivalent"]
     )
     prune_ratio = pruned / enumerated
+    injections_per_s = stats["injections_simulated"] / open_s
 
     write_artifact("explore_open.map.json", canonical_json(open_map).rstrip())
     write_artifact(
@@ -78,6 +84,7 @@ def test_explore_coverage_and_prune_ratio(benchmark, skylake_characterization):
                 "summary_protected": protected_map["summary"],
                 "prune_ratio": prune_ratio,
                 "open_seconds": open_s,
+                "injections_per_s": injections_per_s,
             },
             indent=2,
             sort_keys=True,
@@ -93,5 +100,13 @@ def test_explore_coverage_and_prune_ratio(benchmark, skylake_characterization):
             "points": stats["points_enumerated"],
             "injections": stats["injections_enumerated"],
         },
+    )
+    record_trajectory(
+        "explore",
+        "injections_per_s",
+        injections_per_s,
+        unit="1/s",
+        lower_is_better=False,
+        context={"injections_simulated": stats["injections_simulated"]},
     )
     assert prune_ratio > 0.0, "pruning tiers retired nothing"

@@ -19,6 +19,7 @@ attempts suffice.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -78,6 +79,9 @@ def generate_prime(bits: int, rng: np.random.Generator) -> int:
 
 # -- the key and signer ---------------------------------------------------------
 
+#: Distinct keys :meth:`RSAKey.generate` keeps per process.
+KEY_MEMO_SIZE = 8
+
 
 @dataclass(frozen=True)
 class RSAKey:
@@ -93,8 +97,15 @@ class RSAKey:
     qinv: int
 
     @classmethod
+    @functools.lru_cache(maxsize=KEY_MEMO_SIZE)
     def generate(cls, bits: int = 512, *, seed: int = 1337, e: int = 65537) -> "RSAKey":
-        """Generate a ``bits``-bit RSA key deterministically from a seed."""
+        """Generate a ``bits``-bit RSA key deterministically from a seed.
+
+        Memoized per process (a bounded LRU, :data:`KEY_MEMO_SIZE` keys):
+        the body is a pure function of its arguments and the key is
+        frozen, so every caller asking for the same key shares one
+        instance instead of re-running the prime search.
+        """
         rng = np.random.default_rng(seed)
         half = bits // 2
         while True:

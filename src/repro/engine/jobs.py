@@ -602,13 +602,16 @@ class ExplorePointJob(JobSpec):
 class ExploreInjectionJob(JobSpec):
     """A shard of single-fault replays of the RSA-CRT victim.
 
-    Pure arithmetic: the key and golden signature regenerate
+    Pure arithmetic: the key and golden signature derive
     deterministically from the spec (the FuzzJob pattern — the spec
-    stays tiny, the fingerprint still covers the whole replay), each
-    (op_index, model) representative replays the signature with exactly
-    that operation corrupted, and the verdict is one of ``masked`` (the
-    signature survived), ``exploitable`` (Bellcore factoring recovered
-    the key's primes) or ``corrupted`` (wrong but unexploitable).
+    stays tiny, the fingerprint still covers the whole replay) and are
+    memoized once per process, so every shard after the first in a
+    worker reuses them.  Each (op_index, model) representative replays
+    the signature with exactly that operation corrupted; the
+    exponentiation the fault cannot reach replays as ``pow``.  The
+    verdict is one of ``masked`` (the signature survived),
+    ``exploitable`` (Bellcore factoring recovered the key's primes) or
+    ``corrupted`` (wrong but unexploitable).
     """
 
     kind: ClassVar[str] = "explore-injection"

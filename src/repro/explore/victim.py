@@ -14,16 +14,24 @@ multiplications one for one:
   recombination multiply, which is consumed mod ``n``).
 * :class:`ReplayALU` re-executes the signature with real arithmetic but
   returns a corrupted product at exactly one operation index — the
-  deterministic single-fault adversary of the ARMORY model.
+  deterministic single-fault adversary of the ARMORY model.  Only the
+  exponentiation the fault lands in runs the op-by-op loop; the other,
+  fault-free one replays as ``pow`` and just advances the op counter.
 
-Region labels are assigned post hoc from the exponent structure:
-square-and-multiply over ``e`` issues ``popcount(e) + bit_length(e) - 1``
-modular multiplications, so the trace splits exactly into the ``sp`` and
-``sq`` exponentiations followed by the two Garner recombination ops.
+Region labels are derived from the exponent structure: square-and-multiply
+over ``e`` issues ``popcount(e) + bit_length(e) - 1`` modular
+multiplications, so the trace splits exactly into the ``sp`` and ``sq``
+exponentiations followed by the two Garner recombination ops.
+
+The victim is derived once per process: the key is memoized by
+:meth:`~repro.attacks.rsa_crt.RSAKey.generate` and the trace by
+:func:`trace_victim`, whose :class:`TracedOp` records are frozen so one
+caller cannot corrupt the trace the next one sees.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -40,6 +48,9 @@ REGION_RECOMBINE_MUL = "recombine-mul"
 #: Instruction class every big-integer limb multiply decomposes into.
 VICTIM_INSTRUCTION = "imul"
 
+#: Distinct (key, message) traces :func:`trace_victim` keeps per process.
+TRACE_MEMO_SIZE = 8
+
 
 def modexp_op_count(exponent: int) -> int:
     """Number of ``modmul`` calls ``BigIntALU.modexp`` issues for ``exponent``.
@@ -54,14 +65,15 @@ def modexp_op_count(exponent: int) -> int:
     return bin(exponent).count("1") + exponent.bit_length() - 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class TracedOp:
     """One recorded ``bigmul`` of the victim signature.
 
     ``reduce_mod`` is the modulus applied to the product immediately
     after (by ``modmul``); ``None`` marks the final recombination
     multiply, whose product is consumed mod ``n`` by the signer itself.
-    ``region`` is assigned post hoc by :func:`trace_victim`.
+    ``region`` is derived by :func:`trace_victim` from the exponent
+    structure.
     """
 
     index: int
@@ -74,24 +86,26 @@ class TracedOp:
 
 
 class TracingALU(BigIntALU):
-    """Executes arithmetic exactly while recording every ``bigmul``."""
+    """Executes arithmetic exactly while recording every ``bigmul``.
+
+    ``records`` holds one raw ``(lhs, rhs, product, reduce_mod)`` tuple
+    per multiply, in issue order.
+    """
 
     def __init__(self) -> None:
-        self.ops: List[TracedOp] = []
+        self.records: List[Tuple[int, int, int, Optional[int]]] = []
 
     def bigmul(self, lhs: int, rhs: int) -> int:
         if lhs < 0 or rhs < 0:
             raise ConfigurationError("bigmul operates on non-negative integers")
         product = lhs * rhs
-        self.ops.append(
-            TracedOp(index=len(self.ops), lhs=lhs, rhs=rhs, product=product)
-        )
+        self.records.append((lhs, rhs, product, None))
         return product
 
     def modmul(self, lhs: int, rhs: int, modulus: int) -> int:
         result = super().modmul(lhs, rhs, modulus)
         # The op just recorded by bigmul is the one this reduction consumes.
-        self.ops[-1].reduce_mod = modulus
+        self.records[-1] = self.records[-1][:3] + (modulus,)
         return result
 
 
@@ -117,6 +131,22 @@ class ReplayALU(BigIntALU):
             product = self.corruptor(product)
         self.op_count += 1
         return product
+
+    def modexp(self, base: int, exponent: int, modulus: int) -> int:
+        """``BigIntALU.modexp``, run op by op only where the fault lands.
+
+        An exponentiation that does not contain ``target_index`` is
+        fault-free, so its result is ``pow(base, exponent, modulus)`` by
+        definition; it only advances ``op_count`` by the multiplications
+        it would have issued (:func:`modexp_op_count`).
+        """
+        ops = modexp_op_count(exponent)
+        if self.op_count <= self.target_index < self.op_count + ops:
+            return super().modexp(base, exponent, modulus)
+        if modulus <= 0:
+            raise ConfigurationError("modulus must be positive")
+        self.op_count += ops
+        return pow(base, exponent, modulus)
 
 
 @dataclass(frozen=True)
@@ -149,6 +179,7 @@ class VictimTrace:
         return op.reduce_mod if op.reduce_mod is not None else self.key.n
 
 
+@functools.lru_cache(maxsize=TRACE_MEMO_SIZE)
 def trace_victim(key: RSAKey, message: int) -> VictimTrace:
     """Trace one RSA-CRT signature and label every op with its region.
 
@@ -156,33 +187,46 @@ def trace_victim(key: RSAKey, message: int) -> VictimTrace:
     asserted against the recorded trace, so a drift between the signer's
     op sequence and the explorer's addressing is a hard error, never a
     silently misattributed fault.
+
+    Memoized per process (a bounded LRU, :data:`TRACE_MEMO_SIZE`
+    traces); the returned trace is immutable, so sharing it is safe.
     """
     alu = TracingALU()
     golden = RSACRTSigner(key).sign(alu, message)
     n_sp = modexp_op_count(key.dp)
     n_sq = modexp_op_count(key.dq)
     expected = n_sp + n_sq + 2  # + Garner h-multiply + final recombination
-    if len(alu.ops) != expected:
+    if len(alu.records) != expected:
         raise ConfigurationError(
-            f"victim trace recorded {len(alu.ops)} ops, expected {expected} "
+            f"victim trace recorded {len(alu.records)} ops, expected {expected} "
             f"(sp={n_sp}, sq={n_sq}, recombine=2)"
         )
-    for op in alu.ops:
-        if op.index < n_sp:
-            op.region = REGION_SP
-        elif op.index < n_sp + n_sq:
-            op.region = REGION_SQ
-        elif op.index == n_sp + n_sq:
-            op.region = REGION_RECOMBINE_H
-        else:
-            op.region = REGION_RECOMBINE_MUL
-    if alu.ops[-1].reduce_mod is not None:
+    if alu.records[-1][3] is not None:
         raise ConfigurationError(
             "final recombination op unexpectedly carries a reduce modulus"
         )
-    return VictimTrace(
-        key=key, message=message, golden_signature=golden, ops=tuple(alu.ops)
+
+    def region(index: int) -> str:
+        if index < n_sp:
+            return REGION_SP
+        if index < n_sp + n_sq:
+            return REGION_SQ
+        if index == n_sp + n_sq:
+            return REGION_RECOMBINE_H
+        return REGION_RECOMBINE_MUL
+
+    ops = tuple(
+        TracedOp(
+            index=index,
+            lhs=lhs,
+            rhs=rhs,
+            product=product,
+            reduce_mod=reduce_mod,
+            region=region(index),
+        )
+        for index, (lhs, rhs, product, reduce_mod) in enumerate(alu.records)
     )
+    return VictimTrace(key=key, message=message, golden_signature=golden, ops=ops)
 
 
 def replay_with_fault(

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import AttackError, ConfigurationError
 from repro.attacks.rsa_crt import (
     BellcoreResult,
@@ -79,6 +84,26 @@ class TestKey:
 
     def test_generation_deterministic(self):
         assert RSAKey.generate(256, seed=7) == RSAKey.generate(256, seed=7)
+        # The memo must hand out exactly what the uncached body computes.
+        assert RSAKey.generate.__wrapped__(RSAKey, 256, seed=7) == RSAKey.generate(
+            256, seed=7
+        )
+
+    def test_generation_is_memoized(self):
+        assert RSAKey.generate(256, seed=7) is RSAKey.generate(256, seed=7)
+
+    def test_prevention_key_shares_the_memo(self):
+        # A fresh interpreter, so no other test can have evicted the key.
+        script = (
+            "from repro import experiments\n"
+            "from repro.attacks.rsa_crt import RSAKey\n"
+            "assert RSAKey.generate(512, seed=42) is experiments.PREVENTION_RSA_KEY\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        ))
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
     def test_modulus_size(self, key):
         assert 500 <= key.n.bit_length() <= 512

@@ -15,11 +15,14 @@ Three contracts matter here:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.attacks.rsa_crt import RSAKey, bellcore_extract
+from repro.attacks.rsa_crt import RSACRTSigner, RSAKey, bellcore_extract
 from repro.engine import (
     EngineSession,
     ExploreInjectionJob,
@@ -29,6 +32,7 @@ from repro.engine import (
 )
 from repro.engine.cache import ResultCache
 from repro.errors import ConfigurationError
+from repro.faults.alu import BigIntALU
 from repro.explore import (
     DEFAULT_FAULT_MODELS,
     ExplorePlan,
@@ -93,17 +97,68 @@ class TestVictimTrace:
         assert signature == trace.golden_signature
 
     def test_replay_ops_match_traced_ops(self, trace):
-        from repro.attacks.rsa_crt import RSACRTSigner
-
         alu = ReplayALU(target_index=-1, corruptor=lambda value: value)
-        RSACRTSigner(KEY).sign(alu, MESSAGE)
+        signature = RSACRTSigner(KEY).sign(alu, MESSAGE)
         assert alu.op_count == trace.op_count
+        assert (signature, alu.op_count) == oracle_replay(-1, "zero")
 
     def test_sp_fault_is_bellcore_exploitable(self, trace):
         faulty = replay_with_fault(KEY, MESSAGE, 0, corruptor("flip:0"))
         result = bellcore_extract(KEY.n, KEY.e, MESSAGE, faulty)
         assert result is not None
         assert result.factors() == tuple(sorted((KEY.p, KEY.q)))
+
+    def test_shared_trace_is_immutable(self, trace):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.ops[0].region = "sq"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.ops[-1].reduce_mod = KEY.n
+        assert trace_victim(KEY, MESSAGE) is trace
+
+
+class OracleReplayALU(BigIntALU):
+    """The replay ALU without the CRT-half skip: every op runs through
+    ``bigmul``, including both exponentiations' full loops."""
+
+    def __init__(self, target_index, corruptor):
+        self.target_index = target_index
+        self.corruptor = corruptor
+        self.op_count = 0
+
+    def bigmul(self, lhs, rhs):
+        product = lhs * rhs
+        if self.op_count == self.target_index:
+            product = self.corruptor(product)
+        self.op_count += 1
+        return product
+
+
+def oracle_replay(op_index, model):
+    alu = OracleReplayALU(op_index, corruptor(model))
+    return RSACRTSigner(KEY).sign(alu, MESSAGE), alu.op_count
+
+
+class TestReplayEquivalence:
+    """``replay_with_fault`` (pow for the unfaulted CRT half) must agree
+    with the op-by-op oracle on every single-fault replay."""
+
+    def test_every_default_injection_matches_the_oracle(self, trace):
+        for op_index in range(trace.op_count):
+            for model in DEFAULT_FAULT_MODELS:
+                expected, _ = oracle_replay(op_index, model)
+                assert (
+                    replay_with_fault(KEY, MESSAGE, op_index, corruptor(model))
+                    == expected
+                ), (op_index, model)
+
+    @settings(max_examples=60, deadline=None)
+    @given(op_index=st.integers(min_value=0, max_value=10_000),
+           bit=st.integers(min_value=0, max_value=300))
+    def test_bit_flips_match_the_oracle(self, op_index, bit):
+        op_index %= trace_victim(KEY, MESSAGE).op_count
+        model = f"flip:{bit}"
+        expected, _ = oracle_replay(op_index, model)
+        assert replay_with_fault(KEY, MESSAGE, op_index, corruptor(model)) == expected
 
 
 class TestFaultModels:
@@ -279,6 +334,27 @@ class TestJobSpecs:
             ExplorePointJob(
                 codename="Sky Lake", points=((2.0, -120),), protect=True, seed=5
             )
+
+    def test_serial_explore_derives_the_victim_once(self):
+        # A key seed no other test uses, so the memo starts cold for it.
+        plan = dataclasses.replace(PLAN, key_seed=4242)
+        keys_before = RSAKey.generate.cache_info()
+        traces_before = trace_victim.cache_info()
+        session = EngineSession(executor=SerialExecutor(), cache=ResultCache(), registry=None)
+        document = run_explore(plan, session=session, rows_per_job=8)
+        keys = RSAKey.generate.cache_info()
+        traces = trace_victim.cache_info()
+        assert keys.misses - keys_before.misses == 1
+        assert traces.misses - traces_before.misses == 1
+        # Every injection shard asked for both again and hit the memo.
+        shards = -(-document["stats"]["injections_simulated"] // 8)
+        assert shards > 0
+        assert keys.hits - keys_before.hits == shards
+        assert traces.hits - traces_before.hits == shards
+
+    def test_victim_memos_are_bounded(self):
+        assert RSAKey.generate.cache_parameters()["maxsize"] is not None
+        assert trace_victim.cache_parameters()["maxsize"] is not None
 
     def test_injection_job_regenerates_identical_verdicts(self):
         job = ExploreInjectionJob(
