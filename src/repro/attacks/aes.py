@@ -37,7 +37,6 @@ SBOX = bytes.fromhex(
     "ba78252e1ca6b4c6e8dd741f4bbd8b8a703eb5664803f60e613557b986c11d9e"
     "e1f8981169d98e949b1e87e9ce5528df8ca1890dbfe6426841992d0fb054bb16"
 )
-INV_SBOX = bytes(256)
 INV_SBOX = bytearray(256)
 for _i, _v in enumerate(SBOX):
     INV_SBOX[_v] = _i
@@ -50,7 +49,11 @@ MC = ((2, 3, 1, 1), (1, 2, 3, 1), (1, 1, 2, 3), (3, 1, 1, 2))
 
 
 def gmul(a: int, b: int) -> int:
-    """GF(2^8) multiplication with the AES polynomial."""
+    """GF(2^8) multiplication with the AES polynomial.
+
+    The bit-serial reference: the hot paths use the ``_MUL2``/``_MUL3``
+    tables below, which the tests check against it entry by entry.
+    """
     result = 0
     for _ in range(8):
         if b & 1:
@@ -98,34 +101,42 @@ def invert_key_schedule(last_round_key: bytes, rounds: int = 10) -> bytes:
     return bytes(key)
 
 
-def _sub_bytes(state: List[int]) -> None:
-    for i in range(16):
-        state[i] = SBOX[state[i]]
+def _xtime(b: int) -> int:
+    """Multiplication by x (i.e. 2) in GF(2^8)."""
+    return ((b << 1) ^ (0x1B if b & 0x80 else 0)) & 0xFF
 
 
-def _shift_rows(state: List[int]) -> None:
-    # Column-major layout: index = row + 4*col; row r shifts left by r.
-    for r in range(1, 4):
-        row = [state[r + 4 * c] for c in range(4)]
-        for c in range(4):
-            state[r + 4 * c] = row[(c + r) % 4]
+#: ``gmul(2, b)`` and ``gmul(3, b)`` for every byte ``b``: MixColumns and
+#: the DFA's coefficient products become table lookups.
+_MUL2 = bytes(_xtime(b) for b in range(256))
+_MUL3 = bytes(m ^ b for b, m in enumerate(_MUL2))
+_MUL_BY = {1: bytes(range(256)), 2: _MUL2, 3: _MUL3}
+
+#: ShiftRows as an index permutation of the column-major state
+#: (index = row + 4*col; row r shifts left by r).
+_SHIFT_ROWS = tuple(r + 4 * ((c + r) % 4) for c in range(4) for r in range(4))
 
 
-def _mix_columns(state: List[int]) -> None:
-    for c in range(4):
-        col = state[4 * c : 4 * c + 4]
-        for r in range(4):
-            state[r + 4 * c] = (
-                gmul(MC[r][0], col[0])
-                ^ gmul(MC[r][1], col[1])
-                ^ gmul(MC[r][2], col[2])
-                ^ gmul(MC[r][3], col[3])
-            )
+def _sub_shift(state: List[int]) -> List[int]:
+    """SubBytes then ShiftRows (the two commute; one pass does both)."""
+    return [SBOX[state[i]] for i in _SHIFT_ROWS]
 
 
-def _add_round_key(state: List[int], round_key: bytes) -> None:
-    for i in range(16):
-        state[i] ^= round_key[i]
+def _mix_columns(state: List[int]) -> List[int]:
+    mixed: List[int] = []
+    for c in range(0, 16, 4):
+        a0, a1, a2, a3 = state[c : c + 4]
+        mixed += (
+            _MUL2[a0] ^ _MUL3[a1] ^ a2 ^ a3,
+            a0 ^ _MUL2[a1] ^ _MUL3[a2] ^ a3,
+            a0 ^ a1 ^ _MUL2[a2] ^ _MUL3[a3],
+            _MUL3[a0] ^ a1 ^ a2 ^ _MUL2[a3],
+        )
+    return mixed
+
+
+def _add_round_key(state: List[int], round_key: bytes) -> List[int]:
+    return [s ^ k for s, k in zip(state, round_key)]
 
 
 def encrypt_block(key: bytes, plaintext: bytes) -> bytes:
@@ -145,20 +156,14 @@ def _encrypt_with_schedule(
     entering ``fault_round`` (1-based)."""
     if len(plaintext) != 16:
         raise ConfigurationError("AES block must be 16 bytes")
-    state = list(plaintext)
-    _add_round_key(state, round_keys[0])
+    state = _add_round_key(plaintext, round_keys[0])
     for round_index in range(1, 10):
         if fault_round == round_index and fault is not None:
             state[fault[0]] ^= fault[1]
-        _sub_bytes(state)
-        _shift_rows(state)
-        _mix_columns(state)
-        _add_round_key(state, round_keys[round_index])
+        state = _add_round_key(_mix_columns(_sub_shift(state)), round_keys[round_index])
     if fault_round == 10 and fault is not None:
         state[fault[0]] ^= fault[1]
-    _sub_bytes(state)
-    _shift_rows(state)
-    _add_round_key(state, round_keys[10])
+    state = _add_round_key(_sub_shift(state), round_keys[10])
     return bytes(state)
 
 
@@ -226,6 +231,13 @@ def diff_group(correct: bytes, faulty: bytes) -> Optional[int]:
     return None
 
 
+#: Per fault row ``r`` (the byte a round-9 fault hits within its column),
+#: the product tables ``MC[j][r]·delta`` for output bytes ``j`` = 0..3.
+_MC_COLUMN_TABLES = tuple(
+    tuple(_MUL_BY[MC[j][fault_row]] for j in range(4)) for fault_row in range(4)
+)
+
+
 @dataclass
 class DFAState:
     """Accumulated key knowledge, per ciphertext group."""
@@ -257,10 +269,10 @@ class DFAState:
             diff_to_keys.append(table)
         pair_sets: List[Set[int]] = [set(), set(), set(), set()]
         for delta in range(1, 256):
-            for fault_row in range(4):
+            for coefficients in _MC_COLUMN_TABLES:
                 per_byte = []
                 for j in range(4):
-                    matches = diff_to_keys[j].get(gmul(MC[j][fault_row], delta))
+                    matches = diff_to_keys[j].get(coefficients[j][delta])
                     if not matches:
                         break
                     per_byte.append(matches)

@@ -27,7 +27,6 @@ from typing import Optional
 from repro.attacks.aes import (
     DFAState,
     _encrypt_with_schedule,
-    diff_group,
     encrypt_block,
     expand_key,
 )
@@ -153,8 +152,7 @@ class AESDFAAttack(DVFSAttack):
                     fault=(fault_index, delta),
                 )
                 outcome.faults_observed += 1
-                if diff_group(correct, faulty) is not None:
-                    dfa.absorb(correct, faulty)
+                dfa.absorb(correct, faulty)
                 if dfa.complete:
                     break
             encryptions_left -= done

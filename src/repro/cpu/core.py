@@ -37,6 +37,9 @@ class Core:
     telemetry: Optional[Telemetry] = None
     pstate: PStateMachine = field(init=False)
     regulator: VoltageRegulator = field(init=False)
+    _snapshot: Optional[OperatingConditions] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.pstate = PStateMachine(self.model.frequency_table)
@@ -82,11 +85,24 @@ class Core:
 
     def conditions(self, now: float) -> OperatingConditions:
         """Snapshot the core's electrical operating point."""
-        return OperatingConditions(
-            frequency_ghz=self.frequency_ghz,
-            voltage_volts=self.effective_voltage(now),
-            offset_mv=self.applied_offset_mv(now),
+        frequency = self.frequency_ghz
+        offset = self.applied_offset_mv(now)
+        snapshot = self._snapshot
+        # A settled regulator hands back the very same offset object, so
+        # an unchanged point reuses the last (immutable) snapshot.
+        if (
+            snapshot is not None
+            and snapshot.offset_mv is offset
+            and snapshot.frequency_ghz == frequency
+        ):
+            return snapshot
+        snapshot = OperatingConditions(
+            frequency_ghz=frequency,
+            voltage_volts=self.vf_curve.effective_voltage(frequency, offset),
+            offset_mv=offset,
         )
+        self._snapshot = snapshot
+        return snapshot
 
     def reset(self) -> None:
         """Reboot-time reset: base P-state, zero offsets."""

@@ -55,6 +55,7 @@ class VFCurve:
     v_margin_volts: float = 0.05
     v_ceiling_volts: float = 1.52
     _cache: Dict[int, float] = field(default_factory=dict, repr=False)
+    _exact: Dict[float, float] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.guardband < 0.5:
@@ -68,15 +69,20 @@ class VFCurve:
 
     def base_voltage(self, frequency_ghz: float) -> float:
         """Factory base voltage (V) for a supported frequency."""
+        # Exact-float memo: only a frequency validated before skips the
+        # table check; every other float still goes through validate().
+        voltage = self._exact.get(frequency_ghz)
+        if voltage is not None:
+            return voltage
         self.table.validate(frequency_ghz)
         key = round(frequency_ghz * 10)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        designed = self.analyzer.design_voltage(frequency_ghz, guardband=self.guardband)
-        voltage = max(designed, self.v_floor_volts) + self.v_margin_volts
-        voltage = min(voltage, self.v_ceiling_volts)
-        self._cache[key] = voltage
+        voltage = self._cache.get(key)
+        if voltage is None:
+            designed = self.analyzer.design_voltage(frequency_ghz, guardband=self.guardband)
+            voltage = max(designed, self.v_floor_volts) + self.v_margin_volts
+            voltage = min(voltage, self.v_ceiling_volts)
+            self._cache[key] = voltage
+        self._exact[frequency_ghz] = voltage
         return voltage
 
     def base_voltage_mv(self, frequency_ghz: float) -> float:

@@ -129,8 +129,8 @@ class FaultableALU(BigIntALU):
         if lhs < 0 or rhs < 0:
             raise ConfigurationError("bigmul operates on non-negative integers")
         product = lhs * rhs
-        lhs_limbs = max(1, (lhs.bit_length() + 63) // 64)
-        rhs_limbs = max(1, (rhs.bit_length() + 63) // 64)
+        lhs_limbs = (lhs.bit_length() + 63) // 64 or 1
+        rhs_limbs = (rhs.bit_length() + 63) // 64 or 1
         trials = lhs_limbs * rhs_limbs
         self.stats.imul_count += trials
         conditions = self._conditions()

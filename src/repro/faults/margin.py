@@ -47,6 +47,12 @@ BASE_FAULT_RATE_PER_OP = 5e-5
 #: the paper's binary safe/unsafe characterization.
 ONSET_FRACTION = 0.02
 
+#: Most distinct operating points whose violated fraction one
+#: :class:`FaultModel` remembers; a full memo is cleared and refilled.
+#: The Sec. 4.3 attack matrix asks ~78k times about ~160 points, while a
+#: scalar characterization sweep asks about each of its cells once.
+FRACTION_MEMO_SIZE = 4096
+
 #: Relative fault sensitivities of modelled instructions (imul == 1.0).
 INSTRUCTION_SENSITIVITY: Dict[str, float] = {
     "imul": 1.00,
@@ -83,6 +89,9 @@ class FaultModel:
     analyzer: SafetyAnalyzer = field(init=False, repr=False)
     vf_curve: VFCurve = field(init=False, repr=False)
     _vcrit_cache: Dict[tuple, float] = field(default_factory=dict, init=False, repr=False)
+    _fraction_memo: Dict[tuple, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.analyzer = self.model.safety_analyzer()
@@ -111,10 +120,23 @@ class FaultModel:
         return cached
 
     def violated_fraction(self, frequency_ghz: float, voltage_volts: float) -> float:
-        """Fraction of the critical-path population violating Eq. 3."""
-        sigma_volts = self.model.sigma_mv * 1e-3
-        z = (self.critical_voltage(frequency_ghz) - voltage_volts) / sigma_volts
-        return _phi(z)
+        """Fraction of the critical-path population violating Eq. 3.
+
+        Memoized on the exact operating point, die temperature included,
+        so a repeat query returns the value the first one computed and a
+        temperature change can never serve a stale fraction.
+        """
+        key = (frequency_ghz, voltage_volts, self.temperature_c)
+        memo = self._fraction_memo
+        fraction = memo.get(key)
+        if fraction is None:
+            sigma_volts = self.model.sigma_mv * 1e-3
+            z = (self.critical_voltage(frequency_ghz) - voltage_volts) / sigma_volts
+            fraction = _phi(z)
+            if len(memo) >= FRACTION_MEMO_SIZE:
+                memo.clear()
+            memo[key] = fraction
+        return fraction
 
     def fault_probability(
         self,

@@ -8,6 +8,11 @@ import pytest
 from repro.errors import AttackError, ConfigurationError
 from repro.attacks.aes import (
     CIPHERTEXT_GROUPS,
+    INV_SBOX,
+    MC,
+    SBOX,
+    _MUL2,
+    _MUL3,
     DFAState,
     FaultableAES,
     _encrypt_with_schedule,
@@ -32,6 +37,95 @@ FIPS_CT = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
 SP800_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 SP800_PT = bytes.fromhex("6bc1bee22e409f96e93d7e117393172a")
 SP800_CT = bytes.fromhex("3ad77bb40d7a3660a89ecaf32466ef97")
+
+
+def _reference_encrypt(round_keys, plaintext, fault_round, fault):
+    """Textbook AES-128 over the bit-loop :func:`gmul`: per-row
+    ShiftRows, MixColumns as the matrix product — the oracle the
+    table-driven rounds must match byte for byte."""
+    state = [p ^ k for p, k in zip(plaintext, round_keys[0])]
+    for round_index in range(1, 11):
+        if fault_round == round_index:
+            state[fault[0]] ^= fault[1]
+        state = [SBOX[b] for b in state]
+        shifted = list(state)
+        for r in range(1, 4):
+            for c in range(4):
+                shifted[r + 4 * c] = state[r + 4 * ((c + r) % 4)]
+        state = shifted
+        if round_index < 10:
+            state = [
+                gmul(MC[r][0], state[4 * c])
+                ^ gmul(MC[r][1], state[4 * c + 1])
+                ^ gmul(MC[r][2], state[4 * c + 2])
+                ^ gmul(MC[r][3], state[4 * c + 3])
+                for c in range(4)
+                for r in range(4)
+            ]
+        state = [s ^ k for s, k in zip(state, round_keys[round_index])]
+    return bytes(state)
+
+
+def _reference_pair_sets(correct, faulty, group):
+    """Piret-Quisquater candidate sets of one pair, with every
+    ``MC[j][row]·delta`` product taken from :func:`gmul`."""
+    keys_by_diff = []
+    for j in range(4):
+        c = correct[group[j]]
+        f = faulty[group[j]]
+        table = {}
+        for k in range(256):
+            table.setdefault(INV_SBOX[c ^ k] ^ INV_SBOX[f ^ k], set()).add(k)
+        keys_by_diff.append(table)
+    pair_sets = [set(), set(), set(), set()]
+    for delta in range(1, 256):
+        for row in range(4):
+            per_byte = [
+                keys_by_diff[j].get(gmul(MC[j][row], delta), set()) for j in range(4)
+            ]
+            # A (delta, row) hypothesis counts only if all four bytes admit it.
+            if all(per_byte):
+                for j in range(4):
+                    pair_sets[j] |= per_byte[j]
+    return pair_sets
+
+
+class TestTableDrivenRounds:
+    def test_xtime_tables_match_gmul(self):
+        assert len(_MUL2) == len(_MUL3) == 256
+        for b in range(256):
+            assert _MUL2[b] == gmul(2, b)
+            assert _MUL3[b] == gmul(3, b)
+
+    @pytest.mark.parametrize("fault_round", range(1, 11))
+    def test_faulty_encryption_matches_gmul_reference(self, fault_round):
+        round_keys = expand_key(SP800_KEY)
+        for index in range(16):
+            for delta in (0x01, 0x5A, 0x80, 0xFF, 1 + (index * 37) % 255):
+                fault = (index, delta)
+                assert _encrypt_with_schedule(
+                    round_keys, FIPS_PT, fault_round=fault_round, fault=fault
+                ) == _reference_encrypt(round_keys, FIPS_PT, fault_round, fault)
+
+    def test_clean_encryption_matches_gmul_reference(self):
+        for key, plaintext in ((FIPS_KEY, FIPS_PT), (SP800_KEY, SP800_PT)):
+            round_keys = expand_key(key)
+            assert _encrypt_with_schedule(
+                round_keys, plaintext, fault_round=None, fault=None
+            ) == _reference_encrypt(round_keys, plaintext, None, None)
+
+    def test_absorb_matches_gmul_reference(self):
+        round_keys = expand_key(SP800_KEY)
+        correct = encrypt_block(SP800_KEY, FIPS_PT)
+        for index, delta in ((0, 0x42), (7, 0x01), (13, 0xFF)):
+            faulty = _encrypt_with_schedule(
+                round_keys, FIPS_PT, fault_round=9, fault=(index, delta)
+            )
+            dfa = DFAState()
+            group = dfa.absorb(correct, faulty)
+            assert dfa.candidates[group] == _reference_pair_sets(
+                correct, faulty, CIPHERTEXT_GROUPS[group]
+            )
 
 
 class TestAESPrimitives:

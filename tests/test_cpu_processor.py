@@ -137,6 +137,37 @@ class TestConditionsView:
         assert conditions.offset_mv == 0.0
         assert conditions.voltage_volts > 0.7
 
+    def test_reused_snapshot_matches_fresh_computation(self, processor, clock):
+        from repro.faults.margin import OperatingConditions
+
+        core = processor.core(0)
+
+        def fresh():
+            frequency = core.frequency_ghz
+            offset = core.applied_offset_mv(clock.now)
+            return OperatingConditions(
+                frequency, core.vf_curve.effective_voltage(frequency, offset), offset
+            )
+
+        half_latency = COMET_LAKE.regulator_latency_s / 2
+        steps = [
+            lambda: None,
+            lambda: processor.wrmsr(0, MSR_OC_MAILBOX, offset_voltage(-120, plane=0)),
+            lambda: clock.advance(half_latency),
+            lambda: clock.advance(half_latency + 1e-6),
+            lambda: processor.wrmsr(0, IA32_PERF_CTL, (40 & 0xFF) << 8),
+            lambda: processor.wrmsr(0, MSR_OC_MAILBOX, offset_voltage(-60, plane=0)),
+            lambda: clock.advance(1.0),
+            lambda: processor.wrmsr(0, IA32_PERF_CTL, (18 & 0xFF) << 8),
+            processor.reboot,
+        ]
+        for step in steps:
+            step()
+            for _ in range(2):  # the second read may reuse the snapshot
+                conditions = processor.conditions(0)
+                assert conditions == fresh()
+                assert repr(conditions) == repr(fresh())
+
 
 class TestNonCorePlanes:
     def test_cache_plane_write_does_not_move_core_voltage(self, processor, clock):

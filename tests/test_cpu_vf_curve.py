@@ -38,6 +38,29 @@ class TestBaseVoltage:
     def test_cache_consistency(self, curve):
         assert curve.base_voltage(2.0) == curve.base_voltage(2.0)
 
+    def test_memo_matches_fresh_curve(self, curve):
+        freqs = COMET_LAKE.frequency_table.frequencies_ghz()
+        first = [curve.base_voltage(f) for f in freqs]
+        assert [curve.base_voltage(f) for f in freqs] == first
+        fresh = COMET_LAKE.vf_curve()
+        assert [fresh.base_voltage(f) for f in freqs] == first
+
+    def test_off_table_frequency_rejected_after_valid_ones_cached(self, curve):
+        for f in COMET_LAKE.frequency_table.frequencies_ghz():
+            curve.base_voltage(f)
+        for bad in (2.05, 7.7, 0.1, COMET_LAKE.frequency_table.max_ghz + 0.1):
+            with pytest.raises(FrequencyError):
+                curve.base_voltage(bad)
+            with pytest.raises(FrequencyError):
+                curve.base_voltage(bad)
+
+    def test_near_equal_float_returns_first_voltage(self, curve):
+        # 2.0 + 1e-12 passes the table check and shares the 0.1 GHz slot
+        # of 2.0: it gets the voltage computed for 2.0, hit or miss.
+        exact = curve.base_voltage(2.0)
+        assert curve.base_voltage(2.0 + 1e-12) == exact
+        assert curve.base_voltage(2.0 + 1e-12) == exact
+
     def test_base_voltage_mv(self, curve):
         assert curve.base_voltage_mv(2.0) == pytest.approx(
             curve.base_voltage(2.0) * 1e3

@@ -10,6 +10,7 @@ from repro.errors import ConfigurationError
 from repro.cpu.models import COMET_LAKE, SKY_LAKE
 from repro.faults.margin import (
     BASE_FAULT_RATE_PER_OP,
+    FRACTION_MEMO_SIZE,
     INSTRUCTION_SENSITIVITY,
     ONSET_FRACTION,
     FaultModel,
@@ -58,6 +59,66 @@ class TestViolatedFraction:
         # Repeat queries still hit the cache and stay exact.
         assert model.critical_voltage(3.61) == low
         assert model.critical_voltage(3.64) == high
+
+
+class TestOperatingPointMemo:
+    FREQUENCIES = (0.8, 2.0, 3.7, 4.9)
+
+    def _grid(self, model):
+        for f in self.FREQUENCIES:
+            vcrit = model.analyzer.critical_voltage(f)
+            for step in range(-12, 13):
+                yield f, vcrit + step * 0.003
+
+    def _physics(self, model, f, v):
+        return (
+            model.violated_fraction(f, v),
+            model.fault_probability(f, v),
+            model.fault_probability(f, v, instruction="aesenc"),
+            model.is_crash(f, v),
+        )
+
+    def test_matches_fresh_model_across_temperature_changes(self):
+        warm = FaultModel(COMET_LAKE)
+        grid = list(self._grid(warm))
+        by_temperature = {}
+        for temperature in (None, 95.0, None, 20.0, 95.0, None):
+            warm.set_temperature(temperature)
+            fresh = FaultModel(COMET_LAKE, temperature_c=temperature)
+            values = []
+            for f, v in grid:
+                expected = self._physics(fresh, f, v)
+                # Twice: the second query is served from the memo.
+                assert self._physics(warm, f, v) == expected
+                assert self._physics(warm, f, v) == expected
+                values.append(expected)
+            by_temperature.setdefault(temperature, values)
+            assert by_temperature[temperature] == values
+        # The temperature really moves the physics, so a stale memo
+        # entry would have been caught above.
+        assert by_temperature[None] != by_temperature[95.0]
+
+    def test_direct_temperature_assignment_is_not_stale(self):
+        model = FaultModel(COMET_LAKE)
+        f, v = 2.0, model.critical_voltage(2.0)
+        cold = model.violated_fraction(f, v)
+        model.temperature_c = 95.0
+        assert model.violated_fraction(f, v) == FaultModel(
+            COMET_LAKE, temperature_c=95.0
+        ).violated_fraction(f, v)
+        assert model.violated_fraction(f, v) != cold
+
+    def test_memo_stays_bounded(self):
+        model = FaultModel(COMET_LAKE)
+        vcrit = model.critical_voltage(2.0)
+        points = [vcrit + i * 1e-6 for i in range(FRACTION_MEMO_SIZE + 500)]
+        for v in points:
+            model.violated_fraction(2.0, v)
+            assert len(model._fraction_memo) <= FRACTION_MEMO_SIZE
+        fresh = FaultModel(COMET_LAKE)
+        # Evicted and retained points both still answer exactly.
+        for v in (points[0], points[-1]):
+            assert model.violated_fraction(2.0, v) == fresh.violated_fraction(2.0, v)
 
 
 class TestFaultProbability:
