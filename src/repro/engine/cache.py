@@ -12,19 +12,16 @@ Two layers:
   leaked across tests and could never be cleared or bounded;
 * an optional on-disk layer (``directory`` argument, or the
   ``REPRO_CACHE_DIR`` environment variable) that persists results across
-  processes, so pool workers and repeated CLI invocations share sweeps.
-  The disk layer is bounded too: ``max_disk_entries`` (or
-  ``REPRO_CACHE_MAX_DISK``) caps the entry count with an oldest-mtime
-  eviction sweep on every ``put``.
-
-Disk entries carry an integrity header — a magic tag plus the sha256 of
-the pickled payload — so a torn write from a killed worker (or a chaos
-injection, see :class:`repro.engine.resilience.ChaosPolicy`) is
-*detected*, not silently loaded: the damaged file is quarantined by
-renaming it to ``<name>.corrupt`` and the lookup reports a miss, which
-makes ``__contains__`` and :meth:`get` agree on exactly which entries
-exist.  Entries written by older engine versions (no header) are treated
-the same way.
+  processes, so repeated CLI invocations share sweeps.  It is a
+  :class:`repro.registry.store.ResultStore`, the one on-disk result
+  format that campaign checkpoints and the coordinator use too.  A blob
+  torn by a killed process (or by a chaos injection, see
+  :class:`repro.engine.resilience.ChaosPolicy`) fails its sha256, is
+  quarantined as ``<sha>.corrupt`` (counted in ``stats.corrupt``) and
+  reads as a miss, so ``__contains__`` and :meth:`get` agree on exactly
+  which entries exist.  ``max_disk_entries`` (or
+  ``REPRO_CACHE_MAX_DISK``) bounds the layer, evicting the oldest index
+  entries on ``put``.
 
 A cache hit on the in-memory layer returns the *same object* — callers
 that relied on ``characterization(model) is characterization(model)``
@@ -34,15 +31,14 @@ and are promoted into memory.
 
 from __future__ import annotations
 
-import hashlib
 import os
-import pickle
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, List, Optional, Union
+from typing import Any, Optional, Union
 
 from repro.errors import ConfigurationError
+from repro.registry.store import ResultStore, encode_object
 
 #: Default in-memory entry bound; full three-model campaigns use ~30.
 DEFAULT_MAX_ENTRIES = 128
@@ -52,10 +48,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Environment variable capping the on-disk entry count.
 CACHE_MAX_DISK_ENV = "REPRO_CACHE_MAX_DISK"
-
-#: Disk-entry integrity header: magic tag + sha256 of the pickle bytes.
-DISK_MAGIC = b"RPVC1\n"
-_DIGEST_BYTES = 32
 
 _SENTINEL = object()
 
@@ -99,8 +91,11 @@ class ResultCache:
             raise ConfigurationError("max_entries must be at least 1")
         if self.max_disk_entries is not None and self.max_disk_entries < 1:
             raise ConfigurationError("max_disk_entries must be at least 1")
+        #: The disk tier, when the cache has a directory.
+        self.disk: Optional[ResultStore] = None
         if self.directory is not None:
             self.directory = Path(self.directory)
+            self.disk = ResultStore(self.directory)
         self._memory: "OrderedDict[str, Any]" = OrderedDict()
 
     @classmethod
@@ -120,67 +115,6 @@ class ResultCache:
             max_entries=max_entries, directory=directory, max_disk_entries=max_disk
         )
 
-    # -- disk entry format -------------------------------------------------------
-
-    def _disk_path(self, fingerprint: str) -> Optional[Path]:
-        if self.directory is None:
-            return None
-        return Path(self.directory) / f"{fingerprint}.pkl"
-
-    @staticmethod
-    def _encode(payload: Any) -> bytes:
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        return DISK_MAGIC + hashlib.sha256(blob).digest() + blob
-
-    @staticmethod
-    def _verify(raw: bytes) -> Optional[bytes]:
-        """The pickle bytes if the integrity header checks out, else None."""
-        header = len(DISK_MAGIC) + _DIGEST_BYTES
-        if len(raw) < header or not raw.startswith(DISK_MAGIC):
-            return None
-        digest = raw[len(DISK_MAGIC):header]
-        blob = raw[header:]
-        if hashlib.sha256(blob).digest() != digest:
-            return None
-        return blob
-
-    def _quarantine(self, path: Path) -> None:
-        """Set a damaged entry aside as ``<name>.corrupt`` (never load it)."""
-        self.stats.corrupt += 1
-        try:
-            path.replace(path.with_name(path.name + ".corrupt"))
-        except OSError:
-            pass
-
-    def _load_disk(self, fingerprint: str, *, unpickle: bool) -> Any:
-        """The verified disk payload (or pickle bytes), else ``_SENTINEL``.
-
-        Corrupted entries — torn writes, truncations, flipped bits,
-        pre-integrity-format files — are quarantined on sight, so the
-        answer is consistent across repeated calls and between
-        ``__contains__`` and :meth:`get`.
-        """
-        path = self._disk_path(fingerprint)
-        if path is None or not path.exists():
-            return _SENTINEL
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return _SENTINEL
-        blob = self._verify(raw)
-        if blob is None:
-            self._quarantine(path)
-            return _SENTINEL
-        if not unpickle:
-            return blob
-        try:
-            return pickle.loads(blob)
-        except Exception:
-            # Hash-valid but unloadable (e.g. a class that no longer
-            # exists): quarantine rather than silently missing forever.
-            self._quarantine(path)
-            return _SENTINEL
-
     # -- lookup ------------------------------------------------------------------
 
     def get(self, fingerprint: str, default: Any = None) -> Any:
@@ -190,22 +124,27 @@ class ResultCache:
             self._memory.move_to_end(fingerprint)
             self.stats.hits += 1
             return value
-        value = self._load_disk(fingerprint, unpickle=True)
-        if value is not _SENTINEL:
-            self.stats.hits += 1
-            self.stats.disk_hits += 1
-            self._store_memory(fingerprint, value)
-            return value
+        if self.disk is not None:
+            value = self.disk.load(fingerprint, _SENTINEL)
+            self.stats.corrupt = self.disk.stats.corrupt
+            if value is not _SENTINEL:
+                self.stats.hits += 1
+                self.stats.disk_hits += 1
+                self._store_memory(fingerprint, value)
+                return value
         self.stats.misses += 1
         return default
 
     def __contains__(self, fingerprint: str) -> bool:
         if fingerprint in self._memory:
             return True
-        # Verify (and quarantine) rather than testing bare existence, so
-        # a torn on-disk entry is not reported present and then missed
-        # by get().
-        return self._load_disk(fingerprint, unpickle=False) is not _SENTINEL
+        if self.disk is None:
+            return False
+        # The disk tier verifies (and quarantines) rather than testing
+        # bare existence, so ``in`` and get() agree on torn entries.
+        found = fingerprint in self.disk
+        self.stats.corrupt = self.disk.stats.corrupt
+        return found
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -219,56 +158,18 @@ class ResultCache:
             self._memory.popitem(last=False)
             self.stats.evictions += 1
 
-    def _disk_entries_by_age(self) -> List[Path]:
-        """Every disk entry, oldest mtime first (name-tiebroken)."""
-        root = Path(self.directory)
-        if not root.exists():
-            return []
-        entries = []
-        for entry in root.glob("*.pkl"):
-            try:
-                entries.append((entry.stat().st_mtime, entry.name, entry))
-            except OSError:
-                continue
-        return [entry for _, _, entry in sorted(entries)]
-
-    def _sweep_disk(self) -> None:
-        """Evict oldest entries until the disk layer fits its bound."""
-        if self.max_disk_entries is None:
-            return
-        entries = self._disk_entries_by_age()
-        excess = len(entries) - self.max_disk_entries
-        for entry in entries[:max(0, excess)]:
-            try:
-                entry.unlink()
-                self.stats.disk_evictions += 1
-            except OSError:
-                pass
-
     def put(self, fingerprint: str, payload: Any) -> None:
         """Store a payload under its fingerprint (memory + disk)."""
         self._store_memory(fingerprint, payload)
         self.stats.stores += 1
-        path = self._disk_path(fingerprint)
-        if path is None:
+        if self.disk is None:
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Atomic publish: a reader never sees a half-written entry, and
-        # the integrity digest catches anything that still tears.
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_bytes(self._encode(payload))
-        tmp.replace(path)
-        self._sweep_disk()
+        self.disk.put(fingerprint, encode_object(payload))
+        if self.max_disk_entries is not None:
+            self.stats.disk_evictions += self.disk.trim(self.max_disk_entries)
 
     def clear(self) -> None:
-        """Drop every entry, memory and disk (including quarantined files)."""
+        """Drop every entry, memory and disk (including quarantined blobs)."""
         self._memory.clear()
-        if self.directory is not None:
-            root = Path(self.directory)
-            if root.exists():
-                for pattern in ("*.pkl", "*.pkl.corrupt"):
-                    for entry in root.glob(pattern):
-                        try:
-                            entry.unlink()
-                        except OSError:
-                            pass
+        if self.disk is not None:
+            self.disk.clear()

@@ -12,15 +12,19 @@ are byte-identical to freshly computed ones.
 
 Layout::
 
-    <dir>/checkpoint.json     # metadata: schema, counts, quarantine list
-    <dir>/entries/<fp>.pkl    # one integrity-checked payload per job
+    <dir>/checkpoint.json            # metadata: schema, counts, quarantine list
+    <dir>/results.jsonl              # fingerprint index, one line per job
+    <dir>/objects/<sha[:2]>/<sha>    # the payload blobs
 
-Entry files reuse :class:`~repro.engine.cache.ResultCache`'s disk
-format (magic + sha256 + pickle) and its torn-write quarantine: a
-payload half-written at kill time is detected, set aside as
-``.corrupt`` and simply recomputed on resume.  Both the entry publish
-and the metadata flush are atomic (write-temp + rename), so there is no
-instant at which a crash can corrupt the checkpoint itself.
+The entries are a :class:`~repro.registry.store.ResultStore`, the same
+on-disk result format as the result cache's disk layer and the
+coordinator's store.  A payload torn at kill time fails its sha256, is
+set aside as ``.corrupt`` and simply recomputed on resume; a kill
+between a blob and its index line leaves an orphan blob that counts as
+not completed.  The metadata flush is atomic too (write-temp + rename),
+so there is no instant at which a crash can corrupt the checkpoint
+itself.  Schema-1 checkpoints (one pickle file per entry) are refused
+rather than resumed as empty.
 """
 
 from __future__ import annotations
@@ -30,21 +34,19 @@ import os
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
-from repro.engine.cache import ResultCache
 from repro.engine.jobs import JobResult
 from repro.errors import ObserveError
+from repro.registry.store import ResultStore, encode_object
 
 #: Metadata schema tag; stale checkpoints fail loudly instead of
 #: resuming wrongly.
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 #: Metadata discriminator.
 CHECKPOINT_KIND = "campaign-checkpoint"
 
 #: Metadata file name inside the checkpoint directory.
 MANIFEST_NAME = "checkpoint.json"
-
-_MISS = object()
 
 
 class CampaignCheckpoint:
@@ -55,21 +57,14 @@ class CampaignCheckpoint:
         directory: Union[str, Path],
         *,
         flush_every: int = 1,
-        max_memory_entries: int = 16,
     ) -> None:
         self.directory = Path(directory)
         self.flush_every = max(1, int(flush_every))
-        # The entry store *is* a disk ResultCache: integrity format,
-        # atomic publish and corruption quarantine come for free.  The
-        # memory layer is kept small — checkpoint reads mostly happen
-        # once, at resume.
-        self._store = ResultCache(
-            max_entries=max_memory_entries, directory=self.directory / "entries"
-        )
+        #: The persisted results: fingerprint index plus payload blobs.
+        self.store = ResultStore(self.directory)
         self._recorded_since_flush = 0
         #: Quarantine records carried across resumes (run-report fodder).
         self.quarantined: List[Dict[str, Any]] = []
-        self._completed = 0
         self._load_manifest()
 
     # -- metadata ----------------------------------------------------------------
@@ -120,11 +115,10 @@ class CampaignCheckpoint:
         The entry publish itself is atomic and immediate — a kill right
         after this call loses nothing; the metadata flush is merely
         batched (``flush_every``) because correctness never depends on
-        it (resume trusts the integrity-checked entry files, not the
+        it (resume trusts the integrity-checked entries, not the
         manifest's counters).
         """
-        self._store.put(result.fingerprint, result.payload)
-        self._completed += 1
+        self.store.put(result.fingerprint, encode_object(result.payload))
         self._recorded_since_flush += 1
         if self._recorded_since_flush >= self.flush_every:
             self.flush()
@@ -144,18 +138,11 @@ class CampaignCheckpoint:
         quarantined and reads as absent — the session then simply
         re-executes that job.
         """
-        value = self._store.get(fingerprint, default=_MISS)
-        return default if value is _MISS else value
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self._store
+        return self.store.load(fingerprint, default)
 
     def completed_count(self) -> int:
-        """How many distinct results the entry store currently holds."""
-        entries = self._store.directory
-        if entries is None or not Path(entries).exists():
-            return 0
-        return sum(1 for _ in Path(entries).glob("*.pkl"))
+        """How many distinct results the entry index holds."""
+        return len(self.store)
 
     def describe(self) -> Dict[str, Any]:
         """JSON-safe summary for CLI output and run manifests."""

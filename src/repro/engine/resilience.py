@@ -277,18 +277,19 @@ class ChaosPolicy:
     def tear(self, cache: Any, fingerprint: str) -> bool:
         """Tear the cache entry for ``fingerprint`` (parent side).
 
-        Truncates/corrupts the on-disk pickle (when the cache has a disk
-        layer) and drops the in-memory copy, so the next lookup must
-        detect the corruption, quarantine the file and recompute.
-        Returns whether anything was torn.
+        Truncates the indexed blob (when the cache has a disk layer) and
+        drops the in-memory copy, so the next lookup must detect the
+        corruption, quarantine the blob and recompute.  Returns whether
+        anything was torn.
         """
         torn = False
-        path = cache._disk_path(fingerprint)
+        disk = cache.disk
+        path = disk.blob_path(fingerprint) if disk is not None else None
         if path is not None and path.exists():
             raw = path.read_bytes()
-            # Keep the integrity header prefix but truncate the payload:
-            # the worst kind of torn write, undetectable by length-zero
-            # checks, caught only by digest verification.
+            # Keep a non-empty prefix: the worst kind of torn write,
+            # undetectable by length-zero checks, caught only because
+            # the bytes no longer hash to their address.
             path.write_bytes(raw[: max(1, len(raw) // 2)])
             torn = True
         if cache._memory.pop(fingerprint, None) is not None:

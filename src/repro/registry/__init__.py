@@ -11,6 +11,9 @@ automatically by every :class:`~repro.engine.session.EngineSession`
   dumps, bench trajectories;
 * :class:`ObjectStore` — the blobs: manifests, pickled job specs,
   pickled payloads, each verified against its address on read;
+* :class:`ResultStore` — a fingerprint index over those blobs: the one
+  on-disk result format of the engine's disk cache, campaign
+  checkpoints and the coordinator's dedup store;
 * :func:`reproduce_run` — re-execute a recorded run and assert
   byte-identity of every result blob;
 * :func:`diff_runs` — attribute drift between two runs to code,
@@ -38,7 +41,13 @@ from repro.registry.reproduce import (
     ReproduceReport,
     reproduce_run,
 )
-from repro.registry.store import ObjectStore, StoreStats, encode_object, sha256_hex
+from repro.registry.store import (
+    ObjectStore,
+    ResultStore,
+    StoreStats,
+    encode_object,
+    sha256_hex,
+)
 from repro.registry.trajectory import (
     DEFAULT_MAX_REGRESS,
     TrajectoryCheck,
@@ -60,6 +69,7 @@ __all__ = [
     "REGISTRY_DIR_ENV",
     "REGISTRY_ENV",
     "ReproduceReport",
+    "ResultStore",
     "RunDiff",
     "RunRegistry",
     "SpecDrift",

@@ -28,7 +28,6 @@ from repro.serve.protocol import (
     ORIGIN_REMOTE_CACHE,
     PROTOCOL_VERSION,
 )
-from repro.serve.store import ResultStore
 from repro.serve.worker import WorkerAgent
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "ORIGIN_REMOTE_CACHE",
     "PROTOCOL_VERSION",
     "RemoteExecutor",
-    "ResultStore",
     "Transport",
     "WorkerAgent",
 ]

@@ -8,7 +8,8 @@ The coordinator owns three pieces of state behind one lock:
 * a **lease table** — which worker currently holds which jobs, and the
   monotonic deadline by which it must heartbeat;
 * a **result store** — fleet-wide content-addressed dedup
-  (:class:`repro.serve.store.ResultStore`).
+  (:class:`repro.registry.store.ResultStore`, the on-disk result format
+  the engine's cache and checkpoints use too).
 
 Robustness semantics deliberately mirror PR-5's in-process supervisor
 (:class:`repro.engine.executors.ParallelExecutor`): leasing a job
@@ -42,8 +43,8 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from repro.errors import ObserveError, ServeError, ServeProtocolError
 from repro.observe.openmetrics import OPENMETRICS_CONTENT_TYPE, render_openmetrics
+from repro.registry.store import ResultStore
 from repro.serve import protocol
-from repro.serve.store import ResultStore
 from repro.telemetry.registry import Registry
 
 #: Default lease deadline; workers renew at a fraction of this.
@@ -244,7 +245,9 @@ class Coordinator:
                     self.registry.counter("serve.jobs.deduped").inc()
                     continue
                 record = self._jobs.get(fingerprint)
-                if record is None:
+                # A done job whose stored result failed verification was
+                # just quarantined by the check above: run it afresh.
+                if record is None or record.state == protocol.JOB_DONE:
                     record = _JobRecord(
                         fingerprint=fingerprint,
                         kind=str(entry["kind"]),

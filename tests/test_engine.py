@@ -180,7 +180,9 @@ class TestResultCache:
         assert second.stats.disk_hits == 1
 
     def test_torn_disk_write_is_a_miss(self, tmp_path):
-        (tmp_path / "cafe.pkl").write_bytes(b"\x80\x04 not a pickle")
+        writer = ResultCache(directory=tmp_path)
+        writer.put("cafe", {"rows": [1]})
+        writer.disk.blob_path("cafe").write_bytes(b"\x80\x04 not a pickle")
         cache = ResultCache(directory=tmp_path)
         assert cache.get("cafe", default="fallback") == "fallback"
 
@@ -189,7 +191,7 @@ class TestResultCache:
         entry was reported present and then missed by ``get()``."""
         writer = ResultCache(directory=tmp_path)
         writer.put("feed", {"rows": [1]})
-        entry = tmp_path / "feed.pkl"
+        entry = writer.disk.blob_path("feed")
         entry.write_bytes(entry.read_bytes()[:10])
         reader = ResultCache(directory=tmp_path)
         assert "feed" not in reader
@@ -198,20 +200,21 @@ class TestResultCache:
     def test_torn_entry_quarantined_as_corrupt_file(self, tmp_path):
         writer = ResultCache(directory=tmp_path)
         writer.put("feed", {"rows": [1]})
-        entry = tmp_path / "feed.pkl"
+        entry = writer.disk.blob_path("feed")
         entry.write_bytes(entry.read_bytes()[:10])
         reader = ResultCache(directory=tmp_path)
         reader.get("feed")
         assert not entry.exists()
-        assert (tmp_path / "feed.pkl.corrupt").exists()
+        assert entry.with_name(entry.name + ".corrupt").exists()
         assert reader.stats.corrupt == 1
         # Quarantine is terminal: the entry never flaps back.
         assert reader.get("feed", default="gone") == "gone"
+        assert reader.stats.corrupt == 1
 
     def test_flipped_payload_byte_fails_integrity(self, tmp_path):
         writer = ResultCache(directory=tmp_path)
         writer.put("feed", {"rows": [1, 2, 3]})
-        entry = tmp_path / "feed.pkl"
+        entry = writer.disk.blob_path("feed")
         raw = bytearray(entry.read_bytes())
         raw[-1] ^= 0xFF
         entry.write_bytes(bytes(raw))
@@ -221,15 +224,15 @@ class TestResultCache:
 
     def test_disk_bound_evicts_oldest(self, tmp_path):
         cache = ResultCache(directory=tmp_path, max_disk_entries=2)
-        for index, name in enumerate(("a", "b", "c")):
+        for index, name in enumerate(("a", "b", "c", "d")):
             cache.put(name, index)
-            os.utime(
-                tmp_path / f"{name}.pkl", (1_000_000 + index, 1_000_000 + index)
-            )
-        cache.put("d", 3)
-        survivors = sorted(p.stem for p in tmp_path.glob("*.pkl"))
-        assert len(survivors) == 2 and "d" in survivors
+        reader = ResultCache(directory=tmp_path)
+        survivors = [name for name in "abcd" if name in reader]
+        assert survivors == ["c", "d"]
+        assert len(reader.disk) == 2
         assert cache.stats.disk_evictions == 2
+        # The evicted payloads' blobs are gone too, not just their lines.
+        assert reader.disk.objects.census()[0] == 2
 
     def test_max_disk_from_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -247,17 +250,19 @@ class TestResultCache:
         cache = ResultCache(directory=tmp_path)
         cache.put("a", 1)
         cache.clear()
-        assert list(tmp_path.glob("*.pkl")) == []
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+        assert "a" not in ResultCache(directory=tmp_path)
 
     def test_clear_also_removes_quarantined_entries(self, tmp_path):
-        ResultCache(directory=tmp_path).put("a", 1)
-        entry = tmp_path / "a.pkl"
-        entry.write_bytes(entry.read_bytes()[:10])
+        writer = ResultCache(directory=tmp_path)
+        writer.put("a", 1)
+        entry = writer.disk.blob_path("a")
+        entry.write_bytes(entry.read_bytes()[:-1])
         cache = ResultCache(directory=tmp_path)
-        assert "a" not in cache  # quarantines the torn file...
-        assert (tmp_path / "a.pkl.corrupt").exists()
+        assert "a" not in cache  # quarantines the torn blob...
+        assert list(tmp_path.rglob("*.corrupt"))
         cache.clear()
-        assert list(tmp_path.glob("*.pkl.corrupt")) == []  # ...then removes it
+        assert list(tmp_path.rglob("*.corrupt")) == []  # ...then removes it
 
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ConfigurationError):

@@ -479,7 +479,7 @@ class TestCampaignCheckpoint:
         )
         clean_payloads = first.run_jobs(jobs)
         # Tear one entry mid-file, as a kill during the write would.
-        entry = sorted((tmp_path / "entries").glob("*.pkl"))[0]
+        entry = sorted((tmp_path / "objects").glob("*/*"))[0]
         entry.write_bytes(entry.read_bytes()[:20])
 
         resumed = EngineSession(
@@ -490,7 +490,8 @@ class TestCampaignCheckpoint:
         payloads = resumed.run_jobs(jobs)
         assert _canonical(payloads) == _canonical(clean_payloads)
         assert resumed.counters()["engine.resumed"] == 1
-        assert list((tmp_path / "entries").glob("*.corrupt"))
+        assert list((tmp_path / "objects").glob("*/*.corrupt"))
+        assert resumed.checkpoint.completed_count() == 2
 
     def test_quarantine_records_survive_reopen(self, tmp_path):
         checkpoint = CampaignCheckpoint(tmp_path)
@@ -500,6 +501,19 @@ class TestCampaignCheckpoint:
         reopened = CampaignCheckpoint(tmp_path)
         assert reopened.quarantined[0]["kind"] == "scripted"
         assert reopened.describe()["quarantined"] == 1
+
+    def test_rejects_schema_1_checkpoint(self, tmp_path):
+        """The old ``entries/*.pkl`` layout must not resume as empty."""
+        (tmp_path / "entries").mkdir()
+        (tmp_path / "entries" / f"{'a' * 64}.pkl").write_bytes(b"old entry")
+        (tmp_path / "checkpoint.json").write_text(
+            json.dumps(
+                {"kind": "campaign-checkpoint", "schema": 1, "completed": 1,
+                 "quarantined": []}
+            )
+        )
+        with pytest.raises(ObserveError, match="schema 1"):
+            CampaignCheckpoint(tmp_path)
 
     def test_rejects_foreign_manifest(self, tmp_path):
         (tmp_path / "checkpoint.json").write_text(
@@ -615,7 +629,7 @@ class TestChaosConvergence:
         second = session.run_jobs(jobs)
         assert _canonical(first) == _canonical(second)
         assert session.cache.stats.corrupt == len(jobs)
-        assert len(list(tmp_path.glob("*.pkl.corrupt"))) == len(jobs)
+        assert len(list(tmp_path.glob("objects/*/*.corrupt"))) == len(jobs)
 
     def test_double_chaos_runs_are_byte_identical(self, tmp_path):
         jobs = _fuzz_jobs(count=4)

@@ -350,6 +350,48 @@ class TestLeaseStateMachine:
         assert service.registry.counter("serve.results.duplicate").value == 1
         assert len(service.store) == 1
 
+    def test_damaged_stored_result_is_re_executed(self, tmp_path):
+        """A stored blob that fails verification is not served as cached:
+        the resubmitted job is leased, re-executed and collected."""
+        service, now = self._service(tmp_path)
+        job = _tiny_job()
+        fingerprint = job.fingerprint()
+
+        def complete(expected_attempt):
+            granted, _ = service.handle_lease(
+                {"worker_id": "w1", "capacity": 1}, {}
+            )
+            assert [j["fingerprint"] for j in granted["jobs"]] == [fingerprint]
+            assert granted["jobs"][0]["attempt"] == expected_attempt
+            service.handle_result(
+                fingerprint,
+                {
+                    "lease_id": granted["lease_id"],
+                    "attempt": expected_attempt,
+                    "status": "ok",
+                    "payload": protocol.encode_payload(b"payload-bytes"),
+                },
+                {},
+            )
+
+        service.handle_submit(_submit_message(job), {})
+        complete(1)
+        blob = service.store.blob_path(fingerprint)
+        raw = bytearray(blob.read_bytes())
+        raw[0] ^= 0xFF
+        blob.write_bytes(bytes(raw))
+
+        submitted, _ = service.handle_submit(_submit_message(job), {})
+        assert submitted["cached"] == []
+        assert submitted["accepted"] == [fingerprint]
+        assert service.store.stats.corrupt == 1
+        complete(1)
+        collected, _ = service.handle_collect({"fingerprints": [fingerprint]}, {})
+        entry = collected["done"][fingerprint]
+        assert entry["status"] == "ok"
+        assert protocol.decode_payload(entry["payload"]) == b"payload-bytes"
+        assert collected["pending"] == []
+
     def test_error_results_requeue_then_quarantine(self, tmp_path):
         service, now = self._service(tmp_path)
         job = _tiny_job()
