@@ -9,9 +9,10 @@ crash that bounds the unsafe region's width.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.core.characterization import CharacterizationResult
+if TYPE_CHECKING:
+    from repro.core.characterization import CharacterizationResult
 
 
 @dataclass(frozen=True)

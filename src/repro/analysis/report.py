@@ -8,10 +8,12 @@ Fig. 1, and the defense-comparison matrix.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Mapping, Optional, Sequence
 
-from repro.core.characterization import CharacterizationResult
 from repro.analysis.regions import extract_regions
+
+if TYPE_CHECKING:
+    from repro.core.characterization import CharacterizationResult
 
 
 def render_table(

@@ -47,22 +47,9 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.export import (
-    boundary_to_csv,
-    characterization_to_json,
-    overhead_to_csv,
-    write_text,
-)
-from repro.analysis.regions import summarize
-from repro.analysis.report import (
-    render_boundary_series,
-    render_characterization_map,
-    render_table,
-)
-from repro.core.adaptive import AdaptiveCharacterization
-from repro.core.polling_module import PollingCountermeasure
-from repro.cpu.models import PAPER_MODELS, PAPER_MODEL_TUPLE, model_by_codename
-from repro.engine import get_session, seed_stream
+# Handlers import the repro modules they use locally, so a launch loads
+# only its own command's dependencies: ``repro list-cpus`` loads no numpy
+# and no engine (tests/test_cli.py::TestImportGraph checks it).
 
 
 def _characterize(model, seed: int, batch=None):
@@ -71,11 +58,15 @@ def _characterize(model, seed: int, batch=None):
     ``batch=None`` defers to the environment (``REPRO_BATCH``, default
     on); the ``--batch/--no-batch`` flags pass an explicit override.
     """
+    from repro.engine import get_session
+
     return get_session().characterize(model, seed=seed, batch=batch)
 
 
 def _cli_seed(root: int, command: str, codename: str) -> int:
     """Machine seed for one CLI command, drawn from a named stream."""
+    from repro.engine import seed_stream
+
     return seed_stream(root, "cli", command, codename).integer()
 
 
@@ -833,7 +824,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_list_cpus() -> int:
+def _cmd_list_cpus(args) -> int:
+    from repro.analysis.report import render_table
+    from repro.cpu.models import PAPER_MODEL_TUPLE
+
     rows = [
         (
             model.codename,
@@ -848,6 +842,19 @@ def _cmd_list_cpus() -> int:
 
 
 def _cmd_characterize(args) -> int:
+    from repro.analysis.export import (
+        boundary_to_csv,
+        characterization_to_json,
+        write_text,
+    )
+    from repro.analysis.regions import summarize
+    from repro.analysis.report import (
+        render_boundary_series,
+        render_characterization_map,
+    )
+    from repro.core.adaptive import AdaptiveCharacterization
+    from repro.cpu.models import model_by_codename
+
     model = model_by_codename(args.cpu)
     if args.adaptive:
         outcome = AdaptiveCharacterization(model, seed=args.seed).run()
@@ -873,6 +880,7 @@ def _cmd_characterize(args) -> int:
 
 
 def _cmd_attack(args) -> int:
+    from repro.analysis.report import render_table
     from repro.attacks import (
         ImulCampaign,
         PlundervoltAttack,
@@ -885,6 +893,8 @@ def _cmd_attack(args) -> int:
         VoltJockeyAttack,
         VoltJockeyConfig,
     )
+    from repro.core.polling_module import PollingCountermeasure
+    from repro.cpu.models import model_by_codename
     from repro.sgx import EnclaveHost
     from repro.testbench import Machine
 
@@ -954,6 +964,9 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_explore(args) -> int:
+    from repro.analysis.export import write_text
+    from repro.analysis.report import render_table
+    from repro.cpu.models import model_by_codename
     from repro.explore import (
         DEFAULT_FAULT_MODELS,
         ExplorePlan,
@@ -973,7 +986,13 @@ def _cmd_explore(args) -> int:
             return 0
         return 0 if coverage_holds(open_map, protected_map) else 1
 
-    from repro.engine import EngineSession, RetryPolicy, make_executor, set_session
+    from repro.engine import (
+        EngineSession,
+        RetryPolicy,
+        get_session,
+        make_executor,
+        set_session,
+    )
 
     model = model_by_codename(args.cpu)
     if args.executor is not None or args.workers is not None:
@@ -1053,12 +1072,16 @@ def _cmd_explore(args) -> int:
 
 def _cmd_campaign(args) -> int:
     from repro import experiments
+    from repro.analysis.export import write_text
+    from repro.analysis.report import render_table
+    from repro.cpu.models import model_by_codename
     from repro.engine import (
         CampaignCheckpoint,
         EngineSession,
         Quarantined,
         RetryPolicy,
         executor_from_env,
+        get_session,
         make_executor,
         set_session,
     )
@@ -1223,6 +1246,9 @@ def _cmd_campaign(args) -> int:
 def _cmd_fuzz(args) -> int:
     import hashlib
 
+    from repro.analysis.export import write_text
+    from repro.analysis.report import render_table
+    from repro.cpu.models import PAPER_MODEL_TUPLE, model_by_codename
     from repro.engine import EngineSession, FuzzJob, executor_from_env, make_executor
     from repro.verify import (
         FuzzSchedule,
@@ -1333,6 +1359,9 @@ def _cmd_fuzz(args) -> int:
 def _cmd_chaos(args) -> int:
     import hashlib
 
+    from repro.analysis.export import write_text
+    from repro.analysis.report import render_table
+    from repro.cpu.models import PAPER_MODEL_TUPLE, model_by_codename
     from repro.engine import (
         ChaosPolicy,
         EngineSession,
@@ -1427,7 +1456,11 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_spec(args) -> int:
+    from repro.analysis.export import overhead_to_csv, write_text
+    from repro.analysis.report import render_table
     from repro.bench.runner import SpecOverheadRunner
+    from repro.core.polling_module import PollingCountermeasure
+    from repro.cpu.models import model_by_codename
     from repro.testbench import Machine
 
     model = model_by_codename(args.cpu)
@@ -1460,6 +1493,9 @@ def _cmd_spec(args) -> int:
 
 
 def _cmd_maximal(args) -> int:
+    from repro.analysis.report import render_table
+    from repro.cpu.models import PAPER_MODELS, model_by_codename
+
     rows = []
     for codename in PAPER_MODELS:
         model = model_by_codename(codename)
@@ -1471,6 +1507,8 @@ def _cmd_maximal(args) -> int:
 
 def _cmd_trace(args) -> int:
     from repro.analysis.timeline import VoltageTracer
+    from repro.core.polling_module import PollingCountermeasure
+    from repro.cpu.models import model_by_codename
     from repro.telemetry import Telemetry
     from repro.testbench import Machine
 
@@ -1503,6 +1541,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_energy(args) -> int:
+    from repro.analysis.report import render_table
+    from repro.cpu.models import model_by_codename
     from repro.cpu.power import CorePowerModel
 
     model = model_by_codename(args.cpu)
@@ -1530,7 +1570,10 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from repro.analysis.report import render_table
+    from repro.core.polling_module import PollingCountermeasure
     from repro.core.verification import verify_deployment
+    from repro.cpu.models import model_by_codename
     from repro.testbench import Machine
 
     model = model_by_codename(args.cpu)
@@ -1567,6 +1610,8 @@ def _open_registry(directory=None, *, required: bool = True):
 
 
 def _cmd_runs(args) -> int:
+    from repro.analysis.report import render_table
+
     registry = _open_registry(args.registry)
     if registry is None:
         return 2
@@ -1737,6 +1782,7 @@ def _default_baseline(bench: str) -> str:
 
 
 def _cmd_trajectory(args) -> int:
+    from repro.analysis.report import render_table
     from repro.registry import (
         DEFAULT_MAX_REGRESS,
         check_point,
@@ -1828,6 +1874,12 @@ def _cmd_trajectory(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     from repro import experiments
+    from repro.analysis.export import write_text
+    from repro.analysis.report import (
+        render_boundary_series,
+        render_characterization_map,
+        render_table,
+    )
     from repro.cpu import COMET_LAKE, KABY_LAKE_R, SKY_LAKE
 
     if args.run_id is not None:
@@ -1904,6 +1956,8 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_status(args) -> int:
     if args.registry is not None:
+        from repro.analysis.report import render_table
+
         registry = _open_registry(
             None if args.registry == "auto" else args.registry
         )
@@ -1981,6 +2035,8 @@ def _cmd_status(args) -> int:
                     ))
         return 0
 
+    from repro.core.polling_module import PollingCountermeasure
+    from repro.cpu.models import model_by_codename
     from repro.kernel import render_system_status
     from repro.telemetry import Telemetry
     from repro.testbench import Machine
@@ -1999,7 +2055,11 @@ def _cmd_status(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from repro.analysis.export import write_text
+    from repro.analysis.report import render_table
     from repro.attacks import ImulCampaign
+    from repro.core.polling_module import PollingCountermeasure
+    from repro.cpu.models import model_by_codename
     from repro.observe import SimProfiler
     from repro.testbench import Machine
 
@@ -2063,6 +2123,8 @@ def _cmd_report(args) -> int:
 def _cmd_metrics_serve(args) -> int:
     import time
 
+    from repro.core.polling_module import PollingCountermeasure
+    from repro.cpu.models import model_by_codename
     from repro.observe import MetricsServer
     from repro.telemetry import Telemetry
     from repro.testbench import Machine
@@ -2239,68 +2301,57 @@ def _configure_logging(level_name: Optional[str]) -> None:
     logging.getLogger("repro").setLevel(level)
 
 
+#: Subcommand -> handler; every handler takes the parsed args and
+#: returns the exit code.
+_COMMANDS = {
+    "list-cpus": _cmd_list_cpus,
+    "characterize": _cmd_characterize,
+    "attack": _cmd_attack,
+    "campaign": _cmd_campaign,
+    "explore": _cmd_explore,
+    "fuzz": _cmd_fuzz,
+    "chaos": _cmd_chaos,
+    "spec": _cmd_spec,
+    "maximal": _cmd_maximal,
+    "trace": _cmd_trace,
+    "energy": _cmd_energy,
+    "verify": _cmd_verify,
+    "reproduce": _cmd_reproduce,
+    "runs": _cmd_runs,
+    "diff": _cmd_diff,
+    "trajectory": _cmd_trajectory,
+    "spans": _cmd_spans,
+    "status": _cmd_status,
+    "top": _cmd_top,
+    "serve": _cmd_serve,
+    "work": _cmd_work,
+    "profile": _cmd_profile,
+    "report": _cmd_report,
+    "metrics": _cmd_metrics_serve,
+    "observe": _cmd_observe_replay,
+}
+
+#: Registry verbs fail with a one-line message, not a traceback: a
+#: missing run id or empty baseline is a usage error, not a bug.
+_REGISTRY_COMMANDS = frozenset({"reproduce", "runs", "diff", "trajectory", "spans"})
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
     _configure_logging(args.log_level)
-    if args.command == "list-cpus":
-        return _cmd_list_cpus()
-    if args.command == "characterize":
-        return _cmd_characterize(args)
-    if args.command == "attack":
-        return _cmd_attack(args)
-    if args.command == "campaign":
-        return _cmd_campaign(args)
-    if args.command == "explore":
-        return _cmd_explore(args)
-    if args.command == "fuzz":
-        return _cmd_fuzz(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "spec":
-        return _cmd_spec(args)
-    if args.command == "maximal":
-        return _cmd_maximal(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "energy":
-        return _cmd_energy(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command in ("reproduce", "runs", "diff", "trajectory", "spans"):
-        # Registry verbs fail with a one-line message, not a traceback:
-        # a missing run id or empty baseline is a usage error, not a bug.
-        from repro.errors import RegistryError
+    handler = _COMMANDS.get(args.command)
+    if handler is None:
+        raise AssertionError(f"unhandled command {args.command}")
+    if args.command not in _REGISTRY_COMMANDS:
+        return handler(args)
+    from repro.errors import RegistryError
 
-        handler = {
-            "reproduce": _cmd_reproduce,
-            "runs": _cmd_runs,
-            "diff": _cmd_diff,
-            "trajectory": _cmd_trajectory,
-            "spans": _cmd_spans,
-        }[args.command]
-        try:
-            return handler(args)
-        except RegistryError as exc:
-            print(f"repro {args.command}: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "status":
-        return _cmd_status(args)
-    if args.command == "top":
-        return _cmd_top(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "work":
-        return _cmd_work(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "metrics":
-        return _cmd_metrics_serve(args)
-    if args.command == "observe":
-        return _cmd_observe_replay(args)
-    raise AssertionError(f"unhandled command {args.command}")
+    try:
+        return handler(args)
+    except RegistryError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

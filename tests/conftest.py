@@ -10,8 +10,13 @@ and always built fresh per test to keep state isolated.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.core.characterization import (
     CharacterizationConfig,
@@ -73,3 +78,28 @@ def comet_machine() -> Machine:
 def skylake_machine() -> Machine:
     """A fresh Sky Lake machine."""
     return Machine.build(SKY_LAKE, seed=2024)
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Run Python source in a fresh interpreter that imports this ``repro``.
+
+    For checks on what an import or a CLI launch loads: the test process
+    itself has every module in ``sys.modules`` already.
+    """
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    ))
+
+    def run(code: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+
+    return run

@@ -17,6 +17,62 @@ class TestListCpus:
             assert codename in out
 
 
+#: ``repro list-cpus`` output, byte for byte.
+LIST_CPUS_STDOUT = "\n".join([
+    "codename     model                                      microcode  frequency range",
+    "----------------------------------------------------------------------------------",
+    "Sky Lake     Intel(R) Core(TM) i5-6500 CPU @ 3.20GHz    0xf0       0.8-3.6 GHz    ",
+    "Kaby Lake R  Intel(R) Core(TM) i5-8250U CPU @ 1.60GHz   0xf4       0.4-3.4 GHz    ",
+    "Comet Lake   Intel(R) Core(TM) i7-10510U CPU @ 1.80GHz  0xf4       0.4-4.9 GHz    ",
+    "",
+])
+
+#: Packages a ``list-cpus`` or ``--help`` launch must not load: numpy,
+#: the simulator and the campaign infrastructure.
+HEAVY_MODULES = (
+    "numpy",
+    "repro.engine",
+    "repro.registry",
+    "repro.observe",
+    "repro.serve",
+    "repro.faults",
+    "repro.core",
+    "repro.testbench",
+)
+
+#: Prefix for a probe script: report every loaded module on stderr at
+#: exit, also when the command exits through ``SystemExit``.
+REPORT_MODULES = (
+    "import atexit, sys\n"
+    "atexit.register(lambda: sys.stderr.write('\\n'.join(sorted(sys.modules))))\n"
+)
+
+
+class TestImportGraph:
+    """CLI start-up imports only what the command uses."""
+
+    @staticmethod
+    def heavy(completed) -> set:
+        # A package is in sys.modules whenever any of its submodules is.
+        return set(HEAVY_MODULES) & set(completed.stderr.splitlines())
+
+    def test_list_cpus(self, fresh_python):
+        completed = fresh_python(
+            REPORT_MODULES + "from repro.cli import main\nsys.exit(main(['list-cpus']))\n"
+        )
+        assert completed.stdout == LIST_CPUS_STDOUT
+        assert self.heavy(completed) == set()
+
+    def test_help(self, fresh_python):
+        completed = fresh_python(
+            REPORT_MODULES
+            + "import runpy\nsys.argv = ['repro', '--help']\n"
+            "runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+        )
+        assert completed.stdout.startswith("usage: repro")
+        assert self.heavy(completed) == set()
+
+
 class TestCharacterize:
     def test_adaptive_with_map(self, capsys):
         assert main(["characterize", "--cpu", "Sky Lake", "--adaptive", "--map"]) == 0

@@ -86,3 +86,45 @@ class TestExports:
 
     def test_top_level_version(self):
         assert repro.__version__ == "1.0.0"
+
+
+#: Packages whose ``__all__`` names resolve on first access (PEP 562).
+LAZY_PACKAGES = ["repro", "repro.cpu", "repro.analysis"]
+
+
+class TestLazyExports:
+    @pytest.mark.parametrize("package_name", LAZY_PACKAGES)
+    def test_table_covers_all(self, package_name):
+        package = importlib.import_module(package_name)
+        assert set(package._EXPORTS) == set(package.__all__) - {"__version__"}
+
+    @pytest.mark.parametrize("package_name", LAZY_PACKAGES)
+    def test_names_are_the_defining_objects(self, package_name):
+        package = importlib.import_module(package_name)
+        for name, home in package._EXPORTS.items():
+            assert getattr(package, name) is getattr(importlib.import_module(home), name)
+        assert set(package.__all__) <= set(dir(package))
+
+    @pytest.mark.parametrize("package_name", LAZY_PACKAGES)
+    def test_star_import_binds_all(self, package_name):
+        namespace: dict = {}
+        exec(f"from {package_name} import *", namespace)
+        package = importlib.import_module(package_name)
+        for name in package.__all__:
+            assert namespace[name] is getattr(package, name)
+
+    @pytest.mark.parametrize("package_name", LAZY_PACKAGES)
+    def test_unknown_attribute(self, package_name):
+        package = importlib.import_module(package_name)
+        with pytest.raises(AttributeError, match=f"'{package_name}'.*'no_such_name'"):
+            package.no_such_name
+        assert not hasattr(package, "no_such_name")
+        sentinel = object()
+        assert getattr(package, "no_such_name", sentinel) is sentinel
+
+    def test_version_without_numpy(self, fresh_python):
+        fresh_python(
+            "import sys, repro\n"
+            "assert repro.__version__ == '1.0.0', repro.__version__\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
