@@ -42,6 +42,12 @@ ROUNDS = 10
 #: refined at run time; this is the cycle count).
 CYCLES_PER_ENCRYPTION = 200.0
 
+#: After a crash the attack offset backs off this far toward 0 (one
+#: :class:`~repro.attacks.search.OffsetSearch` step) before the retry:
+#: the operating point is deterministic, so retrying the same one would
+#: crash forever.
+CRASH_BACKOFF_MV = OffsetSearch.step_mv
+
 
 @dataclass
 class AESDFAConfig:
@@ -121,6 +127,7 @@ class AESDFAAttack(DVFSAttack):
             machine.advance(settle)
             if self._is_crashing():
                 outcome.crashes += 1
+                offset = min(offset + CRASH_BACKOFF_MV, 0)
                 machine.reboot(settle_s=settle)
                 machine.cpupower.frequency_set(
                     config.frequency_ghz, core_index=config.core_index

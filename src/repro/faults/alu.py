@@ -16,7 +16,7 @@ multiplication is ~64 limb products, any one of which may flip a bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
@@ -42,7 +42,9 @@ class BigIntALU:
     :mod:`repro.explore`) issues *exactly* the same multiplication
     sequence for the same inputs.  That shared op sequence is what lets
     the explorer's traced operation indices address the attack ALU's
-    multiplications one for one.
+    multiplications one for one.  :class:`FaultableALU` overrides
+    ``modexp`` only to draw its fault windows in bulk; this op-by-op
+    ``modexp`` is the oracle it is tested against.
     """
 
     def bigmul(self, lhs: int, rhs: int) -> int:
@@ -80,7 +82,18 @@ class BigIntALU:
 
 @dataclass
 class FaultableALU(BigIntALU):
-    """Executes arithmetic under live (frequency, voltage) conditions.
+    """Executes arithmetic under the core's (frequency, voltage) conditions.
+
+    ``imul64`` and ``bigmul`` read the conditions live, once per call.
+    ``modexp`` reads them once per exponentiation: the simulated clock
+    only moves when the machine advances, which never happens inside an
+    ``ecall``, so one operating point holds for the whole
+    exponentiation.  At that point it plans the square-and-multiply with
+    plain ints, draws every multiply's fault window in one
+    :meth:`~repro.faults.injector.FaultInjector.run_clean_windows` call,
+    and steps op by op (through :meth:`bigmul`'s window) only where a
+    fault or crash lands — consuming the seeded stream, counters and
+    trace exactly as :meth:`BigIntALU.modexp`, the op-by-op oracle, does.
 
     Parameters
     ----------
@@ -89,8 +102,7 @@ class FaultableALU(BigIntALU):
     conditions_source:
         Zero-argument callable returning the executing core's current
         :class:`~repro.faults.margin.OperatingConditions`; typically
-        ``lambda: machine.conditions(core_index)`` so mid-computation
-        voltage changes (the attack!) are observed.
+        ``lambda: machine.conditions(core_index)``.
     """
 
     injector: FaultInjector
@@ -128,12 +140,14 @@ class FaultableALU(BigIntALU):
         """
         if lhs < 0 or rhs < 0:
             raise ConfigurationError("bigmul operates on non-negative integers")
+        return self._bigmul_at(lhs, rhs, self._conditions())
+
+    def _bigmul_at(self, lhs: int, rhs: int, conditions: OperatingConditions) -> int:
+        """:meth:`bigmul` at given conditions: one fault window."""
         product = lhs * rhs
-        lhs_limbs = (lhs.bit_length() + 63) // 64 or 1
-        rhs_limbs = (rhs.bit_length() + 63) // 64 or 1
-        trials = lhs_limbs * rhs_limbs
+        rhs_limbs = _limbs(rhs)
+        trials = _limbs(lhs) * rhs_limbs
         self.stats.imul_count += trials
-        conditions = self._conditions()
         outcome = self.injector.run_window(
             conditions, trials, instruction="imul", raise_on_crash=True
         )
@@ -146,3 +160,83 @@ class FaultableALU(BigIntALU):
         fault_bit = (row + col) * 64 + event.flipped_bit
         self.stats.fault_count += 1
         return product ^ (1 << fault_bit)
+
+    def modexp(self, base: int, exponent: int, modulus: int) -> int:
+        """:meth:`BigIntALU.modexp` with bulk-drawn fault windows.
+
+        Plans the exact operands of every remaining ``modmul``, lets the
+        injector run the clean prefix of their windows in one draw, then
+        executes the first eventful multiply through :meth:`bigmul`'s
+        window (a fault, or the crash that raises
+        :class:`~repro.errors.MachineCheckError`) and plans again from
+        the faulted intermediate.
+        """
+        if modulus <= 0:
+            raise ConfigurationError("modulus must be positive")
+        if exponent < 0:
+            raise ConfigurationError("exponent must be non-negative")
+        result = 1 % modulus
+        acc = base % modulus
+        squares = _square_schedule(exponent)
+        if not squares:
+            return result
+        conditions = self._conditions()
+        op = 0
+        while op < len(squares):
+            states, trials = _plan(squares, op, result, acc, modulus)
+            clean = self.injector.run_clean_windows(conditions, trials, instruction="imul")
+            self.stats.imul_count += sum(trials[:clean])
+            result, acc = states[clean]
+            op += clean
+            if op == len(squares):
+                break
+            if squares[op]:
+                acc = self._bigmul_at(acc, acc, conditions) % modulus
+            else:
+                result = self._bigmul_at(result, acc, conditions) % modulus
+            op += 1
+        return result
+
+
+def _limbs(value: int) -> int:
+    """64-bit limbs a schoolbook multiplier spends on ``value``."""
+    return (value.bit_length() + 63) // 64 or 1
+
+
+def _square_schedule(exponent: int) -> Tuple[bool, ...]:
+    """The ``modmul`` sequence :meth:`BigIntALU.modexp` issues for ``exponent``.
+
+    ``True`` marks a squaring of the accumulator, ``False`` a multiply of
+    the result by it.
+    """
+    schedule: List[bool] = []
+    e = exponent
+    while e:
+        if e & 1:
+            schedule.append(False)
+        e >>= 1
+        if e:
+            schedule.append(True)
+    return tuple(schedule)
+
+
+def _plan(
+    squares: Tuple[bool, ...], start: int, result: int, acc: int, modulus: int
+) -> Tuple[List[Tuple[int, int]], List[int]]:
+    """Fault-free run of ``squares[start:]`` from state ``(result, acc)``.
+
+    Returns the ``(result, acc)`` state before every op plus the final
+    one, and every op's fault-trial count (limb products of its operands).
+    """
+    states = [(result, acc)]
+    trials = []
+    for square in squares[start:]:
+        if square:
+            limbs = _limbs(acc)
+            trials.append(limbs * limbs)
+            acc = acc * acc % modulus
+        else:
+            trials.append(_limbs(result) * _limbs(acc))
+            result = result * acc % modulus
+        states.append((result, acc))
+    return states, trials

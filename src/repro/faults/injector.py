@@ -11,7 +11,7 @@ product).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -50,6 +50,13 @@ class WindowOutcome:
 
 class FaultInjector:
     """Samples fault events for instruction windows.
+
+    :meth:`run_window` executes one window; :meth:`run_clean_windows`
+    runs a sequence of windows at one operating point in bulk — one
+    binomial array draw — up to the first that faults or crashes, for
+    callers (``FaultableALU.modexp``) whose conditions cannot move
+    between windows.  Both consume the seeded stream, counters and
+    observer calls identically.
 
     Parameters
     ----------
@@ -207,6 +214,50 @@ class FaultInjector:
             conditions=conditions,
             events=tuple(events),
         )
+
+    def run_clean_windows(
+        self,
+        conditions: OperatingConditions,
+        ops: Sequence[int],
+        *,
+        instruction: str = "imul",
+    ) -> int:
+        """Execute consecutive windows in bulk, up to the first eventful one.
+
+        ``ops[i]`` is the instruction count of window ``i``; all windows
+        run at the same ``conditions``.  Every window's binomial is drawn
+        in one array call — numpy's ``Generator.binomial`` over an int64
+        array yields the same values and leaves the bit generator in the
+        same state as the scalar calls :meth:`run_window` would make one
+        by one.  Windows before the first one that faults (or crashes)
+        are counted and observed exactly as :meth:`run_window` would;
+        that first window itself is *not* executed: the returned index
+        ``k`` tells the caller to run ``ops[k]`` through
+        :meth:`run_window`, with the generator positioned just before its
+        draw.  ``k == len(ops)`` means every window ran clean.
+        """
+        if self._fault_model.is_crash(conditions.frequency_ghz, conditions.voltage_volts):
+            return 0
+        probability = self._fault_model.fault_probability(
+            conditions.frequency_ghz, conditions.voltage_volts, instruction=instruction
+        )
+        clean = len(ops)
+        if probability > 0.0:
+            trials = np.asarray(ops, dtype=np.int64)
+            saved = self._rng.bit_generator.state
+            hits = np.flatnonzero(self._rng.binomial(trials, probability))
+            if hits.size:
+                # Rewind and redraw only the clean prefix, leaving the
+                # generator where the op-by-op path would stand.
+                clean = int(hits[0])
+                self._rng.bit_generator.state = saved
+                if clean:
+                    self._rng.binomial(trials[:clean], probability)
+        self._windows_counter.inc(clean)
+        if self.observer is not None:
+            for _ in range(clean):
+                self.observer(conditions, 0, False, instruction)
+        return clean
 
     def maybe_fault_value(
         self,

@@ -6,10 +6,16 @@ in the integration tests.
 
 from __future__ import annotations
 
+import contextlib
+import signal
+
 import pytest
 
 from repro.errors import AttackError
 from repro.attacks import (
+    AESDFAAttack,
+    AESDFAConfig,
+    AttackOutcome,
     ImulCampaign,
     OffsetSearch,
     PlundervoltAttack,
@@ -22,6 +28,7 @@ from repro.attacks import (
     VoltJockeyAttack,
     VoltJockeyConfig,
 )
+from repro.attacks.aes_dfa import CRASH_BACKOFF_MV
 from repro.cpu import COMET_LAKE
 from repro.sgx import EnclaveHost
 from repro.testbench import Machine
@@ -204,6 +211,84 @@ class TestVoltJockey:
         )
         outcome = attack.mount()
         assert outcome.succeeded
+
+
+#: Well past Comet Lake's crash boundary at 2.0 GHz (the search test
+#: above crashes from -250 mV on).
+PAST_CRASH_MV = -250
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Fail the enclosed block if it runs longer than ``seconds`` (wall)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"attack did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _past_crash_attack(name, machine, key):
+    """Each attack at an explicit operating point that crashes the core."""
+    host = EnclaveHost(machine)
+    if name == "plundervolt":
+        return PlundervoltAttack(
+            machine,
+            host.create_enclave("rsa"),
+            RSACRTSigner(key),
+            message=0xCAFE,
+            config=PlundervoltConfig(frequency_ghz=2.0, offset_mv=PAST_CRASH_MV),
+        )
+    if name == "v0ltpwn":
+        return V0ltpwnAttack(
+            machine,
+            host.create_enclave("vec"),
+            VectorChecksumPayload(ops=100_000),
+            V0ltpwnConfig(frequency_ghz=2.0, offset_mv=PAST_CRASH_MV),
+        )
+    if name == "aes-dfa":
+        return AESDFAAttack(
+            machine,
+            bytes(range(16)),
+            AESDFAConfig(frequency_ghz=2.0, offset_mv=PAST_CRASH_MV),
+        )
+    return VoltJockeyAttack(
+        machine,
+        VoltJockeyConfig(
+            low_frequency_ghz=0.8,
+            high_frequency_ghz=3.4,
+            offset_mv=PAST_CRASH_MV,
+            repetitions=2,
+        ),
+    )
+
+
+class TestPastTheCrashBoundary:
+    """Every attack loop ends, with its crashes counted, when the chosen
+    operating point crashes the core (the point is deterministic, so a
+    loop that retries it unchanged never ends)."""
+
+    @pytest.mark.parametrize("name", ["plundervolt", "v0ltpwn", "aes-dfa", "voltjockey"])
+    def test_returns_outcome_with_crashes(self, machine, key, name):
+        attack = _past_crash_attack(name, machine, key)
+        with deadline(60.0):
+            outcome = attack.mount()
+        assert isinstance(outcome, AttackOutcome)
+        assert outcome.attack == name
+        assert outcome.crashes > 0
+
+    def test_aes_dfa_backs_off_after_each_crash(self, machine, key):
+        with deadline(60.0):
+            outcome = _past_crash_attack("aes-dfa", machine, key).mount()
+        # One crash per backoff step at most, and the attack then runs.
+        assert outcome.crashes <= -PAST_CRASH_MV // CRASH_BACKOFF_MV
+        assert outcome.attempts > 0
 
 
 class TestAttackSurfaceScan:

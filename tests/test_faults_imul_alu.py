@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MachineCheckError
 from repro.cpu.models import COMET_LAKE
-from repro.faults.alu import FaultableALU
+from repro.explore.victim import modexp_op_count
+from repro.faults.alu import BigIntALU, FaultableALU
 from repro.faults.imul import DEFAULT_ITERATIONS, ImulLoop
 from repro.faults.injector import FaultInjector
-from repro.faults.margin import FaultModel
+from repro.faults.margin import FaultModel, OperatingConditions
+from repro.telemetry import NULL_TRACER, Telemetry
+from repro.testbench import Machine
 from repro.faults.workloads import (
     IMUL_LOOP,
     VECTOR_MULTIPLY,
@@ -151,3 +156,223 @@ class TestFaultableALU:
         alu.imul64(2, 3)
         alu.imul64(4, 5)
         assert len(calls) == 2
+
+
+def _operating_points() -> dict:
+    """Named Comet Lake points at 2.0 GHz, one per fault regime."""
+    model = FaultModel(COMET_LAKE)
+    vcrit = model.critical_voltage(2.0)
+    # Onset: the highest voltage with a non-zero fault probability.
+    low, high = vcrit - 0.005, vcrit + 0.05
+    for _ in range(60):
+        middle = (low + high) / 2
+        if model.fault_probability(2.0, middle) > 0.0:
+            low = middle
+        else:
+            high = middle
+    points = {
+        "safe": OperatingConditions(2.0, vcrit + 0.05, -50),
+        "onset": OperatingConditions(2.0, low, -90),
+        "faulting": OperatingConditions(2.0, vcrit - 0.007, -100),
+        "crash": OperatingConditions(2.0, vcrit - 0.05, -150),
+    }
+    assert model.fault_probability(2.0, points["safe"].voltage_volts) == 0.0
+    assert 0.0 < model.fault_probability(2.0, low) < 1e-5
+    assert not model.is_crash(2.0, points["faulting"].voltage_volts)
+    assert model.is_crash(2.0, points["crash"].voltage_volts)
+    return points
+
+
+POINTS = _operating_points()
+
+
+def _run_modexp(
+    modexp, seed, conditions, base, exponent, modulus, *, tracer, observer,
+    fault_model=None,
+):
+    """One exponentiation on a fresh machine; everything it left behind.
+
+    ``observer`` is ``"none"``, ``"recorder"`` (a call log on the
+    injector) or ``"invariants"`` (the log in front of an installed
+    :class:`~repro.verify.InvariantChecker`).  A ``fault_model`` replaces
+    the machine with a bare injector over that model.
+    """
+    telemetry = Telemetry()
+    if not tracer:
+        telemetry.tracer = NULL_TRACER
+    if fault_model is None:
+        injector = Machine.build(
+            COMET_LAKE, seed=seed, telemetry=telemetry, verify=observer == "invariants"
+        ).injector
+    else:
+        injector = FaultInjector(
+            fault_model, np.random.default_rng(seed), telemetry=telemetry
+        )
+    calls = []
+    if observer != "none":
+        inner = injector.observer
+
+        def observe(*args):
+            calls.append(args)
+            if inner is not None:
+                inner(*args)
+
+        injector.observer = observe
+    alu = FaultableALU(injector=injector, conditions_source=lambda: conditions)
+    try:
+        result = modexp(alu, base, exponent, modulus)
+    except MachineCheckError as error:
+        result = ("machine check", str(error))
+    counters = {
+        name: telemetry.registry.counter(name).value
+        for name in ("faults.windows", "faults.injected", "faults.crashes")
+    }
+    return {
+        "result": result,
+        "stats": alu.stats,
+        "counters": counters,
+        "events": telemetry.tracer.events,
+        "observer": calls,
+        "rng": injector.rng.bit_generator.state,
+    }
+
+
+class _FixedRateModel:
+    """A fault model that never crashes and faults each instruction with
+    a fixed probability."""
+
+    def __init__(self, probability: float) -> None:
+        self.probability = probability
+
+    def is_crash(self, frequency_ghz, voltage_volts) -> bool:
+        return False
+
+    def fault_probability(self, frequency_ghz, voltage_volts, *, instruction="imul"):
+        return self.probability
+
+
+#: Seed whose stream puts exactly two faults into the exponentiation of
+#: ``test_two_faults_in_one_exponentiation``.
+TWO_FAULT_SEED = 4
+
+
+#: Integers of an exact drawn bit length up to 512.  Hypothesis favours
+#: small draws, so the width is drawn as ``512 - k``: most examples run
+#: hundreds of multiplies on full-width operands.
+WIDE_INTS = st.integers(0, 511).flatmap(
+    lambda k: st.integers(1 << (511 - k), (1 << (512 - k)) - 1)
+)
+
+
+class TestBulkModexpIdentity:
+    """``FaultableALU.modexp`` (bulk windows) against ``BigIntALU.modexp``
+    (one ``bigmul`` window per multiply) on twin machines."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        base=st.integers(0, (1 << 512) - 1),
+        exponent=WIDE_INTS,
+        modulus=WIDE_INTS,
+        point=st.sampled_from(sorted(POINTS)),
+        seed=st.integers(0, 2**32 - 1),
+        tracer=st.booleans(),
+        observer=st.sampled_from(["none", "recorder", "invariants"]),
+    )
+    def test_bulk_matches_op_by_op(
+        self, base, exponent, modulus, point, seed, tracer, observer
+    ):
+        args = (seed, POINTS[point], base, exponent, modulus)
+        bulk = _run_modexp(FaultableALU.modexp, *args, tracer=tracer, observer=observer)
+        oracle = _run_modexp(BigIntALU.modexp, *args, tracer=tracer, observer=observer)
+        assert bulk == oracle
+
+    def test_two_faults_in_one_exponentiation(self):
+        # A 512-bit exponentiation at the faulting point whose seeded
+        # stream faults twice: the bulk path resumes from the faulted
+        # intermediate after the first fault and must meet the second.
+        base, exponent, modulus = (1 << 511) + 12345, (1 << 512) - 3, (1 << 512) - 569
+        args = (TWO_FAULT_SEED, POINTS["faulting"], base, exponent, modulus)
+        bulk = _run_modexp(FaultableALU.modexp, *args, tracer=True, observer="invariants")
+        oracle = _run_modexp(BigIntALU.modexp, *args, tracer=True, observer="invariants")
+        assert oracle["stats"].fault_count == 2
+        assert len(oracle["events"]) == 2
+        assert bulk == oracle
+
+    @pytest.mark.parametrize("probability", [1e-4, 1e-3, 0.05])
+    def test_bulk_matches_op_by_op_at_high_fault_rates(self, probability):
+        # Real fault rates stop near 4e-5 per imul; a synthetic rate puts
+        # dozens of faults, and as many plan-again-and-resume steps, into
+        # one exponentiation.
+        model = _FixedRateModel(probability)
+        args = (11, POINTS["faulting"], (1 << 511) + 99, (1 << 512) - 5, (1 << 512) - 569)
+        kwargs = dict(tracer=True, observer="recorder", fault_model=model)
+        bulk = _run_modexp(FaultableALU.modexp, *args, **kwargs)
+        oracle = _run_modexp(BigIntALU.modexp, *args, **kwargs)
+        assert oracle["stats"].fault_count >= 2
+        assert bulk == oracle
+
+    def test_crash_raises_on_the_first_window(self):
+        args = (7, POINTS["crash"], 3, 65537, (1 << 256) - 189)
+        bulk = _run_modexp(FaultableALU.modexp, *args, tracer=True, observer="recorder")
+        assert bulk["result"][0] == "machine check"
+        assert bulk["counters"] == {
+            "faults.windows": 1, "faults.injected": 0, "faults.crashes": 1,
+        }
+        assert [event.name for event in bulk["events"]] == ["fault.crash"]
+        assert bulk == _run_modexp(
+            BigIntALU.modexp, *args, tracer=True, observer="recorder"
+        )
+
+    def test_conditions_read_once_per_exponentiation(self):
+        calls = []
+
+        def source():
+            calls.append(1)
+            return POINTS["faulting"]
+
+        injector = FaultInjector(FaultModel(COMET_LAKE), np.random.default_rng(1))
+        alu = FaultableALU(injector=injector, conditions_source=source)
+        alu.modexp(5, (1 << 256) - 1, (1 << 256) - 189)
+        assert len(calls) == 1
+        assert alu.modexp(5, 0, 7) == 1
+        assert len(calls) == 1  # no multiply, no operating point read
+
+
+class TestBulkWindowGuards:
+    """Fail loudly if the bulk path's premises drift."""
+
+    @pytest.mark.parametrize("probability", [1e-9, 1e-6, 1e-3, 0.3])
+    def test_array_binomial_matches_scalar_sequence(self, probability):
+        # FaultInjector.run_clean_windows draws a whole exponentiation's
+        # windows with one array call where run_window draws them one by
+        # one; a numpy release that breaks this equivalence would
+        # silently re-seed every RSA-CRT payload.
+        trials = np.random.default_rng(99).integers(1, 65, size=1400).astype(np.int64)
+        bulk_rng = np.random.default_rng(2024)
+        scalar_rng = np.random.default_rng(2024)
+        bulk = bulk_rng.binomial(trials, probability)
+        scalar = [int(scalar_rng.binomial(int(n), probability)) for n in trials]
+        assert bulk.tolist() == scalar
+        assert bulk_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    @pytest.mark.parametrize("point", ["safe", "onset"])
+    def test_fault_free_modexp_opens_no_single_window(self, monkeypatch, point):
+        calls = []
+        run_window = FaultInjector.run_window
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return run_window(self, *args, **kwargs)
+
+        monkeypatch.setattr(FaultInjector, "run_window", counting)
+        telemetry = Telemetry()
+        injector = FaultInjector(
+            FaultModel(COMET_LAKE), np.random.default_rng(4), telemetry=telemetry
+        )
+        conditions = POINTS[point]
+        alu = FaultableALU(injector=injector, conditions_source=lambda: conditions)
+        base, exponent, modulus = (1 << 511) + 1, (1 << 512) - 1, (1 << 512) - 569
+        assert alu.modexp(base, exponent, modulus) == pow(base, exponent, modulus)
+        assert alu.stats.fault_count == 0
+        assert calls == []
+        assert telemetry.registry.counter("faults.windows").value == modexp_op_count(exponent)
