@@ -15,7 +15,6 @@ Exposes the reproduction's main flows without writing Python::
     python -m repro maximal
     python -m repro profile --out profile.speedscope.json
     python -m repro campaign --report run.json && python -m repro report run.json
-    python -m repro metrics serve --port 8787 --duration 30
     python -m repro runs list --cpu "Comet Lake"
     python -m repro runs show <run-id>
     python -m repro reproduce <run-id>          # byte-identity re-execution
@@ -26,7 +25,6 @@ Exposes the reproduction's main flows without writing Python::
     python -m repro status --registry
     python -m repro campaign --workers 2 --spans trace.json
     python -m repro spans <run-id> --export trace.json
-    python -m repro top --url http://127.0.0.1:8787/metrics --once
 
 Every heavy flow goes through the campaign engine (:mod:`repro.engine`):
 characterization sweeps are cached per content hash, and ``repro
@@ -168,13 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="write the engine run manifest (run.json) after the campaign",
-    )
-    campaign.add_argument(
-        "--serve-port",
-        type=int,
-        default=None,
-        help="serve live OpenMetrics on this port while the campaign runs "
-        "(watch it with: repro top --port PORT)",
     )
     campaign.add_argument(
         "--spans",
@@ -554,42 +545,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     spans.add_argument("--registry", metavar="DIR", default=None)
 
-    top = sub.add_parser(
-        "top",
-        help="live dashboard over a campaign's OpenMetrics endpoint "
-        "(progress, worker occupancy, queue/exec latency)",
-    )
-    top.add_argument(
-        "--url",
-        default=None,
-        help="metrics URL (default: http://127.0.0.1:PORT/metrics)",
-    )
-    top.add_argument(
-        "--port",
-        type=int,
-        default=8787,
-        help="port for the default URL (matches campaign --serve-port)",
-    )
-    top.add_argument(
-        "--once", action="store_true", help="render a single frame and exit"
-    )
-    top.add_argument(
-        "--interval",
-        type=float,
-        default=None,
-        help="refresh interval in seconds (default: 2)",
-    )
-    top.add_argument(
-        "--frames",
-        type=int,
-        default=None,
-        help="stop after N frames (default: run until interrupted)",
-    )
-
     serve = sub.add_parser(
         "serve",
         help="run a campaign coordinator: lease jobs to repro work agents, "
-        "dedup results fleet-wide, serve /metrics",
+        "dedup results fleet-wide, serve /v1/status",
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
@@ -784,26 +743,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="write the Markdown here instead of printing it",
-    )
-
-    metrics = sub.add_parser(
-        "metrics", help="live telemetry serving (OpenMetrics over HTTP)"
-    )
-    metrics_sub = metrics.add_subparsers(dest="metrics_command", required=True)
-    serve = metrics_sub.add_parser(
-        "serve",
-        help="drive a protected machine and serve its registry on /metrics",
-    )
-    serve.add_argument("--cpu", default="Comet Lake", help="CPU codename")
-    serve.add_argument("--host", default="127.0.0.1", help="bind address")
-    serve.add_argument(
-        "--port", type=int, default=0, help="bind port (0 = auto-assign)"
-    )
-    serve.add_argument(
-        "--duration",
-        type=float,
-        default=30.0,
-        help="wall-clock seconds to serve before shutting down",
     )
 
     observe = sub.add_parser(
@@ -1122,41 +1061,13 @@ def _cmd_campaign(args) -> int:
         )
     else:
         session = get_session()
-    server = None
-    if args.serve_port is not None:
-        from repro.observe import MetricsServer
-
-        # Touch the counters the countermeasure reports so the scrape
-        # output declares the metric families from the first request,
-        # even before the first worker batch merges its increments.
-        session.telemetry.registry.counter("countermeasure.polls")
-        session.telemetry.registry.counter("countermeasure.detections")
-        # Serve the composite view: deterministic telemetry plus the
-        # wall-clock occupancy/latency instruments `repro top` charts.
-        from repro.errors import ObserveError
-
-        try:
-            server = MetricsServer(
-                provider=lambda: session.metrics_view(), port=args.serve_port
-            ).start()
-        except ObserveError as exc:
-            print(f"campaign: {exc}", file=sys.stderr)
-            return 2
-        # server.port, not args.serve_port: --serve-port 0 binds an
-        # ephemeral port and the printed line is how callers learn it.
-        print(f"serving OpenMetrics at {server.url} "
-              f"(watch with: repro top --port {server.port})", flush=True)
-    try:
-        jobs = experiments.prevention_jobs(
-            seed=args.seed, include_aes=not args.no_aes, batch=args.batch
-        )
-        if args.cpu:
-            codename = model_by_codename(args.cpu).codename
-            jobs = [job for job in jobs if job.codename == codename]
-        outcomes = session.run_jobs(jobs)
-    finally:
-        if server is not None:
-            server.stop()
+    jobs = experiments.prevention_jobs(
+        seed=args.seed, include_aes=not args.no_aes, batch=args.batch
+    )
+    if args.cpu:
+        codename = model_by_codename(args.cpu).codename
+        jobs = [job for job in jobs if job.codename == codename]
+    outcomes = session.run_jobs(jobs)
     rows = []
     quarantined = 0
     for job, outcome in zip(jobs, outcomes):
@@ -1742,25 +1653,6 @@ def _cmd_spans(args) -> int:
     return 0
 
 
-def _cmd_top(args) -> int:
-    from repro.observe import run_top
-    from repro.observe.top import DEFAULT_INTERVAL_S
-
-    url = args.url or f"http://127.0.0.1:{args.port}/metrics"
-    # A bare coordinator URL (repro serve prints one) works too: the
-    # dashboard scrapes its /metrics exposition.
-    if "://" in url and not url.rstrip("/").endswith("/metrics"):
-        url = url.rstrip("/") + "/metrics"
-    return run_top(
-        url,
-        once=args.once,
-        interval_s=(
-            args.interval if args.interval is not None else DEFAULT_INTERVAL_S
-        ),
-        frames=args.frames,
-    )
-
-
 def _trajectory_value(args) -> float:
     from repro.registry import extract_metric
 
@@ -2120,51 +2012,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_metrics_serve(args) -> int:
-    import time
-
-    from repro.core.polling_module import PollingCountermeasure
-    from repro.cpu.models import model_by_codename
-    from repro.observe import MetricsServer
-    from repro.telemetry import Telemetry
-    from repro.testbench import Machine
-
-    model = model_by_codename(args.cpu)
-    unsafe = _characterize(model, args.seed).unsafe_states
-    telemetry = Telemetry()
-    machine = Machine.build(
-        model,
-        seed=_cli_seed(args.seed, "metrics", model.codename),
-        telemetry=telemetry,
-    )
-    machine.modules.insmod(PollingCountermeasure(machine, unsafe))
-    from repro.errors import ObserveError
-
-    try:
-        server = MetricsServer(
-            telemetry.registry, host=args.host, port=args.port
-        ).start()
-    except ObserveError as exc:
-        print(f"metrics serve: {exc}", file=sys.stderr)
-        return 2
-    try:
-        print(f"serving OpenMetrics at {server.url} "
-              f"(liveness at /healthz) for {args.duration:g}s", flush=True)
-        deadline = time.monotonic() + args.duration
-        try:
-            while time.monotonic() < deadline:
-                # Keep the countermeasure polling so scrapes see live
-                # counters; sim time needs no relation to wall time.
-                machine.advance(5e-3)
-                time.sleep(0.05)
-        except KeyboardInterrupt:
-            pass
-    finally:
-        server.stop()
-    print("metrics server stopped")
-    return 0
-
-
 def _cmd_serve(args) -> int:
     import tempfile
     import time
@@ -2192,7 +2039,7 @@ def _cmd_serve(args) -> int:
     # coordinator.port, not args.port: --port 0 binds an ephemeral port
     # and this line is how workers and clients learn the address.
     print(f"coordinator serving at {coordinator.url} "
-          f"(store: {store}; metrics at {coordinator.url}/metrics)",
+          f"(store: {store}; status at {coordinator.url}/v1/status)",
           flush=True)
     print(f"attach workers with: repro work --coordinator {coordinator.url}",
           flush=True)
@@ -2322,12 +2169,10 @@ _COMMANDS = {
     "trajectory": _cmd_trajectory,
     "spans": _cmd_spans,
     "status": _cmd_status,
-    "top": _cmd_top,
     "serve": _cmd_serve,
     "work": _cmd_work,
     "profile": _cmd_profile,
     "report": _cmd_report,
-    "metrics": _cmd_metrics_serve,
     "observe": _cmd_observe_replay,
 }
 

@@ -54,9 +54,8 @@ COORDINATOR_ENV = "REPRO_COORDINATOR"
 
 
 #: Per-job completion callback: ``progress(done_count, result)``.  Used
-#: by the engine session to keep live progress gauges current while a
-#: batch is in flight (``repro.observe`` serves them over ``/metrics``)
-#: and to checkpoint completed results incrementally.
+#: by the engine session to keep its progress gauges current while a
+#: batch is in flight and to checkpoint completed results incrementally.
 ProgressCallback = Callable[[int, JobResult], None]
 
 
@@ -75,10 +74,6 @@ class Executor(ABC):
         #: error_type) accumulated until the session drains them into the
         #: fleet timeline as ``attempt`` spans.
         self.failed_attempts: List[Dict[str, str]] = []
-        #: Optional occupancy hook: called with the current in-flight
-        #: attempt count as it changes (the ``repro top`` worker
-        #: occupancy gauge rides on this).
-        self.on_inflight: Optional[Callable[[int], None]] = None
 
     def _record_failed_attempt(
         self, job: JobSpec, attempt: int, error: BaseException
@@ -406,8 +401,6 @@ class ParallelExecutor(Executor):
                 recover_broken_pool(error)
                 continue
 
-            if self.on_inflight is not None:
-                self.on_inflight(len(in_flight))
             if not in_flight:
                 break
             now = time.monotonic()
@@ -481,9 +474,6 @@ class ParallelExecutor(Executor):
             self.stats.retries += inline.stats.retries
             self.stats.quarantined += inline.stats.quarantined
             self.failed_attempts.extend(inline.drain_failed_attempts())
-
-        if self.on_inflight is not None:
-            self.on_inflight(0)
 
         assert all(result is not None for result in results)
         return results  # type: ignore[return-value]

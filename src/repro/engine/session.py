@@ -50,7 +50,7 @@ from repro.observe.spans import FleetTimeline, spans_enabled
 from repro.registry.registry import RunRegistry, code_fingerprint, compute_run_id
 from repro.registry.store import encode_object
 from repro.telemetry import Telemetry
-from repro.telemetry.registry import CompositeRegistry, Registry
+from repro.telemetry.registry import Registry
 
 #: Root seed of the canonical paper reproduction (matches the benchmarks
 #: and the historical ``experiments.CANONICAL_SEED``).
@@ -164,8 +164,7 @@ class EngineSession:
         self._resumed_counter = self.telemetry.registry.counter("engine.resumed")
         # Live progress gauges: cumulative jobs submitted / finished this
         # session (cached jobs finish instantly).  The per-job executor
-        # callback keeps "completed" current mid-batch, which is what the
-        # repro.observe metrics endpoint serves during a campaign.
+        # callback keeps "completed" current mid-batch.
         self._progress_total = 0
         self._progress_done = 0
         self._progress_total_gauge = self.telemetry.registry.gauge(
@@ -181,15 +180,9 @@ class EngineSession:
             FleetTimeline() if spans_enabled() else None
         )
         #: Wall-clock latency instruments (queue wait / execute time per
-        #: job kind, worker occupancy).  Deliberately a *separate*
-        #: registry: ``self.telemetry`` stays fully deterministic, and
-        #: :meth:`metrics_view` serves both together for scrapes.
+        #: job kind).  Deliberately a *separate* registry:
+        #: ``self.telemetry`` stays fully deterministic.
         self.wall_registry = Registry()
-        self.wall_registry.gauge("engine.wall.workers").set(
-            getattr(self.executor, "workers", 1)
-        )
-        self._inflight_gauge = self.wall_registry.gauge("engine.wall.in_flight")
-        self.executor.on_inflight = self._inflight_gauge.set
         #: Per-batch provenance records feeding :meth:`run_manifest` —
         #: which jobs ran, which came from cache, and each batch's wall
         #: time (the manifest's only non-deterministic field).
@@ -566,15 +559,6 @@ class EngineSession:
     def counters(self) -> dict:
         """Name → value snapshot of the merged session counters."""
         return {c.name: c.value for c in self.telemetry.registry.counters()}
-
-    def metrics_view(self) -> CompositeRegistry:
-        """One scrape surface: deterministic telemetry + wall latency.
-
-        What ``repro campaign --serve-port`` exposes and ``repro top``
-        renders — the session registry's counters/gauges/histograms
-        plus the wall-clock queue-wait/exec/occupancy instruments.
-        """
-        return CompositeRegistry(self.telemetry.registry, self.wall_registry)
 
     def export_spans(self, path, *, fmt: str = "chrome", wall_path=None) -> Path:
         """Write the merged span timeline as a trace file; returns it.

@@ -1,4 +1,4 @@
-"""repro.observe — profiling, post-mortems, live metrics, run reports.
+"""repro.observe — profiling, post-mortems, spans, run reports.
 
 The observability layer that rides on :mod:`repro.telemetry` without
 perturbing the simulation:
@@ -9,15 +9,11 @@ perturbing the simulation:
 * :class:`FlightRecorder` — freezes the last N trace events into a
   replayable JSONL dump when an invariant trips, a machine check fires,
   or an exception escapes a campaign job;
-* :func:`render_openmetrics` / :class:`MetricsServer` — OpenMetrics text
-  exposition of a live registry over stdlib HTTP;
 * :func:`render_markdown` — the ``repro report`` view of an engine run
   manifest;
 * :mod:`repro.observe.spans` — the fleet-wide span model: deterministic
   sim-time spans propagated through worker processes and merged into a
-  :class:`FleetTimeline`, with wall clocks segregated to a sidecar;
-* :func:`run_top` — the ``repro top`` live dashboard over a scraped
-  OpenMetrics endpoint.
+  :class:`FleetTimeline`, with wall clocks segregated to a sidecar.
 """
 
 from repro.observe.flight import (
@@ -31,11 +27,6 @@ from repro.observe.flight import (
     is_flight_dump,
     load_flight_dump,
 )
-from repro.observe.openmetrics import (
-    OPENMETRICS_CONTENT_TYPE,
-    metric_name,
-    render_openmetrics,
-)
 from repro.observe.profiler import (
     PROFILE_SCHEMA_VERSION,
     ProfileBucket,
@@ -48,7 +39,6 @@ from repro.observe.report import (
     render_markdown,
     write_markdown,
 )
-from repro.observe.serve import MetricsServer
 from repro.observe.spans import (
     NULL_SPANS,
     SPAN_SCHEMA_VERSION,
@@ -61,13 +51,6 @@ from repro.observe.spans import (
     note_queue_wait,
     spans_enabled,
 )
-from repro.observe.top import (
-    fetch_metrics,
-    parse_openmetrics,
-    render_banner,
-    render_top,
-    run_top,
-)
 
 __all__ = [
     "FLIGHT_DIR_ENV",
@@ -75,9 +58,7 @@ __all__ = [
     "FleetTimeline",
     "FlightDump",
     "FlightRecorder",
-    "MetricsServer",
     "NULL_SPANS",
-    "OPENMETRICS_CONTENT_TYPE",
     "PROFILE_SCHEMA_VERSION",
     "ProfileBucket",
     "REPORT_SCHEMA_VERSION",
@@ -89,21 +70,14 @@ __all__ = [
     "derive_trace_id",
     "dump_job_failure",
     "dump_quarantine",
-    "fetch_metrics",
     "flight_dir_from_env",
     "is_flight_dump",
     "job_span_id",
     "load_flight_dump",
     "load_manifest",
-    "metric_name",
     "note_queue_wait",
-    "parse_openmetrics",
     "render_markdown",
-    "render_openmetrics",
-    "render_banner",
-    "render_top",
     "resolve_site",
-    "run_top",
     "spans_enabled",
     "write_markdown",
 ]

@@ -182,7 +182,7 @@ class ObjectStore:
 
 @dataclass
 class ResultStoreStats:
-    """Effectiveness counters surfaced on ``/metrics`` and ``/v1/status``."""
+    """Effectiveness counters surfaced on the coordinator's ``/v1/status``."""
 
     stored: int = 0
     hits: int = 0

@@ -172,9 +172,9 @@ class RemoteExecutor(Executor):
     """Shards batches through a coordinator; degrades to inline on loss.
 
     Satisfies the full :class:`Executor` contract — results in input
-    order, ``stats``/``failed_attempts`` bookkeeping, ``on_inflight``
-    occupancy, quarantine semantics — so the engine session cannot tell
-    the fleet from a local pool except by reading ``result.origin``.
+    order, ``stats``/``failed_attempts`` bookkeeping, quarantine
+    semantics — so the engine session cannot tell the fleet from a
+    local pool except by reading ``result.origin``.
     """
 
     name = "remote"
@@ -264,7 +264,7 @@ class RemoteExecutor(Executor):
             result.origin = protocol.ORIGIN_REMOTE
             # The whole remote hop (queue + execution + transfer) since
             # this client submitted, visible as the job span's
-            # queue_wait_s in ``repro top`` and the fleet timeline.
+            # queue_wait_s in the fleet timeline.
             note_queue_wait(result.spans, result.span_wall, submitted_s)
         return result
 
@@ -353,8 +353,6 @@ class RemoteExecutor(Executor):
         )
         unreachable = False
         while pending:
-            if self.on_inflight is not None:
-                self.on_inflight(len(pending))
             try:
                 reply, _ = self.transport.request(
                     "POST",
@@ -389,8 +387,6 @@ class RemoteExecutor(Executor):
                 break
             time.sleep(self.poll_interval_s)
 
-        if self.on_inflight is not None:
-            self.on_inflight(0)
         if unreachable and pending:
             self._degrade(
                 [by_fingerprint[f] for f in sorted(pending)],

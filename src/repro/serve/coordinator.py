@@ -21,8 +21,7 @@ is byte-identical to an undisturbed first try.  A job that exhausts its
 attempt budget is quarantined with its failure history rather than
 poisoning the campaign.
 
-Everything is stdlib: ``ThreadingHTTPServer`` in a daemon thread (the
-same pattern as :class:`repro.observe.serve.MetricsServer`), JSON
+Everything is stdlib: ``ThreadingHTTPServer`` in a daemon thread, JSON
 bodies, and the PR-9 span envelope carried on real HTTP headers.  The
 expiry reaper is *lazy* — it runs at the top of every state-mutating
 request instead of in a timer thread, which keeps the coordinator
@@ -42,7 +41,6 @@ from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from repro.errors import ObserveError, ServeError, ServeProtocolError
-from repro.observe.openmetrics import OPENMETRICS_CONTENT_TYPE, render_openmetrics
 from repro.registry.store import ResultStore
 from repro.serve import protocol
 from repro.telemetry.registry import Registry
@@ -200,13 +198,6 @@ class Coordinator:
                     record.state = protocol.JOB_PENDING
                     self._queue.appendleft(fingerprint)
                     self.registry.counter("serve.jobs.requeued").inc()
-        self._update_gauges()
-
-    def _update_gauges(self) -> None:
-        self.registry.gauge("serve.queue.depth").set(len(self._queue))
-        self.registry.gauge("serve.leases.active").set(len(self._leases))
-        self.registry.gauge("serve.workers.known").set(len(self._workers))
-        self.registry.gauge("serve.store.results").set(len(self.store))
 
     # -- request handlers (all return (body-dict, extra-headers)) ----------------
 
@@ -261,7 +252,6 @@ class Coordinator:
                 # An in-flight duplicate submission shares the existing
                 # record — both clients collect the same result.
                 accepted.append(fingerprint)
-            self._update_gauges()
         return (
             {
                 "protocol": protocol.PROTOCOL_VERSION,
@@ -316,7 +306,6 @@ class Coordinator:
                         "spec": record.spec,
                     }
                 )
-            self._update_gauges()
             body: Dict[str, Any] = {
                 "protocol": protocol.PROTOCOL_VERSION,
                 "jobs": granted,
@@ -398,7 +387,6 @@ class Coordinator:
                 lease.fingerprints.discard(fingerprint)
                 if not lease.fingerprints:
                     self._leases.pop(lease.lease_id, None)
-            self._update_gauges()
             return {"ok": True, "duplicate": False}, {}
 
     def handle_collect(
@@ -437,7 +425,12 @@ class Coordinator:
         return {"done": done, "pending": pending}, {}
 
     def status_snapshot(self) -> Dict[str, Any]:
-        """JSON-safe service snapshot for ``GET /v1/status``."""
+        """JSON-safe service snapshot for ``GET /v1/status``.
+
+        The coordinator's one read surface: live queue, lease, worker,
+        job-state and store figures, plus every ``serve.*`` counter of
+        :attr:`registry` under ``counters``.
+        """
         with self._lock:
             self._reap_expired(self._clock())
             by_state: Dict[str, int] = {}
@@ -453,6 +446,7 @@ class Coordinator:
                     "results": len(self.store),
                     **self.store.stats.as_dict(),
                 },
+                "counters": self.registry.counter_values(),
             }
 
 
@@ -523,10 +517,7 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         path = self.path.split("?", 1)[0]
         coordinator = self.server.coordinator
-        if path == "/metrics":
-            body = render_openmetrics(coordinator.registry).encode("utf-8")
-            self._reply(body=body, status=200, content_type=OPENMETRICS_CONTENT_TYPE)
-        elif path == "/healthz":
+        if path == "/healthz":
             self._reply(200, b"ok\n", content_type="text/plain; charset=utf-8")
         elif path == "/v1/status":
             self._reply_json(200, coordinator.status_snapshot())

@@ -10,8 +10,7 @@ the coordinator (``repro serve``) and the worker agents (``repro work``):
 ``POST /v1/heartbeat``       worker renews a lease's deadline
 ``PUT  /v1/result/<fp>``     worker publishes one job's result (idempotent)
 ``POST /v1/collect``         client polls for completed results
-``GET  /v1/status``          JSON service snapshot (leases, queue, store)
-``GET  /metrics``            OpenMetrics exposition (``repro top --url``)
+``GET  /v1/status``          JSON service snapshot (queue, leases, store, counters)
 ``GET  /healthz``            liveness probe
 ===========================  ====================================================
 

@@ -373,59 +373,3 @@ class _NullRegistry(Registry):
 
 #: Shared disabled registry (stateless, safe to share across machines).
 NULL_REGISTRY = _NullRegistry()
-
-
-class CompositeRegistry(Registry):
-    """A read-only union view over several registries.
-
-    Serves the iteration/snapshot side of the :class:`Registry` API
-    across member registries (first member wins on name collisions, name
-    order within each iterator is preserved by a merged sort).  This is
-    what lets the metrics endpoint expose the session's deterministic
-    telemetry *and* its wall-clock latency registry as one scrape
-    without ever mixing their instruments.  Instrument creation is
-    rejected — create on a member instead.
-    """
-
-    def __init__(self, *members: Registry) -> None:
-        super().__init__()
-        self.members: Tuple[Registry, ...] = tuple(members)
-
-    def _union(self, iterators) -> Iterator:
-        seen: Dict[str, object] = {}
-        for iterator in iterators:
-            for instrument in iterator:
-                seen.setdefault(instrument.name, instrument)
-        for name in sorted(seen):
-            yield seen[name]
-
-    def counters(self) -> Iterator[Counter]:
-        """Iterate counters across all members, sorted, first member wins."""
-        return self._union(member.counters() for member in self.members)
-
-    def gauges(self) -> Iterator[Gauge]:
-        """Iterate gauges across all members, sorted, first member wins."""
-        return self._union(member.gauges() for member in self.members)
-
-    def histograms(self) -> Iterator[Histogram]:
-        """Iterate histograms across all members, sorted, first member wins."""
-        return self._union(member.histograms() for member in self.members)
-
-    def counter(self, name: str) -> Counter:
-        """Reject creation — the composite view is read-only."""
-        raise ConfigurationError(
-            "CompositeRegistry is read-only; create instruments on a member"
-        )
-
-    gauge = counter  # type: ignore[assignment]
-
-    def histogram(self, name: str, *, max_samples: int = 100_000) -> Histogram:
-        """Reject creation — the composite view is read-only."""
-        raise ConfigurationError(
-            "CompositeRegistry is read-only; create instruments on a member"
-        )
-
-    def reset(self) -> None:
-        """Reset every member registry."""
-        for member in self.members:
-            member.reset()

@@ -40,6 +40,10 @@ HEAVY_MODULES = (
     "repro.testbench",
 )
 
+#: HTTP and TLS modules: only the coordinator and the remote client use
+#: them, so only those load them.
+HTTP_MODULES = ("http.server", "http.client", "ssl", "urllib.request")
+
 #: Prefix for a probe script: report every loaded module on stderr at
 #: exit, also when the command exits through ``SystemExit``.
 REPORT_MODULES = (
@@ -71,6 +75,46 @@ class TestImportGraph:
         )
         assert completed.stdout.startswith("usage: repro")
         assert self.heavy(completed) == set()
+
+    def test_engine_session_loads_no_http(self, fresh_python):
+        completed = fresh_python(REPORT_MODULES + "import repro.engine.session\n")
+        loaded = set(completed.stderr.splitlines())
+        assert loaded & set(HTTP_MODULES) == set()
+
+    @pytest.mark.parametrize(
+        "module",
+        ["repro.engine", "repro.observe", "repro.registry.registry", "repro.telemetry"],
+    )
+    def test_package_loads_no_http(self, fresh_python, module):
+        completed = fresh_python(REPORT_MODULES + f"import {module}\n")
+        loaded = set(completed.stderr.splitlines())
+        assert loaded & set(HTTP_MODULES) == set()
+
+    def test_coordinator_loads_http(self, fresh_python):
+        # Control for the cases above: the probe does see HTTP modules
+        # where they belong.
+        completed = fresh_python(REPORT_MODULES + "import repro.serve.coordinator\n")
+        loaded = set(completed.stderr.splitlines())
+        assert {"http.server", "http.client"} <= loaded
+
+
+class TestRetiredSurfaces:
+    """The live-monitoring commands and options are gone from the parser."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["top", "--once"],
+            ["metrics", "serve"],
+            ["campaign", "--serve-port", "0"],
+        ],
+        ids=["top", "metrics-serve", "campaign-serve-port"],
+    )
+    def test_rejected_as_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "usage: repro" in capsys.readouterr().err
 
 
 class TestCharacterize:
@@ -188,6 +232,13 @@ class TestStatus:
         out = capsys.readouterr().out
         assert "plug_your_volt" in out
         assert "processor\t: 0" in out
+
+    def test_status_prints_polling_counters(self, capsys):
+        # With the metrics endpoint gone, this is where the polling
+        # module's counters are read from the command line.
+        assert main(["status", "--cpu", "Sky Lake"]) == 0
+        out = capsys.readouterr().out
+        assert "countermeasure.polls" in out
 
 
 class TestChaos:

@@ -1,6 +1,6 @@
-"""The observe layer: profiler, flight recorder, OpenMetrics, reports.
+"""The observe layer: profiler, flight recorder, reports.
 
-Four contracts under test:
+Three contracts under test:
 
 * the sim-time profiler attributes dispatch-loop work per component and
   its collapsed-stack/speedscope artifacts are byte-identical across
@@ -8,8 +8,6 @@ Four contracts under test:
 * the flight recorder freezes a replayable post-mortem on invariant
   violations, machine checks and job failures — and the fuzz pipeline's
   dumps replay through the same entry points as shrunk artifacts;
-* the OpenMetrics renderer/serving stack exposes a live registry in the
-  standard text format, ``countermeasure.polls`` included;
 * the engine run manifest records provenance (cache vs execution, seed
   paths, fingerprints) and renders to Markdown.
 """
@@ -18,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import json
-import urllib.request
 from dataclasses import dataclass
 from typing import Any, ClassVar, Tuple
 
@@ -37,19 +34,16 @@ from repro.errors import InvariantViolation, ObserveError, SimulationError
 from repro.kernel.sim import Simulator
 from repro.observe import (
     FlightRecorder,
-    MetricsServer,
     SimProfiler,
     dump_job_failure,
     flight_dir_from_env,
     is_flight_dump,
     load_flight_dump,
     load_manifest,
-    metric_name,
     render_markdown,
-    render_openmetrics,
     resolve_site,
 )
-from repro.telemetry import Registry, Telemetry
+from repro.telemetry import Telemetry
 from repro.testbench import Machine
 from repro.verify import FuzzSchedule, run_schedule, schedule_for_job
 
@@ -389,94 +383,6 @@ class TestFuzzFlightDumps:
         )
         assert summary["violation"] is None
         assert summary["flight_dump"] is None
-
-
-# ---------------------------------------------------------------------------
-# OpenMetrics + serving
-# ---------------------------------------------------------------------------
-
-
-class TestOpenMetrics:
-    def test_metric_name_sanitization(self):
-        assert metric_name("countermeasure.polls") == "repro_countermeasure_polls"
-        assert metric_name("a-b c.d") == "repro_a_b_c_d"
-        assert metric_name("0weird").startswith("repro__")
-
-    def test_render_families_and_eof(self):
-        registry = Registry()
-        registry.counter("countermeasure.polls").inc(9)
-        registry.gauge("engine.progress.completed").set(4)
-        hist = registry.histogram("countermeasure.turnaround_s")
-        for value in (1e-4, 2e-4, 3e-4):
-            hist.observe(value)
-        text = render_openmetrics(registry)
-        assert "# TYPE repro_countermeasure_polls counter" in text
-        assert "repro_countermeasure_polls_total 9" in text
-        assert "countermeasure.polls" in text  # dotted name in HELP
-        assert "repro_engine_progress_completed 4" in text
-        assert 'quantile="0.5"' in text
-        assert "repro_countermeasure_turnaround_s_count 3" in text
-        assert text.endswith("# EOF\n")
-
-    def test_empty_registry_is_just_eof(self):
-        assert render_openmetrics(Registry()) == "# EOF\n"
-
-    def test_truncated_summary_quantiles_use_exact_extremes(self):
-        registry = Registry()
-        hist = registry.histogram("lat", max_samples=1)
-        for value in (5.0, 1.0, 9.0):
-            hist.observe(value)
-        text = render_openmetrics(registry)
-        # p99 over the 1-sample window would report 5.0; the exact-max
-        # clamp keeps the scrape honest.
-        assert 'repro_lat{quantile="0.99"} 5.0' in text
-
-
-class TestMetricsServer:
-    def _get(self, url: str) -> str:
-        with urllib.request.urlopen(url, timeout=5) as response:
-            return response.read().decode("utf-8")
-
-    def test_serves_metrics_and_healthz(self):
-        registry = Registry()
-        registry.counter("countermeasure.polls").inc(2)
-        with MetricsServer(registry) as server:
-            assert server.port != 0
-            body = self._get(server.url)
-            assert "repro_countermeasure_polls_total 2" in body
-            assert body.endswith("# EOF\n")
-            assert self._get(server.url.replace("/metrics", "/healthz")) == "ok\n"
-            registry.counter("countermeasure.polls").inc(3)
-            assert "repro_countermeasure_polls_total 5" in self._get(server.url)
-
-    def test_unknown_path_404(self):
-        with MetricsServer(Registry()) as server:
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                self._get(server.url.replace("/metrics", "/nope"))
-            assert excinfo.value.code == 404
-
-    def test_provider_follows_current_registry(self):
-        box = {"registry": Registry()}
-        with MetricsServer(provider=lambda: box["registry"]) as server:
-            replacement = Registry()
-            replacement.counter("swapped.counter").inc(1)
-            box["registry"] = replacement
-            assert "repro_swapped_counter_total 1" in self._get(server.url)
-
-    def test_constructor_validation(self):
-        with pytest.raises(ObserveError):
-            MetricsServer()
-        with pytest.raises(ObserveError):
-            MetricsServer(Registry(), provider=lambda: None)
-
-    def test_double_start_rejected(self):
-        server = MetricsServer(Registry()).start()
-        try:
-            with pytest.raises(ObserveError):
-                server.start()
-        finally:
-            server.stop()
-        server.stop()  # idempotent
 
 
 # ---------------------------------------------------------------------------

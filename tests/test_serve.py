@@ -15,14 +15,13 @@ Covers the full robustness story end to end:
 * the span envelope riding on real HTTP headers (case-insensitive,
   unknown headers tolerated, newer schema rejected with a 400);
 * graceful degradation to local execution when no coordinator answers;
-* the observability satellites (``repro top`` banner, metrics-server
-  port handling, registry origin accounting).
+* the coordinator's port handling and registry origin accounting.
 """
 
 from __future__ import annotations
 
 import http.client
-import io
+import json
 import os
 import pickle
 import socket
@@ -50,9 +49,9 @@ from repro.errors import (
     ConfigurationError,
     CoordinatorUnreachableError,
     ObserveError,
+    ServeError,
     ServeProtocolError,
 )
-from repro.observe import MetricsServer, run_top
 from repro.observe.spans import SpanContext, derive_trace_id
 from repro.registry.registry import RunRegistry
 from repro.registry.store import encode_object
@@ -65,7 +64,6 @@ from repro.serve import (
     WorkerAgent,
 )
 from repro.serve import protocol
-from repro.telemetry.registry import Registry
 
 #: Two frequency rows per paper model keeps the fleet campaign cheap.
 FREQUENCIES = (0.8, 1.2)
@@ -93,6 +91,18 @@ def _free_port() -> int:
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         return probe.getsockname()[1]
+
+
+def _http_get(base_url: str, path: str):
+    """``(status, body)`` of one plain GET against a running coordinator."""
+    host, port = base_url.rsplit("/", 1)[-1].rsplit(":", 1)
+    connection = http.client.HTTPConnection(host, int(port), timeout=5)
+    try:
+        connection.request("GET", path)
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
 
 
 def _worker_thread(url: str, **kwargs) -> threading.Thread:
@@ -256,16 +266,34 @@ def _submit_message(job, max_attempts=3):
     }
 
 
+def _clocked_coordinator(tmp_path, **kwargs):
+    """An unstarted coordinator on a settable clock: ``(service, now)``."""
+    now = [0.0]
+    service = Coordinator(
+        tmp_path / "store",
+        lease_timeout_s=kwargs.pop("lease_timeout_s", 10.0),
+        clock=lambda: now[0],
+        **kwargs,
+    )
+    return service, now
+
+
+def _deliver(service, job, *, status="ok"):
+    """Lease ``job`` to one worker and put one result for it."""
+    granted, _ = service.handle_lease({"worker_id": "w1", "capacity": 1}, {})
+    attempt = granted["jobs"][0]["attempt"]
+    message = {"lease_id": granted["lease_id"], "attempt": attempt, "status": status}
+    if status == "ok":
+        message["payload"] = protocol.encode_payload(b"payload-bytes")
+    else:
+        message.update(error_type="FaultInjected", error_message="chaos")
+    service.handle_result(job.fingerprint(), message, {})
+    return message
+
+
 class TestLeaseStateMachine:
     def _service(self, tmp_path, **kwargs):
-        now = [0.0]
-        service = Coordinator(
-            tmp_path / "store",
-            lease_timeout_s=kwargs.pop("lease_timeout_s", 10.0),
-            clock=lambda: now[0],
-            **kwargs,
-        )
-        return service, now
+        return _clocked_coordinator(tmp_path, **kwargs)
 
     def test_expired_lease_requeues_with_attempt_preserved(self, tmp_path):
         service, now = self._service(tmp_path)
@@ -423,6 +451,90 @@ class TestLeaseStateMachine:
         ]
 
 
+class TestStatusCounters:
+    """``status_snapshot()["counters"]`` carries every ``serve.*`` counter."""
+
+    def test_fresh_coordinator_reports_no_counters(self, tmp_path):
+        service, _ = _clocked_coordinator(tmp_path)
+        status = service.status_snapshot()
+        assert status["counters"] == {}
+        assert json.loads(json.dumps(status)) == status
+
+    def test_resubmission_counts_once_then_dedupes(self, tmp_path):
+        service, _ = _clocked_coordinator(tmp_path)
+        job = _tiny_job()
+        service.handle_submit(_submit_message(job), {})
+        # An in-flight duplicate shares the existing record.
+        service.handle_submit(_submit_message(job), {})
+        assert service.status_snapshot()["counters"] == {"serve.jobs.submitted": 1}
+        _deliver(service, job)
+        service.handle_submit(_submit_message(job), {})
+        assert service.status_snapshot()["counters"] == {
+            "serve.jobs.completed": 1,
+            "serve.jobs.deduped": 1,
+            "serve.jobs.submitted": 1,
+            "serve.leases.granted": 1,
+        }
+
+    def test_expired_lease_shows_in_status(self, tmp_path):
+        service, now = _clocked_coordinator(tmp_path)
+        job = _tiny_job()
+        service.handle_submit(_submit_message(job), {})
+        service.handle_lease({"worker_id": "w1", "capacity": 1}, {})
+        now[0] = 11.0
+        status = service.status_snapshot()  # reaps the overdue lease
+        assert status["counters"]["serve.leases.expired"] == 1
+        assert status["counters"]["serve.jobs.requeued"] == 1
+        assert status["leases"] == 0
+        assert status["queue_depth"] == 1
+        assert status["jobs"] == {protocol.JOB_PENDING: 1}
+
+    def test_heartbeats_count_renewals(self, tmp_path):
+        service, now = _clocked_coordinator(tmp_path)
+        service.handle_submit(_submit_message(_tiny_job()), {})
+        granted, _ = service.handle_lease({"worker_id": "w1", "capacity": 1}, {})
+        for tick in (8.0, 16.0, 24.0):
+            now[0] = tick
+            service.handle_heartbeat({"lease_id": granted["lease_id"]}, {})
+        counters = service.status_snapshot()["counters"]
+        assert counters["serve.leases.renewed"] == 3
+        assert "serve.leases.expired" not in counters
+
+    def test_error_results_count_retries_then_quarantine(self, tmp_path):
+        service, _ = _clocked_coordinator(tmp_path)
+        job = _tiny_job()
+        service.handle_submit(_submit_message(job, max_attempts=2), {})
+        _deliver(service, job, status="error")
+        _deliver(service, job, status="error")
+        status = service.status_snapshot()
+        assert status["counters"]["serve.jobs.retries"] == 1
+        assert status["counters"]["serve.jobs.requeued"] == 1
+        assert status["counters"]["serve.jobs.quarantined"] == 1
+        assert status["jobs"] == {protocol.JOB_QUARANTINED: 1}
+
+    def test_duplicate_delivery_is_counted_once_completed(self, tmp_path):
+        service, _ = _clocked_coordinator(tmp_path)
+        job = _tiny_job()
+        service.handle_submit(_submit_message(job), {})
+        message = _deliver(service, job)
+        service.handle_result(job.fingerprint(), message, {})
+        counters = service.status_snapshot()["counters"]
+        assert counters["serve.jobs.completed"] == 1
+        assert counters["serve.results.duplicate"] == 1
+
+    def test_counters_mirror_the_registry_in_name_order(self, tmp_path):
+        service, now = _clocked_coordinator(tmp_path)
+        job = _tiny_job()
+        service.handle_submit(_submit_message(job), {})
+        service.handle_lease({"worker_id": "w1", "capacity": 1}, {})
+        now[0] = 11.0
+        _deliver(service, job)
+        counters = service.status_snapshot()["counters"]
+        assert counters == service.registry.counter_values()
+        assert list(counters) == sorted(counters)
+        assert all(name.startswith("serve.") for name in counters)
+
+
 # ---------------------------------------------------------------------------
 # remote executor end to end (clean network, in-process worker)
 
@@ -487,6 +599,7 @@ class TestRemoteExecutorEndToEnd:
         assert status["jobs"] == {"done": 1}
         assert "w-status" in status["workers"]
         assert status["store"]["results"] == 1
+        assert status["counters"]["serve.jobs.completed"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -714,33 +827,10 @@ class TestChaosConvergence:
 
 
 # ---------------------------------------------------------------------------
-# observability satellites
+# ports and registry accounting
 
 
-class TestMetricsServerPorts:
-    def test_port_in_use_raises_clear_error(self):
-        with socket.socket() as squatter:
-            squatter.bind(("127.0.0.1", 0))
-            squatter.listen(1)
-            port = squatter.getsockname()[1]
-            server = MetricsServer(registry=Registry(), port=port)
-            with pytest.raises(ObserveError, match="ephemeral port"):
-                server.start()
-
-    def test_port_zero_binds_ephemeral(self):
-        registry = Registry()
-        registry.counter("serve.test").inc(3)
-        server = MetricsServer(registry=Registry(), port=0)
-        server.start()
-        try:
-            assert server.port != 0
-            connection = http.client.HTTPConnection("127.0.0.1", server.port)
-            connection.request("GET", "/healthz")
-            assert connection.getresponse().status == 200
-            connection.close()
-        finally:
-            server.stop()
-
+class TestCoordinatorPorts:
     def test_coordinator_port_in_use_raises_clear_error(self, tmp_path):
         with socket.socket() as squatter:
             squatter.bind(("127.0.0.1", 0))
@@ -750,39 +840,36 @@ class TestMetricsServerPorts:
             with pytest.raises(ObserveError, match="--port 0"):
                 service.start()
 
+    def test_port_zero_binds_ephemeral(self, tmp_path):
+        service = Coordinator(tmp_path / "store", port=0).start()
+        try:
+            assert service.port != 0
+            assert _http_get(service.url, "/healthz") == (200, b"ok\n")
+        finally:
+            service.stop()
+        service.stop()  # idempotent
 
-class TestTopBanner:
-    def _dead_metrics_url(self) -> str:
-        return f"http://127.0.0.1:{_free_port()}/metrics"
+    def test_double_start_rejected(self, coordinator):
+        with pytest.raises(ServeError, match="already started"):
+            coordinator.start()
 
-    def test_live_loop_shows_banner_instead_of_traceback(self):
-        stream = io.StringIO()
-        code = run_top(
-            self._dead_metrics_url(),
-            frames=2,
-            interval_s=0.01,
-            stream=stream,
-        )
-        output = stream.getvalue()
-        assert code == 1  # never connected
-        assert output.count("connection lost") == 2
-        assert "retrying on the next refresh" in output
-        assert "Traceback" not in output
+    def test_unknown_path_404(self, coordinator):
+        status, body = _http_get(coordinator.url, "/nope")
+        assert status == 404
+        assert "no such path" in json.loads(body)["error"]
 
-    def test_once_mode_still_exits_nonzero(self):
-        stream = io.StringIO()
-        code = run_top(self._dead_metrics_url(), once=True, stream=stream)
-        assert code == 1
-        assert "repro top:" in stream.getvalue()
+    def test_metrics_route_is_retired(self, coordinator):
+        # /v1/status is the coordinator's one read surface.
+        status, _ = _http_get(coordinator.url, "/metrics")
+        assert status == 404
 
-    def test_top_scrapes_a_live_coordinator(self, coordinator):
-        coordinator.registry.counter("serve.jobs.submitted").inc(4)
-        stream = io.StringIO()
-        code = run_top(
-            coordinator.url + "/metrics", once=True, stream=stream
-        )
-        assert code == 0
-        assert "repro top" in stream.getvalue()
+    def test_v1_status_serves_the_counters(self, coordinator):
+        coordinator.handle_submit(_submit_message(_tiny_job()), {})
+        status, body = _http_get(coordinator.url, "/v1/status")
+        assert status == 200
+        snapshot = json.loads(body)
+        assert snapshot["counters"] == {"serve.jobs.submitted": 1}
+        assert snapshot["queue_depth"] == 1
 
 
 class TestRegistryOriginAccounting:

@@ -33,7 +33,7 @@ from repro.engine import (
 )
 from repro.engine.jobs import CharacterizationRowJob, execute_job
 from repro.errors import ConfigurationError, ReproError
-from repro.observe import FleetTimeline, parse_openmetrics, render_top
+from repro.observe import FleetTimeline
 from repro.observe.spans import (
     CAMPAIGN_SPAN_ID,
     SPAN_SCHEMA_VERSION,
@@ -43,7 +43,7 @@ from repro.observe.spans import (
     job_span_id,
     spans_enabled,
 )
-from repro.telemetry.registry import CompositeRegistry, Registry
+from repro.telemetry.registry import Registry
 
 #: Keys a deterministic span record may carry — and nothing else.
 RECORD_KEYS = {
@@ -345,53 +345,18 @@ def test_histogram_marshal_merge_matches_direct_observation():
     assert merged.count == direct.count
 
 
-def test_composite_registry_is_a_read_only_union():
-    sim, wall = Registry(), Registry()
-    sim.counter("shared").inc(1)
-    sim.gauge("sim.g").set(2.0)
-    wall.counter("shared").inc(99)  # first member wins
-    wall.gauge("wall.g").set(3.0)
-    wall.histogram("wall.h").observe(1.0)
-    view = CompositeRegistry(sim, wall)
-    assert [c.name for c in view.counters()] == ["shared"]
-    assert [c.value for c in view.counters()] == [1]
-    assert [g.name for g in view.gauges()] == ["sim.g", "wall.g"]
-    assert [h.name for h in view.histograms()] == ["wall.h"]
-    with pytest.raises(ConfigurationError):
-        view.counter("new")
-    with pytest.raises(ConfigurationError):
-        view.histogram("new")
-
-
-def test_top_parses_and_renders_engine_families():
-    """The dashboard understands exactly what render_openmetrics emits."""
-    from repro.observe import render_openmetrics
-
-    registry = Registry()
-    registry.gauge("engine.progress.total").set(10)
-    registry.gauge("engine.progress.completed").set(4)
-    registry.gauge("engine.wall.workers").set(2)
-    registry.gauge("engine.wall.in_flight").set(1)
-    registry.counter("engine.retries").inc(3)
-    for value in (0.1, 0.2, 0.4):
-        registry.histogram("engine.wall.exec.fuzz").observe(value)
-        registry.histogram("engine.wall.queue_wait.fuzz").observe(value / 10)
-    metrics = parse_openmetrics(render_openmetrics(registry))
-    assert metrics["gauges"]["repro_engine_progress_total"] == 10.0
-    assert metrics["counters"]["repro_engine_retries"] == 3.0
-    exec_summary = metrics["summaries"]["repro_engine_wall_exec_fuzz"]
-    assert exec_summary["count"] == 3.0
-    assert "0.5" in exec_summary["quantiles"]
-    frame = render_top(metrics, source="test")
-    assert "4/10 jobs" in frame
-    assert "1/2 in flight" in frame
-    assert "fuzz" in frame and "non-deterministic" in frame
-    assert "retried=3" in frame
-    # Graceful degradation: a registry with no engine families renders a
-    # frame instead of crashing.
-    assert "no engine families" in render_top(
-        parse_openmetrics(render_openmetrics(Registry()))
-    )
+def test_wall_registry_holds_only_per_kind_latency_histograms():
+    jobs = [FuzzJob(codename="Sky Lake", seed=5, case_index=0, num_actions=3)]
+    with EngineSession(executor=SerialExecutor()) as session:
+        session.run_jobs(jobs, cache=False)
+        wall = session.wall_registry
+    assert list(wall.gauges()) == []
+    assert list(wall.counters()) == []
+    assert [h.name for h in wall.histograms()] == [
+        "engine.wall.exec.fuzz",
+        "engine.wall.queue_wait.fuzz",
+    ]
+    assert all(h.count == 1 for h in wall.histograms())
 
 
 def test_registry_records_and_serves_span_timelines(tmp_path):
@@ -426,9 +391,3 @@ def test_registry_records_and_serves_span_timelines(tmp_path):
         report = render_markdown(session.run_manifest())
     assert "Latency attribution (spans)" in report
     assert timeline.trace_id in report
-
-
-def test_top_cli_reports_unreachable_endpoint():
-    from repro.cli import main
-
-    assert main(["top", "--once", "--url", "http://127.0.0.1:9/metrics"]) == 1
