@@ -385,7 +385,7 @@ class PollingCountermeasure(KernelModule):
                 restored_offset_mv=safe_offset,
             )
         )
-        logger.warning(
+        logger.info(
             "unsafe state on core %d: %.1f GHz / %.0f mV -> restored to %.0f mV",
             core_index,
             status.frequency_ghz,

@@ -699,11 +699,15 @@ def execute_job(job: JobSpec, *, span_context=None, attempt: int = 1) -> JobResu
     re-raised unchanged, but first the job's trace tail is frozen into a
     flight-recorder dump when ``REPRO_FLIGHT_DIR`` selects a directory —
     in a process-pool worker the traceback alone crosses the boundary,
-    the dump preserves the scene.
+    the dump preserves the scene.  That dump is the only reader of the
+    job's trace events, so the job records the last ``FLIGHT_CAPACITY``
+    of them when a directory is set and none otherwise.
     """
+    from repro.observe.flight import FLIGHT_CAPACITY, flight_dir_from_env
     from repro.observe.spans import NULL_SPANS, SpanRecorder, spans_enabled
 
-    telemetry = Telemetry()
+    traced = flight_dir_from_env() is not None
+    telemetry = Telemetry(max_events=FLIGHT_CAPACITY if traced else 0)
     recorder = None
     if spans_enabled():
         recorder = SpanRecorder()

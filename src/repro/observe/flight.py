@@ -51,6 +51,10 @@ FLIGHT_DIR_ENV = "REPRO_FLIGHT_DIR"
 #: Dump header discriminator.
 DUMP_KIND = "flight-recorder"
 
+#: Trace events a dump keeps: the recorder's ring depth, and the ring an
+#: engine job records into when ``REPRO_FLIGHT_DIR`` is set.
+FLIGHT_CAPACITY = 256
+
 
 def flight_dir_from_env(environ: Optional[Dict[str, str]] = None) -> Optional[Path]:
     """The dump directory selected by ``REPRO_FLIGHT_DIR`` (or ``None``)."""
@@ -116,7 +120,7 @@ class FlightRecorder:
         self,
         machine: Optional[Any] = None,
         *,
-        capacity: int = 256,
+        capacity: int = FLIGHT_CAPACITY,
         dump_dir: Optional[Union[str, Path]] = None,
         record_crashes: bool = False,
         max_dumps: int = 16,
@@ -298,7 +302,7 @@ def dump_job_failure(
     telemetry: Any,
     error: BaseException,
     *,
-    capacity: int = 256,
+    capacity: int = FLIGHT_CAPACITY,
     dump_dir: Optional[Union[str, Path]] = None,
 ) -> Optional[Path]:
     """Write a flight dump for an exception escaping an engine job.

@@ -30,9 +30,10 @@ class Telemetry:
     def __init__(self, *, enabled: bool = True, max_events: Optional[int] = None) -> None:
         self.enabled = enabled
         self.registry: Registry = Registry() if enabled else NULL_REGISTRY
-        self.tracer: Tracer = (
-            Tracer(max_events=max_events) if enabled else NULL_TRACER
-        )
+        # A ring of zero events records nothing, so it gets the null
+        # tracer: components then skip building events altogether.
+        traced = enabled and max_events != 0
+        self.tracer: Tracer = Tracer(max_events=max_events) if traced else NULL_TRACER
         # Span recorder, bound lazily: repro.observe imports this module,
         # so the recorder class cannot be imported at module level.
         # ``execute_job`` installs the per-attempt recorder directly; an

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -284,3 +289,39 @@ class TestCampaignCheckpoint:
             line for line in text.splitlines() if line.startswith("Comet Lake")
         ]
         assert matrix(first) == matrix(second)
+
+
+class TestCampaignLogging:
+    """A remediation is the module working as designed: it logs at INFO,
+    so a default run's stderr stays clean and ``--log-level info`` shows
+    every one."""
+
+    @staticmethod
+    def campaign_stderr(*flags: str) -> str:
+        src = str(Path(repro.__file__).resolve().parents[1])
+        # No disk cache and no registry: the jobs must really run.
+        env = {
+            name: value
+            for name, value in os.environ.items()
+            if name not in ("REPRO_CACHE_DIR", "REPRO_REGISTRY_DIR")
+        }
+        env.update(REPRO_REGISTRY="0", PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        ))
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", *flags, "campaign",
+             "--cpu", "Sky Lake", "--no-aes", "--executor", "serial"],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert "Sky Lake" in completed.stdout
+        return completed.stderr
+
+    def test_default_run_logs_no_remediation(self):
+        assert "unsafe state on core" not in self.campaign_stderr()
+
+    def test_info_level_shows_remediations(self):
+        assert "unsafe state on core" in self.campaign_stderr("--log-level", "info")

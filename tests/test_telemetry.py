@@ -115,6 +115,18 @@ class TestDisabledMode:
     def test_disabled_is_shared_singleton(self):
         assert Telemetry.disabled() is NULL_TELEMETRY
 
+    def test_zero_event_ring_is_the_null_tracer(self):
+        from repro.telemetry.events import NULL_TRACER
+
+        telemetry = Telemetry(max_events=0)
+        assert telemetry.tracer is NULL_TRACER
+        assert telemetry.registry.enabled is True
+        counter = telemetry.registry.counter("anything")
+        counter.inc(3)
+        assert counter.value == 3
+        telemetry.tracer.instant("x", "cat", 0.0)
+        assert len(telemetry.tracer.events) == 0
+
     def test_machine_default_is_disabled(self):
         from repro.testbench import Machine
 
