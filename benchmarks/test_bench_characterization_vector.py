@@ -45,25 +45,36 @@ CONFIG = CharacterizationConfig(repetitions=3)
 MIN_SPEEDUP = 2.0
 
 
-def _sweep_all(*, batch: bool, profiler: SimProfiler):
+def _scalar_sweep(model):
+    """The scalar oracle: every ``run_row`` folded in frequency order."""
+    framework = CharacterizationFramework(model, config=CONFIG, seed=5)
+    result = framework.empty_result()
+    for frequency in CONFIG.frequency_list(model):
+        framework.fold_row(result, framework.run_row(frequency))
+    return result
+
+
+def _vector_sweep(model):
+    return CharacterizationFramework(model, config=CONFIG, seed=5).run()
+
+
+def _sweep_all(sweep, *, profiler: SimProfiler):
     with profiled_kernels(profiler):
-        return [
-            CharacterizationFramework(model, config=CONFIG, seed=5).run(batch=batch)
-            for model in PAPER_MODEL_TUPLE
-        ]
+        return [sweep(model) for model in PAPER_MODEL_TUPLE]
 
 
 def test_vector_sweep_identity_and_speedup(benchmark):
     scalar_profiler = SimProfiler()
     start = time.perf_counter()
-    scalar_results = _sweep_all(batch=False, profiler=scalar_profiler)
+    scalar_results = _sweep_all(_scalar_sweep, profiler=scalar_profiler)
     scalar_s = time.perf_counter() - start
 
     batch_profiler = SimProfiler()
     start = time.perf_counter()
     batch_results = benchmark.pedantic(
         _sweep_all,
-        kwargs={"batch": True, "profiler": batch_profiler},
+        args=(_vector_sweep,),
+        kwargs={"profiler": batch_profiler},
         rounds=1,
         iterations=1,
     )

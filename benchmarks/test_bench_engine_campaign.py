@@ -17,8 +17,10 @@ import os
 import pickle
 import time
 
+from repro.core.characterization import CharacterizationConfig
 from repro.cpu import PAPER_MODEL_TUPLE
 from repro.engine import (
+    CharacterizationJob,
     EngineSession,
     ParallelExecutor,
     ResultCache,
@@ -31,14 +33,18 @@ WORKERS = 4
 
 
 def _sweep_all(session: EngineSession) -> list:
-    # Pinned to the scalar row jobs: this bench's contract is executor
-    # parity and the >=2x pool speedup over many small jobs.  The
-    # vectorized path (fewer, fatter shards) has its own acceptance bench
-    # in test_bench_characterization_vector.py.
-    return [
-        session.characterize(model, seed=5, batch=False)
-        for model in PAPER_MODEL_TUPLE
-    ]
+    # The workload is the scalar row jobs (the identity oracle, one job
+    # per frequency): this bench's contract is executor parity and the
+    # >=2x pool speedup over many small jobs.  Production sweeps run as
+    # vectorized batch shards (fewer, fatter jobs), which have their own
+    # acceptance bench in test_bench_characterization_vector.py.
+    results = []
+    for model in PAPER_MODEL_TUPLE:
+        sweep = CharacterizationJob(
+            codename=model.codename, config=CharacterizationConfig(), seed=5
+        )
+        results.append(sweep.fold(session.run_jobs(sweep.row_jobs(), cache=False)))
+    return results
 
 
 def test_engine_parallel_parity_and_speedup(benchmark):

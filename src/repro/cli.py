@@ -50,15 +50,11 @@ from typing import List, Optional
 # and no engine (tests/test_cli.py::TestImportGraph checks it).
 
 
-def _characterize(model, seed: int, batch=None):
-    """The cached Algo 2 sweep for ``model`` via the engine session.
-
-    ``batch=None`` defers to the environment (``REPRO_BATCH``, default
-    on); the ``--batch/--no-batch`` flags pass an explicit override.
-    """
+def _characterize(model, seed: int):
+    """The cached Algo 2 sweep for ``model`` via the engine session."""
     from repro.engine import get_session
 
-    return get_session().characterize(model, seed=seed, batch=batch)
+    return get_session().characterize(model, seed=seed)
 
 
 def _cli_seed(root: int, command: str, codename: str) -> int:
@@ -94,13 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     characterize.add_argument("--map", action="store_true", help="print the ASCII map")
     characterize.add_argument("--json", metavar="PATH", help="export bundle as JSON")
     characterize.add_argument("--csv", metavar="PATH", help="export boundary as CSV")
-    characterize.add_argument(
-        "--batch",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="vectorized sweep evaluator (default: on unless REPRO_BATCH=0; "
-        "--no-batch forces the scalar oracle)",
-    )
 
     attack = sub.add_parser("attack", help="mount an attack campaign")
     attack.add_argument("--cpu", default="Comet Lake", help="CPU codename")
@@ -150,13 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--no-aes", action="store_true", help="skip the AES-DFA campaign"
-    )
-    campaign.add_argument(
-        "--batch",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="vectorized characterization sweeps for the campaign's "
-        "unsafe-set inputs (default: on unless REPRO_BATCH=0)",
     )
     campaign.add_argument(
         "--json", metavar="PATH", help="write matrix + engine stats as JSON"
@@ -801,7 +783,7 @@ def _cmd_characterize(args) -> int:
         print(f"adaptive characterization: {outcome.probes} probes, "
               f"{outcome.crashes} crashes")
     else:
-        result = _characterize(model, args.seed, batch=args.batch)
+        result = _characterize(model, args.seed)
         print(f"full sweep: {len(result.cells)} cells, {result.crashes} crashes")
     print(render_boundary_series(result))
     summary = summarize(result)
@@ -1061,9 +1043,7 @@ def _cmd_campaign(args) -> int:
         )
     else:
         session = get_session()
-    jobs = experiments.prevention_jobs(
-        seed=args.seed, include_aes=not args.no_aes, batch=args.batch
-    )
+    jobs = experiments.prevention_jobs(seed=args.seed, include_aes=not args.no_aes)
     if args.cpu:
         codename = model_by_codename(args.cpu).codename
         jobs = [job for job in jobs if job.codename == codename]

@@ -30,7 +30,8 @@ Direct mode is organised as independent per-frequency *rows*: each row
 draws its randomness from a named seed stream keyed by (seed, system,
 row), so the sweep can be sharded across the campaign engine's worker
 processes and still reproduce the serial result byte for byte.  ``run()``
-is simply the in-process fold of every row job.
+folds every row from the vectorized ``run_row_batch``; the scalar
+``run_row`` is the identity oracle, reached only from tests.
 """
 
 from __future__ import annotations
@@ -222,21 +223,6 @@ class CharacterizationFramework:
 
         return run_row_batch(self, frequency_ghz, telemetry=telemetry)
 
-    def row_jobs(self, *, as_of_seed: Optional[int] = None) -> List[object]:
-        """The sweep expressed as engine row jobs, one per frequency."""
-        from repro.engine.jobs import CharacterizationRowJob
-
-        seed = self.seed if as_of_seed is None else as_of_seed
-        return [
-            CharacterizationRowJob(
-                codename=self.model.codename,
-                frequency_ghz=frequency,
-                config=self.config,
-                seed=seed,
-            )
-            for frequency in self.config.frequency_list(self.model)
-        ]
-
     def fold_row(self, result: CharacterizationResult, cells: Iterable[CellResult]) -> None:
         """Fold one row's cells into ``result`` (order-preserving)."""
         for cell in cells:
@@ -247,19 +233,15 @@ class CharacterizationFramework:
             elif cell.is_unsafe:
                 result.unsafe_states.add_unsafe(cell.frequency_ghz, cell.offset_mv)
 
-    def run(self, *, batch: bool = False) -> CharacterizationResult:
+    def run(self) -> CharacterizationResult:
         """Sweep the full grid at settled conditions (fast path).
 
-        Identical to executing :meth:`row_jobs` through any engine
-        executor and folding the rows in frequency order.  With
-        ``batch=True`` each row is evaluated by the vectorized
-        :meth:`run_row_batch` instead of the scalar oracle — the result is
-        byte-identical either way.
+        Folds :meth:`run_row_batch` rows in frequency order — identical to
+        the engine's batch shards, and to the scalar :meth:`run_row` oracle.
         """
-        run_row = self.run_row_batch if batch else self.run_row
         result = self.empty_result()
         for frequency in self.config.frequency_list(self.model):
-            self.fold_row(result, run_row(frequency))
+            self.fold_row(result, self.run_row_batch(frequency))
         return result
 
     # -- event mode --------------------------------------------------------------

@@ -62,8 +62,6 @@ from repro.engine.seeds import SeedStream, seed_stream
 from repro.engine.session import (
     DEFAULT_SEED,
     EngineSession,
-    batch_enabled,
-    batch_rows_per_job,
     clear_session_cache,
     get_session,
     reset_session,
@@ -101,8 +99,6 @@ __all__ = [
     "SupervisedTask",
     "SupervisionStats",
     "WORKERS_ENV",
-    "batch_enabled",
-    "batch_rows_per_job",
     "clear_session_cache",
     "environment_fingerprint",
     "execute_job",

@@ -44,10 +44,10 @@ JOB_SCHEMA_VERSION = 2
 #: deliberately absent: the engine's parity contract (tested by
 #: ``benchmarks/test_bench_engine_campaign.py``) asserts they cannot
 #: change results, so folding them in would only fragment the cache.
-#: ``REPRO_BATCH`` is absent for the same reason — the vectorized row
-#: evaluator is byte-identical to the scalar oracle (the identity suite
-#: is the proof), so scalar and batch sweeps share cache entries.
 RESULT_AFFECTING_ENV: Tuple[str, ...] = ("REPRO_VERIFY",)
+
+#: Frequency rows per :class:`BatchCharacterizationJob` shard.
+ROWS_PER_BATCH = 8
 
 #: Attack kinds :class:`AttackCampaignJob` can mount.
 ATTACK_KINDS = ("imul", "plundervolt", "v0ltpwn", "voltjockey", "aes-dfa")
@@ -123,7 +123,9 @@ class JobSpec:
 
 @dataclass(frozen=True)
 class CharacterizationRowJob(JobSpec):
-    """One frequency row of the Algo 2 sweep (Figs. 2-4)."""
+    """One frequency row of the Algo 2 sweep (Figs. 2-4) on the scalar
+    oracle.  No production path schedules it: tests and benchmarks run it
+    against :class:`BatchCharacterizationJob`."""
 
     kind: ClassVar[str] = "characterization-row"
 
@@ -203,7 +205,7 @@ class CharacterizationJob(JobSpec):
         return ("characterization", self.codename)
 
     def row_jobs(self) -> List[CharacterizationRowJob]:
-        """The sweep sharded into independent per-frequency row jobs."""
+        """The sweep as scalar row jobs: the oracle, never scheduled."""
         model = model_by_codename(self.codename)
         return [
             CharacterizationRowJob(
@@ -215,7 +217,9 @@ class CharacterizationJob(JobSpec):
             for frequency in self.config.frequency_list(model)
         ]
 
-    def batch_jobs(self, *, rows_per_job: int = 8) -> List[BatchCharacterizationJob]:
+    def batch_jobs(
+        self, *, rows_per_job: int = ROWS_PER_BATCH
+    ) -> List[BatchCharacterizationJob]:
         """The sweep sharded into vectorized multi-row batch jobs.
 
         Chunking is a pure scheduling choice: per-row seed streams make
@@ -248,7 +252,8 @@ class CharacterizationJob(JobSpec):
         return result
 
     def run(self, telemetry: Telemetry) -> CharacterizationResult:
-        return self.fold([job.run(telemetry) for job in self.row_jobs()])
+        rows = [row for job in self.batch_jobs() for row in job.run(telemetry)]
+        return self.fold(rows)
 
 
 @dataclass(frozen=True)

@@ -59,43 +59,6 @@ DEFAULT_SEED = 5
 logger = logging.getLogger(__name__)
 
 
-def batch_enabled(override: Optional[bool] = None) -> bool:
-    """Resolve the batch-path switch: explicit override, else environment.
-
-    The vectorized fast path is the default; ``REPRO_BATCH=0`` (or
-    ``false`` / ``no`` / ``off``) falls back to the scalar oracle.  The
-    knob is deliberately *not* part of any job fingerprint: both paths
-    are byte-identical, so they share cache entries (see
-    ``RESULT_AFFECTING_ENV`` in :mod:`repro.engine.jobs`).
-    """
-    if override is not None:
-        return bool(override)
-    return os.environ.get("REPRO_BATCH", "").strip().lower() not in (
-        "0",
-        "false",
-        "no",
-        "off",
-    )
-
-
-def batch_rows_per_job(default: int = 8) -> int:
-    """Rows per batch shard (``REPRO_BATCH_ROWS``, default 8).
-
-    Purely a scheduling knob — per-row seed streams make the folded
-    result independent of the chunking.
-    """
-    raw = os.environ.get("REPRO_BATCH_ROWS", "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as error:
-        raise ReproError(f"REPRO_BATCH_ROWS must be an integer, got {raw!r}") from error
-    if value <= 0:
-        raise ReproError(f"REPRO_BATCH_ROWS must be positive, got {value}")
-    return value
-
-
 def _normalize_config(
     config: Optional[CharacterizationConfig],
 ) -> CharacterizationConfig:
@@ -469,25 +432,17 @@ class EngineSession:
         *,
         seed: int = DEFAULT_SEED,
         config: Optional[CharacterizationConfig] = None,
-        batch: Optional[bool] = None,
     ) -> CharacterizationResult:
-        """The full Algo 2 sweep for a model, sharded by frequency row.
+        """The full Algo 2 sweep for a model, sharded into vectorized
+        :class:`BatchCharacterizationJob` shards of ``ROWS_PER_BATCH`` rows.
 
         The folded :class:`CharacterizationResult` is cached under the
         sweep's content hash; repeated in-process calls return the same
         object (the identity the experiment API has always promised).
-
-        ``batch`` selects the vectorized fast path (multi-row
-        :class:`BatchCharacterizationJob` shards through
-        ``repro.vector``); ``None`` defers to the environment —
-        ``REPRO_BATCH=0`` opts out, anything else (including unset) means
-        on.  Both paths produce byte-identical results and share the same
-        cache slot, so the switch is pure scheduling.
         """
         if isinstance(model, str):
             model = model_by_codename(model)
         config = _normalize_config(config)
-        use_batch = batch_enabled(batch)
         job = CharacterizationJob(
             codename=model.codename, config=config, seed=int(seed)
         )
@@ -498,31 +453,21 @@ class EngineSession:
             return cached
         self._cache_miss_counter.inc()
         if model.codename in EXTENDED_MODELS:
-            # Row/batch jobs go through run_jobs (cache=False: only the
+            # Batch jobs go through run_jobs (cache=False: only the
             # folded sweep is cached) so they are checkpointed and
             # resumable like any other job.
-            if use_batch:
-                jobs: List[JobSpec] = list(
-                    job.batch_jobs(rows_per_job=batch_rows_per_job())
-                )
-            else:
-                jobs = list(job.row_jobs())
-            payloads = self.run_jobs(jobs, cache=False)
+            payloads = self.run_jobs(job.batch_jobs(), cache=False)
             lost = sum(1 for p in payloads if isinstance(p, Quarantined))
             if lost:
                 # A sweep folded from partial rows would be silently
                 # wrong; characterization demands every row.
                 raise ReproError(
                     f"characterization sweep for {model.codename} lost "
-                    f"{lost} {'batch' if use_batch else 'row'} job(s) to "
-                    "quarantine; see the run report's quarantine list"
+                    f"{lost} batch job(s) to quarantine; see the run "
+                    "report's quarantine list"
                 )
-            if use_batch:
-                # Each batch payload is a chunk of rows, in frequency order.
-                rows = [row for payload in payloads for row in payload]
-            else:
-                rows = payloads
-            result = job.fold(rows)
+            # Each batch payload is a chunk of rows, in frequency order.
+            result = job.fold([row for payload in payloads for row in payload])
         else:
             # Models outside the catalog cannot be rebuilt by codename in
             # a worker process; run their sweep inline instead.
@@ -530,7 +475,7 @@ class EngineSession:
 
             result = CharacterizationFramework(
                 model, config=config, seed=int(seed)
-            ).run(batch=use_batch)
+            ).run()
         self.cache.put(fingerprint, result)
         return result
 

@@ -64,7 +64,7 @@ PREVENTION_AES_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 
 
 def characterization(
-    model: CPUModel, *, seed: int = CANONICAL_SEED, batch: Optional[bool] = None
+    model: CPUModel, *, seed: int = CANONICAL_SEED
 ) -> CharacterizationResult:
     """Figs. 2-4: the full Algo 2 sweep for one CPU model.
 
@@ -73,12 +73,8 @@ def characterization(
     (or ``get_session().clear_cache()``) resets it explicitly — the cache
     is bounded and never leaks across sessions the way the old
     module-global dict did.
-
-    ``batch`` picks the sweep evaluator (vectorized fast path versus the
-    scalar oracle; ``None`` defers to ``REPRO_BATCH``, default on) — a
-    pure scheduling choice, the result and its cache slot are identical.
     """
-    return get_session().characterize(model, seed=seed, batch=batch)
+    return get_session().characterize(model, seed=seed)
 
 
 def clear_characterization_cache() -> None:
@@ -147,20 +143,18 @@ class PreventionMatrix:
 
 
 def prevention_jobs(
-    *, seed: int = 11, include_aes: bool = True, batch: Optional[bool] = None
+    *, seed: int = 11, include_aes: bool = True
 ) -> List[AttackCampaignJob]:
     """The Sec. 4.3 campaign expressed as engine job specs.
 
     One self-contained job per (CPU, defense state, attack): the
     characterized unsafe set travels inside protected specs, so the jobs
     can be sharded across worker processes (``repro campaign --workers``)
-    and still reproduce the serial matrix byte for byte.  ``batch``
-    selects the characterization sweep evaluator (see
-    :func:`characterization`).
+    and still reproduce the serial matrix byte for byte.
     """
     jobs: List[AttackCampaignJob] = []
     for model in PAPER_MODEL_TUPLE:
-        result = characterization(model, batch=batch)
+        result = characterization(model)
         base = model.frequency_table.base_ghz
         boundary = int(result.unsafe_states.boundary_mv(base))
         offsets = (

@@ -288,7 +288,7 @@ class Simulator:
         # Stopping with a live head beyond ``time`` can strand cancelled
         # entries deeper in the heap; purge them so repeated run_until
         # calls against long-lived simulators cannot accumulate garbage.
-        self._prune_cancelled()
+        self.prune()
         if self._observer is not None:
             self._observer.after_run_until(self)
 
@@ -304,10 +304,6 @@ class Simulator:
         if any(entry.event.cancelled for entry in self._heap):
             self._heap = [e for e in self._heap if not e.event.cancelled]
             heapq.heapify(self._heap)
-
-    # Historical private spelling, kept for callers/tests that grew
-    # around it before the purge became part of the public contract.
-    _prune_cancelled = prune
 
     def run(self, *, max_events: int = 10_000_000) -> None:
         """Drain the event queue entirely (bounded by ``max_events``)."""

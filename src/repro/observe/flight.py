@@ -24,8 +24,8 @@ Nothing wall-clock enters a dump, so the same failure produces the same
 artifact byte for byte.
 
 For bounded memory on long runs pair the recorder with
-``Telemetry.flight(capacity)`` — a tracer that itself only retains the
-most recent events — instead of a full unbounded tracer.
+``Telemetry(max_events=FLIGHT_CAPACITY)`` — a tracer that itself only
+retains the most recent events — instead of a full unbounded tracer.
 """
 
 from __future__ import annotations

@@ -60,13 +60,6 @@ class Telemetry:
         """The shared disabled instance (no-op instruments, no state)."""
         return NULL_TELEMETRY
 
-    @classmethod
-    def flight(cls, capacity: int = 512) -> "Telemetry":
-        """An enabled handle whose tracer keeps only the last ``capacity``
-        events — the bounded always-cheap mode the flight recorder
-        (:mod:`repro.observe.flight`) rides on."""
-        return cls(max_events=capacity)
-
     def export(self, path: Union[str, Path], *, fmt: str = "chrome") -> Path:
         """Write the recorded trace to ``path`` (``chrome`` or ``jsonl``)."""
         return write_trace(path, self.tracer.events, fmt=fmt)

@@ -7,9 +7,8 @@ operating points per call instead of one scalar object pipeline per
 point.  The scalar implementations in ``repro.timing`` / ``repro.faults``
 remain the byte-identity **oracle**: every kernel here is proven
 bit-identical against them by the fuzz suite in
-``tests/test_vector_identity.py``, and the characterization engine keeps
-the scalar path selectable (``--no-batch`` / ``REPRO_BATCH=0``) for
-cross-checks.
+``tests/test_vector_identity.py``.  Every production characterization
+sweep runs here; the scalar row evaluator is reached only from tests.
 
 Layout:
 

@@ -104,7 +104,8 @@ class TestImportGraph:
 
 
 class TestRetiredSurfaces:
-    """The live-monitoring commands and options are gone from the parser."""
+    """The live-monitoring commands and options, and the sweep-path
+    flags, are gone from the parser."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -112,8 +113,20 @@ class TestRetiredSurfaces:
             ["top", "--once"],
             ["metrics", "serve"],
             ["campaign", "--serve-port", "0"],
+            ["characterize", "--batch"],
+            ["characterize", "--no-batch"],
+            ["campaign", "--batch"],
+            ["campaign", "--no-batch"],
         ],
-        ids=["top", "metrics-serve", "campaign-serve-port"],
+        ids=[
+            "top",
+            "metrics-serve",
+            "campaign-serve-port",
+            "characterize-batch",
+            "characterize-no-batch",
+            "campaign-batch",
+            "campaign-no-batch",
+        ],
     )
     def test_rejected_as_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -259,11 +259,15 @@ class TestHeapHygiene:
         sim.prune()
         assert sim.pending_entries() == [(1.0, False)]
 
-    def test_private_prune_alias_kept(self):
+    def test_run_until_purges_through_prune(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            Simulator, "prune", lambda self: calls.append(self.now)
+        )
         sim = Simulator()
         sim.schedule(2.0, lambda: None).cancel()
-        sim._prune_cancelled()
-        assert sim.pending_entries() == []
+        sim.run_until(1.0)
+        assert calls == [1.0]
 
     def test_recurring_rearm_storm_does_not_grow_heap(self):
         # A sysfs set_period storm: cancel + re-create the recurring event

@@ -213,7 +213,7 @@ class TestProfilerDeterminism:
 
 
 def _traced_machine(seed: int = 3) -> Machine:
-    return Machine.build(COMET_LAKE, seed=seed, telemetry=Telemetry.flight(64))
+    return Machine.build(COMET_LAKE, seed=seed, telemetry=Telemetry(max_events=64))
 
 
 class TestFlightRecorder:

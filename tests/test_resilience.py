@@ -406,25 +406,38 @@ class TestSessionSupervision:
         second = session.run_jobs(jobs)
         assert second[0] == {"name": "job0", "value": 0}
 
-    def test_characterize_refuses_partial_sweeps(self, tmp_path, monkeypatch):
+    def test_characterize_refuses_partial_sweeps(self, monkeypatch):
+        """One quarantined shard among healthy ones fails the sweep: a
+        fold of the surviving rows would be silently wrong."""
+        from repro.core.characterization import CharacterizationConfig
+        from repro.engine import CharacterizationJob
         from repro.engine import jobs as jobs_module
 
+        model = PAPER_MODEL_TUPLE[0]
+        config = CharacterizationConfig()
+        shards = CharacterizationJob(
+            codename=model.codename, config=config, seed=0
+        ).batch_jobs()
+        assert len(shards) > 1
+        first = shards[0].frequencies_ghz
+        healthy_run = jobs_module.BatchCharacterizationJob.run
+
+        def sabotaged(self, telemetry):
+            if self.frequencies_ghz != first:
+                raise RuntimeError("sabotaged shard")
+            return healthy_run(self, telemetry)
+
+        monkeypatch.setattr(jobs_module.BatchCharacterizationJob, "run", sabotaged)
         session = EngineSession(
             executor=SerialExecutor(
                 policy=RetryPolicy(max_attempts=1, backoff_s=0.0)
             ),
             cache=ResultCache(),
         )
-        def sabotaged(self, telemetry):
-            raise RuntimeError("sabotaged row")
-
-        monkeypatch.setattr(
-            jobs_module.CharacterizationRowJob, "run", sabotaged
-        )
-        # batch=False pins the scalar row-job path this sabotage targets;
-        # the batch-shard analogue lives in tests/test_vector_engine.py.
-        with pytest.raises(ReproError, match="quarantine"):
-            session.characterize(PAPER_MODEL_TUPLE[0], batch=False)
+        with pytest.raises(ReproError, match=f"lost {len(shards) - 1} batch"):
+            session.characterize(model, config=config, seed=0)
+        assert session.counters()["engine.quarantined"] == len(shards) - 1
+        assert len(session.cache) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -462,7 +462,7 @@ class TestJsonlFieldFidelity:
         assert tuple(events_from_jsonl(to_jsonl(events))) == events
 
     def test_flight_telemetry_is_bounded(self):
-        telemetry = Telemetry.flight(capacity=3)
+        telemetry = Telemetry(max_events=3)
         for index in range(10):
             telemetry.tracer.instant("tick", "sim", float(index))
         assert len(telemetry.tracer.events) == 3

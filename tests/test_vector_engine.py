@@ -2,8 +2,9 @@
 
 ``BatchCharacterizationJob`` shards carry distinct fingerprints (their
 own cache identity) but fold to the same ``CharacterizationResult`` as
-the scalar row jobs — and both paths share the *sweep-level* cache slot,
-so a result computed by either serves the other.
+the scalar row jobs.  The batch shards are the only path
+``EngineSession.characterize`` takes; the row jobs are the oracle these
+tests fold and compare against.
 """
 
 from __future__ import annotations
@@ -12,7 +13,11 @@ import pickle
 
 import pytest
 
-from repro.core.characterization import CharacterizationConfig
+from repro import experiments
+from repro.core.characterization import (
+    CharacterizationConfig,
+    CharacterizationFramework,
+)
 from repro.cpu import COMET_LAKE, KABY_LAKE_R
 from repro.engine import (
     BatchCharacterizationJob,
@@ -21,10 +26,9 @@ from repro.engine import (
     EngineSession,
     ResultCache,
     SerialExecutor,
-    batch_enabled,
-    batch_rows_per_job,
     execute_job,
 )
+from repro.engine.jobs import ROWS_PER_BATCH
 from repro.errors import ConfigurationError, ReproError
 
 #: Three-row sweep: enough to chunk, cheap enough for a unit test.
@@ -114,48 +118,66 @@ class TestChunking:
         assert batch_totals == scalar_totals
 
 
-class TestEnvironmentKnobs:
-    def test_batch_enabled_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        assert batch_enabled() is True
+#: Six shards of ``ROWS_PER_BATCH`` rows over Comet Lake's full F set.
+MULTI_SHARD = CharacterizationConfig(
+    offset_start_mv=-10, offset_stop_mv=-250, offset_step_mv=10
+)
 
-    @pytest.mark.parametrize("value", ["0", "false", "no", "off", " OFF "])
-    def test_batch_enabled_opt_out_spellings(self, monkeypatch, value):
+
+class TestRetiredKnobs:
+    """The settings that once chose or shaped the sweep path are gone:
+    their environment variables change nothing and ``batch=`` is no
+    longer an accepted argument anywhere."""
+
+    @pytest.mark.parametrize(
+        "value", ["false", "no", "off", " OFF ", "1", "true", "on", "yes", ""]
+    )
+    def test_repro_batch_spellings_leave_shards_alone(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_BATCH", value)
-        assert batch_enabled() is False
+        session = EngineSession(executor=SerialExecutor(), cache=ResultCache())
+        session.characterize(COMET_LAKE, config=SMALL)
+        assert session.counters()["engine.jobs_executed"] == len(
+            _sweep_job().batch_jobs()
+        )
 
-    @pytest.mark.parametrize("value", ["1", "true", "on", "yes", ""])
-    def test_batch_enabled_on_spellings(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_BATCH", value)
-        assert batch_enabled() is True
+    @pytest.mark.parametrize("value", ["1", "3", "0", "lots"])
+    def test_repro_batch_rows_leaves_shard_size_alone(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_BATCH_ROWS", value)
+        sweep = _sweep_job(config=MULTI_SHARD)
+        assert all(
+            len(job.frequencies_ghz) == ROWS_PER_BATCH
+            for job in sweep.batch_jobs()[:-1]
+        )
+        session = EngineSession(executor=SerialExecutor(), cache=ResultCache())
+        session.characterize(COMET_LAKE, config=MULTI_SHARD)
+        assert session.counters()["engine.jobs_executed"] == len(sweep.batch_jobs())
 
-    def test_batch_enabled_override_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        assert batch_enabled(True) is True
-        monkeypatch.delenv("REPRO_BATCH")
-        assert batch_enabled(False) is False
-
-    def test_batch_rows_per_job_default_and_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_ROWS", raising=False)
-        assert batch_rows_per_job() == 8
-        monkeypatch.setenv("REPRO_BATCH_ROWS", "3")
-        assert batch_rows_per_job() == 3
-
-    def test_batch_rows_per_job_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_ROWS", "lots")
-        with pytest.raises(ReproError):
-            batch_rows_per_job()
-        monkeypatch.setenv("REPRO_BATCH_ROWS", "0")
-        with pytest.raises(ReproError):
-            batch_rows_per_job()
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: CharacterizationFramework(COMET_LAKE, config=SMALL).run(
+                batch=True
+            ),
+            lambda: EngineSession(executor=SerialExecutor()).characterize(
+                COMET_LAKE, config=SMALL, batch=False
+            ),
+            lambda: experiments.characterization(COMET_LAKE, batch=False),
+            lambda: experiments.prevention_jobs(batch=False),
+        ],
+        ids=["framework-run", "session-characterize", "characterization", "prevention-jobs"],
+    )
+    def test_batch_argument_rejected(self, call):
+        with pytest.raises(TypeError, match="batch"):
+            call()
 
 
 class TestSessionIntegration:
     def test_characterize_batch_matches_scalar(self):
+        sweep = _sweep_job()
         scalar_session = EngineSession(executor=SerialExecutor(), cache=ResultCache())
         batch_session = EngineSession(executor=SerialExecutor(), cache=ResultCache())
-        scalar = scalar_session.characterize(COMET_LAKE, config=SMALL, batch=False)
-        batch = batch_session.characterize(COMET_LAKE, config=SMALL, batch=True)
+        scalar = sweep.fold(scalar_session.run_jobs(sweep.row_jobs(), cache=False))
+        batch = batch_session.characterize(COMET_LAKE, config=SMALL)
         assert scalar.cells == batch.cells
         assert pickle.dumps(scalar.cells) == pickle.dumps(batch.cells)
         assert scalar.unsafe_states.to_dict() == batch.unsafe_states.to_dict()
@@ -170,36 +192,35 @@ class TestSessionIntegration:
         assert scalar_counters == batch_counters
 
     def test_batch_runs_fewer_jobs_than_scalar(self):
-        config = CharacterizationConfig(
-            offset_start_mv=-10, offset_stop_mv=-250, offset_step_mv=10
-        )
-        scalar_session = EngineSession(executor=SerialExecutor(), cache=ResultCache())
-        batch_session = EngineSession(executor=SerialExecutor(), cache=ResultCache())
-        scalar_session.characterize(COMET_LAKE, config=config, batch=False)
-        batch_session.characterize(COMET_LAKE, config=config, batch=True)
-        scalar_jobs = scalar_session.counters()["engine.jobs_executed"]
-        batch_jobs = batch_session.counters()["engine.jobs_executed"]
-        assert batch_jobs < scalar_jobs
+        """The production sweep schedules one job per shard, fewer than
+        the one-per-row oracle it replaced."""
+        sweep = _sweep_job(config=MULTI_SHARD)
+        session = EngineSession(executor=SerialExecutor(), cache=ResultCache())
+        session.characterize(COMET_LAKE, config=MULTI_SHARD)
+        executed = session.counters()["engine.jobs_executed"]
+        assert executed == len(sweep.batch_jobs())
+        assert executed < len(sweep.row_jobs())
 
     def test_cross_path_cache_identity(self):
-        """Scalar and batch sweeps share one sweep-level cache slot: a
-        result computed by either path serves the other verbatim."""
+        """The sweep-level cache slot is keyed by the sweep alone: an
+        oracle row-job fold stored there is served verbatim, and the
+        batch result lands in the same slot."""
+        sweep = _sweep_job()
         session = EngineSession(executor=SerialExecutor(), cache=ResultCache())
-        scalar = session.characterize(COMET_LAKE, config=SMALL, batch=False)
-        served = session.characterize(COMET_LAKE, config=SMALL, batch=True)
+        scalar = sweep.fold(session.run_jobs(sweep.row_jobs(), cache=False))
+        session.cache.put(sweep.fingerprint(), scalar)
+        served = session.characterize(COMET_LAKE, config=SMALL, seed=5)
         assert served is scalar
         assert session.counters()["engine.cache_hits"] == 1
 
-        reverse = EngineSession(executor=SerialExecutor(), cache=ResultCache())
-        batch = reverse.characterize(COMET_LAKE, config=SMALL, batch=True)
-        served = reverse.characterize(COMET_LAKE, config=SMALL, batch=False)
-        assert served is batch
-        assert reverse.counters()["engine.cache_hits"] == 1
+        fresh = EngineSession(executor=SerialExecutor(), cache=ResultCache())
+        batch = fresh.characterize(COMET_LAKE, config=SMALL, seed=5)
+        assert fresh.cache.get(sweep.fingerprint()) is batch
+        assert pickle.dumps(batch.cells) == pickle.dumps(scalar.cells)
 
     def test_characterize_refuses_partial_batch_sweeps(self, monkeypatch):
         """A quarantined batch shard must fail the sweep loudly — a fold
-        of partial rows would be silently wrong (mirror of the scalar
-        row-job test in tests/test_resilience.py)."""
+        of partial rows would be silently wrong."""
         from repro.engine import RetryPolicy
         from repro.engine import jobs as jobs_module
 
@@ -213,18 +234,15 @@ class TestSessionIntegration:
 
         monkeypatch.setattr(jobs_module.BatchCharacterizationJob, "run", sabotaged)
         with pytest.raises(ReproError, match="quarantine"):
-            session.characterize(COMET_LAKE, config=SMALL, batch=True)
+            session.characterize(COMET_LAKE, config=SMALL)
 
-    def test_characterize_honors_repro_batch_env(self, monkeypatch):
-        """batch=None defers to REPRO_BATCH; the observable difference is
-        the shard count (results are identical by construction)."""
+    def test_characterize_ignores_repro_batch_env(self, monkeypatch):
+        """No environment variable selects the scalar path: the sweep
+        runs as batch shards even with the retired ``REPRO_BATCH=0``
+        opt-out set."""
         monkeypatch.setenv("REPRO_BATCH", "0")
-        scalar_session = EngineSession(executor=SerialExecutor(), cache=ResultCache())
-        scalar_session.characterize(COMET_LAKE, config=SMALL)
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        batch_session = EngineSession(executor=SerialExecutor(), cache=ResultCache())
-        batch_session.characterize(COMET_LAKE, config=SMALL)
-        assert (
-            batch_session.counters()["engine.jobs_executed"]
-            < scalar_session.counters()["engine.jobs_executed"]
+        session = EngineSession(executor=SerialExecutor(), cache=ResultCache())
+        session.characterize(COMET_LAKE, config=SMALL)
+        assert session.counters()["engine.jobs_executed"] == len(
+            _sweep_job().batch_jobs()
         )

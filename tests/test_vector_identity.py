@@ -5,8 +5,10 @@ because it is *bit-identical* to the scalar oracle — same cells, same
 telemetry counters, same trace events, same random-stream consumption.
 This suite is the executable proof: fuzz-sampled physics comparisons per
 process node, full ``run_row`` vs ``run_row_batch`` sweeps per paper
-model (including ``repetitions > 1``), and a pin on the one numpy
-``Generator`` equivalence the batch draw loop relies on.
+model (including ``repetitions > 1``), the scalar fold against both
+production sweep paths (``.run()`` and ``EngineSession.characterize``),
+and a pin on the one numpy ``Generator`` equivalence the batch draw loop
+relies on.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pytest
 
 from repro.core.characterization import CharacterizationConfig, CharacterizationFramework
 from repro.cpu import COMET_LAKE, KABY_LAKE_R, PAPER_MODEL_TUPLE, SKY_LAKE
+from repro.engine import EngineSession, ResultCache, SerialExecutor
 from repro.faults.margin import FaultModel
 from repro.telemetry import Telemetry
 from repro.timing.constants import INTEL_10NM, INTEL_14NM, INTEL_14NM_PLUS
@@ -144,29 +147,36 @@ class TestRowIdentity:
         assert scalar_events  # the fault band must actually be exercised
 
 
+def _scalar_sweep(model, config, seed):
+    """The scalar oracle: every ``run_row`` folded in frequency order."""
+    framework = CharacterizationFramework(model, config=config, seed=seed)
+    result = framework.empty_result()
+    for frequency in config.frequency_list(model):
+        framework.fold_row(result, framework.run_row(frequency))
+    return result
+
+
 class TestSweepIdentity:
     @pytest.mark.parametrize("model", PAPER_MODEL_TUPLE, ids=lambda m: m.codename)
     def test_full_coarse_sweep_identity(self, model):
-        scalar = CharacterizationFramework(model, config=COARSE, seed=2024).run(
-            batch=False
-        )
-        batch = CharacterizationFramework(model, config=COARSE, seed=2024).run(
-            batch=True
-        )
-        assert scalar.cells == batch.cells
-        assert scalar.crashes == batch.crashes
-        assert scalar.unsafe_states.to_dict() == batch.unsafe_states.to_dict()
-        assert pickle.dumps(scalar.cells) == pickle.dumps(batch.cells)
+        """The scalar fold equals both production paths: the library
+        ``.run()`` and the engine's batch shards."""
+        scalar = _scalar_sweep(model, COARSE, seed=2024)
+        library = CharacterizationFramework(model, config=COARSE, seed=2024).run()
+        engine = EngineSession(
+            executor=SerialExecutor(), cache=ResultCache()
+        ).characterize(model, seed=2024, config=COARSE)
+        for vector in (library, engine):
+            assert scalar.cells == vector.cells
+            assert scalar.crashes == vector.crashes
+            assert scalar.unsafe_states.to_dict() == vector.unsafe_states.to_dict()
+            assert pickle.dumps(scalar.cells) == pickle.dumps(vector.cells)
 
     def test_boundary_profile_identity(self):
-        scalar = CharacterizationFramework(COMET_LAKE, config=COARSE, seed=2024).run(
-            batch=False
-        )
-        batch = CharacterizationFramework(COMET_LAKE, config=COARSE, seed=2024).run(
-            batch=True
-        )
-        assert scalar.boundary_profile() == batch.boundary_profile()
-        assert scalar.maximal_safe_offset_mv() == batch.maximal_safe_offset_mv()
+        scalar = _scalar_sweep(COMET_LAKE, COARSE, seed=2024)
+        vector = CharacterizationFramework(COMET_LAKE, config=COARSE, seed=2024).run()
+        assert scalar.boundary_profile() == vector.boundary_profile()
+        assert scalar.maximal_safe_offset_mv() == vector.maximal_safe_offset_mv()
 
 
 class TestGeneratorEquivalencePins:

@@ -201,7 +201,6 @@ class TestMutationDetection:
 
     def test_broken_purge_flags_heap_hygiene(self, monkeypatch):
         monkeypatch.setattr(Simulator, "prune", lambda self: None)
-        monkeypatch.setattr(Simulator, "_prune_cancelled", lambda self: None)
         machine = checked_machine()
         machine.simulator.schedule(3e-3, lambda: None)
         stranded = machine.simulator.schedule(5e-3, lambda: None)
