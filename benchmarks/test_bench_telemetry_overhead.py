@@ -3,9 +3,9 @@
 The paper's whole argument for the polling countermeasure is that its
 steady-state cost is negligible (Table 2: 0.28% mean SPEC slowdown).
 The reproduction's observability layer must hold itself to the same
-standard: when no observer and no profiler are attached, the dispatch
-loop pays exactly two ``is not None`` identity comparisons per event,
-and this benchmark pins that cost against a hook-free baseline.
+standard: when no observer is attached, the dispatch loop pays one
+truth test of the simulator's observer tuple per event, and this
+benchmark pins that cost against a hook-free baseline.
 
 The baseline is a :class:`Simulator` subclass whose ``step()`` is the
 same dispatch body with the hook checks deleted.  Both simulators
@@ -38,7 +38,7 @@ REPEATS = 25
 
 
 class BareSimulator(Simulator):
-    """The dispatch loop with the observer/profiler checks deleted."""
+    """The dispatch loop with the observer check deleted."""
 
     def step(self) -> bool:  # noqa: D102 - same contract as Simulator.step
         while self._heap:

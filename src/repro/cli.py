@@ -296,8 +296,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--replay",
         metavar="PATH",
         default=None,
-        help="replay a repro artifact or flight-recorder dump under the "
-        "checker instead of fuzzing",
+        help="replay a repro artifact, a flight-recorder dump, or a "
+        "registry run id's recorded dumps under the checker instead of "
+        "fuzzing",
+    )
+    fuzz.add_argument(
+        "--registry",
+        metavar="DIR",
+        default=None,
+        help="registry that resolves a --replay run id",
     )
 
     chaos = sub.add_parser(
@@ -727,21 +734,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the Markdown here instead of printing it",
     )
 
-    observe = sub.add_parser(
-        "observe", help="post-mortem tooling for flight-recorder dumps"
-    )
-    observe_sub = observe.add_subparsers(dest="observe_command", required=True)
-    replay = observe_sub.add_parser(
-        "replay",
-        help="replay the schedule embedded in a flight-recorder dump",
-    )
-    replay.add_argument(
-        "path",
-        metavar="DUMP_OR_RUN",
-        help="flight dump (JSONL), or a registry run id whose recorded "
-        "dumps should be replayed",
-    )
-    replay.add_argument("--registry", metavar="DIR", default=None)
     return parser
 
 
@@ -1135,40 +1127,16 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    if args.replay:
+        return _fuzz_replay(args.replay, args.registry)
+
     import hashlib
 
     from repro.analysis.export import write_text
     from repro.analysis.report import render_table
     from repro.cpu.models import PAPER_MODEL_TUPLE, model_by_codename
     from repro.engine import EngineSession, FuzzJob, executor_from_env, make_executor
-    from repro.verify import (
-        FuzzSchedule,
-        InvariantChecker,
-        run_schedule,
-        shrink_schedule,
-    )
-
-    if args.replay:
-        from repro.observe import is_flight_dump, load_flight_dump
-
-        if is_flight_dump(args.replay):
-            dump = load_flight_dump(args.replay)
-            if dump.schedule is None:
-                print(f"flight dump {args.replay} carries no schedule "
-                      f"(reason: {dump.reason}); nothing to replay")
-                return 2
-            schedule = FuzzSchedule.from_dict(dump.schedule)
-        else:
-            with open(args.replay, "r", encoding="utf-8") as handle:
-                schedule = FuzzSchedule.from_json(handle.read())
-        summary = run_schedule(schedule)
-        print(_json.dumps(summary, indent=2, sort_keys=True))
-        if summary["violation"] is not None:
-            print(f"\nreplay reproduced: [{summary['violation']['invariant']}] "
-                  f"{summary['violation']['message']}")
-            return 1
-        print("\nreplay ran clean (violation not reproduced)")
-        return 0
+    from repro.verify import InvariantChecker, run_schedule, shrink_schedule
 
     models = (
         [model_by_codename(args.cpu)] if args.cpu else list(PAPER_MODEL_TUPLE)
@@ -1580,7 +1548,7 @@ def _cmd_runs(args) -> int:
         for flight in flights:
             print(f"  {flight['path']}  sha256={flight['sha256'][:12]} "
                   f"({flight['reason']})")
-        print("replay one with: repro observe replay "
+        print("replay one with: repro fuzz --replay "
               f"{run['run_id'][:12]}")
     return 0
 
@@ -2060,24 +2028,33 @@ def _cmd_work(args) -> int:
     return 0
 
 
-def _cmd_observe_replay(args) -> int:
-    from repro.observe import load_flight_dump
+def _fuzz_replay(source: str, registry_dir: Optional[str]) -> int:
+    """``repro fuzz --replay``: re-run a recorded schedule under the checker.
+
+    ``source`` is a shrunk repro artifact, a flight dump, or a registry
+    run id whose first recorded dump still on disk is replayed.  Exit 1
+    when the violation reproduces, 0 when the replay runs clean, 2 when
+    there is nothing to replay.
+    """
+    from repro.observe import is_flight_dump, load_flight_dump
     from repro.verify import FuzzSchedule, run_schedule
 
-    path = args.path
+    path = source
     if not Path(path).exists():
         # Not a file — maybe a registry run id whose dumps were recorded.
-        registry = _open_registry(args.registry, required=False)
+        registry = _open_registry(registry_dir, required=False)
         flights = []
         if registry is not None:
+            from repro.errors import RegistryError
+
             try:
                 run_id = registry.resolve(path)
                 flights = registry.flights_for(run_id)
-            except Exception:
+            except RegistryError:
                 flights = []
         if not flights:
-            print(f"{args.path}: neither a flight dump file nor a "
-                  "recorded run with flight dumps", file=sys.stderr)
+            print(f"{source}: neither a replay file nor a recorded run "
+                  "with flight dumps", file=sys.stderr)
             return 2
         print(f"run {run_id[:12]}: {len(flights)} recorded flight dump(s)")
         for flight in flights:
@@ -2091,24 +2068,28 @@ def _cmd_observe_replay(args) -> int:
         path = available[0]["path"]
         print(f"replaying {path}\n")
 
-    dump = load_flight_dump(path)
-    header = dump.header
-    print(f"flight dump: reason={dump.reason} "
-          f"sim_time={header.get('sim_time_s', 0.0):g}s "
-          f"events={len(dump.events)}")
-    machine = header.get("machine")
-    if machine:
-        print(f"machine: {machine.get('codename')} seed={machine.get('seed')} "
-              f"spec={str(machine.get('sha256', ''))[:12]}")
-    if header.get("violation"):
-        violation = header["violation"]
-        print(f"recorded violation: [{violation['invariant']}] "
-              f"{violation['message']}")
-    if dump.schedule is None:
-        print("dump carries no schedule; nothing to replay "
-              "(inspect the trace tail with repro.observe.load_flight_dump)")
-        return 2
-    schedule = FuzzSchedule.from_dict(dump.schedule)
+    if is_flight_dump(path):
+        dump = load_flight_dump(path)
+        header = dump.header
+        print(f"flight dump: reason={dump.reason} "
+              f"sim_time={header.get('sim_time_s', 0.0):g}s "
+              f"events={len(dump.events)}")
+        machine = header.get("machine")
+        if machine:
+            print(f"machine: {machine.get('codename')} seed={machine.get('seed')} "
+                  f"spec={str(machine.get('sha256', ''))[:12]}")
+        if header.get("violation"):
+            violation = header["violation"]
+            print(f"recorded violation: [{violation['invariant']}] "
+                  f"{violation['message']}")
+        if dump.schedule is None:
+            print("dump carries no schedule; nothing to replay "
+                  "(inspect the trace tail with repro.observe.load_flight_dump)")
+            return 2
+        schedule = FuzzSchedule.from_dict(dump.schedule)
+    else:
+        with open(path, "r", encoding="utf-8") as handle:
+            schedule = FuzzSchedule.from_json(handle.read())
     summary = run_schedule(schedule)
     print(_json.dumps(summary, indent=2, sort_keys=True))
     if summary["violation"] is not None:
@@ -2153,7 +2134,6 @@ _COMMANDS = {
     "work": _cmd_work,
     "profile": _cmd_profile,
     "report": _cmd_report,
-    "observe": _cmd_observe_replay,
 }
 
 #: Registry verbs fail with a one-line message, not a traceback: a

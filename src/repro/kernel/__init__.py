@@ -10,7 +10,7 @@ from repro.kernel.cpufreq import CPUFreqDriver, CPUFreqPolicy, CPUPower, Scaling
 from repro.kernel.module import KernelModule, ModuleRegistry
 from repro.kernel.msr_driver import MSRAccessStats, MSRDriver
 from repro.kernel.procinfo import render_cpuinfo, render_system_status
-from repro.kernel.sim import Event, RecurringEvent, Simulator, Task
+from repro.kernel.sim import Event, RecurringEvent, SimObserver, Simulator, Task
 from repro.kernel.sysfs import SysfsAttribute, SysfsDirectory, expose_polling_module
 from repro.kernel.victim import ContinuousVictim, FaultBurst, VictimTrace
 
@@ -27,6 +27,7 @@ __all__ = [
     "render_system_status",
     "Event",
     "RecurringEvent",
+    "SimObserver",
     "Simulator",
     "Task",
     "SysfsAttribute",

@@ -19,7 +19,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.telemetry import NULL_TELEMETRY, Telemetry
@@ -128,6 +128,39 @@ class Task:
         self._simulator.schedule(delay, self._step)
 
 
+class SimObserver:
+    """No-op base for everything that observes a run on the event loop.
+
+    Attach with :meth:`Simulator.attach`.  The loop calls
+    ``after_step(simulator, event_time)`` after each clock advance (before
+    the event callback runs), ``after_event(callback, advanced_s, wall_s)``
+    after the callback returns (the callback object, the simulated time
+    the event advanced the clock by, and the callback's wall-clock cost),
+    and ``after_run_until(simulator)`` once a :meth:`Simulator.run_until`
+    window completes.  The machine calls ``on_crash(machine)`` from
+    ``Machine.reboot``, and the invariant checker calls
+    ``on_violation(violation)`` just before it raises.  Subclasses
+    override the hooks they need.
+    """
+
+    def after_step(self, simulator: "Simulator", event_time: float) -> None:
+        """A processed event moved the clock to ``event_time``."""
+
+    def after_event(
+        self, callback: Callable[[], None], advanced_s: float, wall_s: float
+    ) -> None:
+        """An event callback returned."""
+
+    def after_run_until(self, simulator: "Simulator") -> None:
+        """A :meth:`Simulator.run_until` window completed."""
+
+    def on_crash(self, machine: Any) -> None:
+        """The machine is recovering from a machine check."""
+
+    def on_violation(self, violation: Any) -> None:
+        """A runtime invariant tripped; the checker raises next."""
+
+
 class Simulator:
     """Priority-queue discrete-event simulator with a monotone clock."""
 
@@ -142,13 +175,10 @@ class Simulator:
         self._scheduled_counter = telemetry.registry.counter("sim.events_scheduled")
         self._processed_counter = telemetry.registry.counter("sim.events_processed")
         self._spawned_counter = telemetry.registry.counter("sim.tasks_spawned")
-        # Optional runtime-invariant observer (repro.verify).  ``None`` means
-        # the hot path pays a single identity comparison per event and
-        # nothing else, keeping tier-1 timing byte-identical.
-        self._observer: Optional[Any] = None
-        # Optional dispatch-loop profiler (repro.observe) — same contract:
-        # ``None`` costs one identity comparison per processed event.
-        self._profiler: Optional[Any] = None
+        # Attached observers (repro.verify, repro.observe).  Empty means
+        # the hot path pays one tuple truth test per event and nothing
+        # else, keeping tier-1 timing byte-identical.
+        self._observers: Tuple[SimObserver, ...] = ()
 
     @property
     def now(self) -> float:
@@ -161,38 +191,25 @@ class Simulator:
 
     # -- observation -------------------------------------------------------------
 
-    def attach_observer(self, observer: Any) -> None:
-        """Install a runtime-invariant observer on the event loop.
+    @property
+    def observers(self) -> Tuple[SimObserver, ...]:
+        """The attached observers, in attach order."""
+        return self._observers
 
-        The observer receives ``after_step(sim, event_time)`` after each
-        clock advance (before the event callback runs) and
-        ``after_run_until(sim)`` once a :meth:`run_until` window completes.
-        Only one observer may be attached at a time.
+    def attach(self, observer: SimObserver) -> None:
+        """Add ``observer`` to the event loop (no-op when already attached).
+
+        Every attached observer receives the full :class:`SimObserver`
+        protocol; any number may be attached, in any order.
         """
-        if self._observer is not None and self._observer is not observer:
-            raise SimulationError("an observer is already attached to this simulator")
-        self._observer = observer
+        if not any(attached is observer for attached in self._observers):
+            self._observers += (observer,)
 
-    def detach_observer(self) -> None:
-        """Remove the attached observer (no-op when none is attached)."""
-        self._observer = None
-
-    def attach_profiler(self, profiler: Any) -> None:
-        """Install a dispatch-loop profiler on the event loop.
-
-        The profiler receives ``after_event(callback, advanced_s,
-        wall_s)`` after every event callback returns: the callback object
-        (for site attribution), the simulated time the event advanced the
-        clock by, and the callback's wall-clock cost.  Only one profiler
-        may be attached at a time.
-        """
-        if self._profiler is not None and self._profiler is not profiler:
-            raise SimulationError("a profiler is already attached to this simulator")
-        self._profiler = profiler
-
-    def detach_profiler(self) -> None:
-        """Remove the attached profiler (no-op when none is attached)."""
-        self._profiler = None
+    def detach(self, observer: SimObserver) -> None:
+        """Remove ``observer`` (no-op when it is not attached)."""
+        self._observers = tuple(
+            attached for attached in self._observers if attached is not observer
+        )
 
     def pending_entries(self) -> List[tuple]:
         """``(time, cancelled)`` snapshot of every entry still in the heap.
@@ -240,37 +257,30 @@ class Simulator:
                 continue
             if entry.time < self._now:
                 raise SimulationError("event queue produced a time in the past")
-            if self._profiler is not None:
-                self._profiled_dispatch(entry)
+            if not self._observers:
+                self._now = entry.time
+                self.processed_events += 1
+                self._processed_counter.inc()
+                entry.event.callback()
                 return True
+            # The observed dispatch body.  ``advanced_s`` is sim time and
+            # deterministic; ``wall_s`` is not, and observers keep the
+            # two strictly apart.
+            observers = self._observers
+            advanced_s = entry.time - self._now
             self._now = entry.time
             self.processed_events += 1
             self._processed_counter.inc()
-            if self._observer is not None:
-                self._observer.after_step(self, entry.time)
-            entry.event.callback()
+            for observer in observers:
+                observer.after_step(self, entry.time)
+            callback = entry.event.callback
+            start = perf_counter()
+            callback()
+            wall_s = perf_counter() - start
+            for observer in observers:
+                observer.after_event(callback, advanced_s, wall_s)
             return True
         return False
-
-    def _profiled_dispatch(self, entry: _QueueEntry) -> None:
-        """The :meth:`step` dispatch body with profiler bookkeeping.
-
-        Split out so the unprofiled hot path pays exactly one identity
-        comparison; the sim-time fields handed to the profiler
-        (``advanced_s``) are deterministic, the wall-clock measurement is
-        not and the profiler keeps the two strictly apart.
-        """
-        advanced_s = entry.time - self._now
-        self._now = entry.time
-        self.processed_events += 1
-        self._processed_counter.inc()
-        if self._observer is not None:
-            self._observer.after_step(self, entry.time)
-        start = perf_counter()
-        entry.event.callback()
-        self._profiler.after_event(
-            entry.event.callback, advanced_s, perf_counter() - start
-        )
 
     def run_until(self, time: float) -> None:
         """Process events up to and including ``time``; clock ends at ``time``."""
@@ -289,8 +299,8 @@ class Simulator:
         # entries deeper in the heap; purge them so repeated run_until
         # calls against long-lived simulators cannot accumulate garbage.
         self.prune()
-        if self._observer is not None:
-            self._observer.after_run_until(self)
+        for observer in self._observers:
+            observer.after_run_until(self)
 
     def prune(self) -> None:
         """Drop every cancelled entry still parked in the event heap.

@@ -3,15 +3,17 @@
 A :class:`FlightRecorder` rides on a machine's telemetry tracer and, at
 the moment something goes wrong, freezes the last ``capacity`` trace
 events into a replayable JSONL artifact together with the machine's
-seed/spec fingerprint.  Three failure paths are wired to it:
+seed/spec fingerprint.  It is a :class:`repro.kernel.sim.SimObserver` on
+the machine's simulator, so it may be installed before or after an
+invariant checker or profiler.  Three failure paths are wired to it:
 
 * an :class:`~repro.errors.InvariantViolation` raised by an installed
-  :class:`~repro.verify.InvariantChecker` (the checker calls
-  :meth:`on_violation` before raising);
-* a crash-model machine check (``Machine.reboot`` calls
-  :meth:`on_crash` when a recorder is installed and crash recording is
-  on — characterization sweeps crash thousands of times by design, so
-  crash dumps are opt-in);
+  :class:`~repro.verify.InvariantChecker` (the checker calls every
+  observer's :meth:`on_violation` before raising);
+* a crash-model machine check (``Machine.reboot`` calls every observer's
+  :meth:`on_crash`; the recorder dumps only when crash recording is on —
+  characterization sweeps crash thousands of times by design, so crash
+  dumps are opt-in);
 * an unhandled exception escaping a campaign job
   (:func:`dump_job_failure`, called by the engine's
   ``execute_job`` worker entry point).
@@ -37,6 +39,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import ObserveError
+from repro.kernel.sim import SimObserver
 from repro.telemetry.export import event_from_dict, event_to_dict
 from repro.telemetry.events import TraceEvent
 
@@ -113,7 +116,7 @@ def is_flight_dump(path: Union[str, Path]) -> bool:
         return False
 
 
-class FlightRecorder:
+class FlightRecorder(SimObserver):
     """Last-N-events post-mortem recorder for one machine."""
 
     def __init__(
@@ -145,16 +148,15 @@ class FlightRecorder:
     # -- lifecycle ---------------------------------------------------------------
 
     def install(self, machine: Any) -> "FlightRecorder":
-        """Bind to ``machine`` and register as its flight recorder."""
+        """Bind to ``machine`` and attach to its simulator's observers."""
         self.machine = machine
-        machine.flight = self
+        machine.simulator.attach(self)
         return self
 
     def uninstall(self) -> None:
         """Unbind from the machine (no-op when not installed)."""
         if self.machine is not None:
-            if getattr(self.machine, "flight", None) is self:
-                self.machine.flight = None
+            self.machine.simulator.detach(self)
             self.machine = None
 
     # -- ring access -------------------------------------------------------------
@@ -193,34 +195,21 @@ class FlightRecorder:
     ) -> str:
         """The JSONL artifact text for the current ring state."""
         machine = self.machine
-        events = self.tail_events()
-        header: Dict[str, Any] = {
-            "kind": DUMP_KIND,
-            "schema": FLIGHT_SCHEMA_VERSION,
-            "reason": reason,
-            "capacity": self.capacity,
-            "events": len(events),
-            "sim_time_s": machine.now if machine is not None else 0.0,
-            "crash_count": getattr(machine, "crash_count", 0),
-            "machine": (
+        return _dump_text(
+            reason,
+            self.tail_events(),
+            capacity=self.capacity,
+            sim_time_s=machine.now if machine is not None else 0.0,
+            crash_count=getattr(machine, "crash_count", 0),
+            machine=(
                 machine.spec_fingerprint()
                 if machine is not None and hasattr(machine, "spec_fingerprint")
                 else None
             ),
-            "violation": violation.to_dict() if violation is not None else None,
-            "error": (
-                {"type": type(error).__name__, "message": str(error)}
-                if error is not None
-                else None
-            ),
-            "context": dict(sorted(self.context.items())) or None,
-        }
-        lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-        lines.extend(
-            json.dumps(event_to_dict(event), sort_keys=True, separators=(",", ":"))
-            for event in events
+            violation=violation,
+            error=error,
+            context=dict(sorted(self.context.items())) or None,
         )
-        return "\n".join(lines) + "\n"
 
     def record(
         self,
@@ -239,11 +228,59 @@ class FlightRecorder:
         self.last_dump = text
         if self.dump_dir is None or len(self.dump_paths) >= self.max_dumps:
             return None
-        self.dump_dir.mkdir(parents=True, exist_ok=True)
-        path = self.dump_dir / f"flight-{reason}-{len(self.dump_paths):03d}.jsonl"
-        path.write_text(text)
+        path = _write_dump(
+            self.dump_dir, f"flight-{reason}-{len(self.dump_paths):03d}.jsonl", text
+        )
         self.dump_paths.append(path)
         return path
+
+
+def _dump_text(
+    reason: str,
+    events: List[TraceEvent],
+    *,
+    capacity: int,
+    context: Optional[Dict[str, Any]],
+    sim_time_s: float = 0.0,
+    crash_count: Optional[int] = None,
+    machine: Optional[Dict[str, Any]] = None,
+    violation: Optional[Any] = None,
+    error: Optional[BaseException] = None,
+) -> str:
+    """A dump's JSONL text: the header line, then one line per event.
+
+    ``violation`` is anything with ``to_dict()``.
+    """
+    header: Dict[str, Any] = {
+        "kind": DUMP_KIND,
+        "schema": FLIGHT_SCHEMA_VERSION,
+        "reason": reason,
+        "capacity": capacity,
+        "events": len(events),
+        "sim_time_s": sim_time_s,
+        "crash_count": crash_count,
+        "machine": machine,
+        "violation": violation.to_dict() if violation is not None else None,
+        "error": (
+            {"type": type(error).__name__, "message": str(error)}
+            if error is not None
+            else None
+        ),
+        "context": context,
+    }
+    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
+    lines.extend(
+        json.dumps(event_to_dict(event), sort_keys=True, separators=(",", ":"))
+        for event in events
+    )
+    return "\n".join(lines) + "\n"
+
+
+def _write_dump(directory: Path, name: str, text: str) -> Path:
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / name
+    path.write_text(text)
+    return path
 
 
 def dump_quarantine(
@@ -269,18 +306,13 @@ def dump_quarantine(
     if directory is None:
         return None
     fingerprint = job.fingerprint()
-    header: Dict[str, Any] = {
-        "kind": DUMP_KIND,
-        "schema": FLIGHT_SCHEMA_VERSION,
-        "reason": "quarantined-job",
-        "capacity": 0,
-        "events": 0,
-        "sim_time_s": 0.0,
-        "crash_count": None,
-        "machine": None,
-        "violation": error.to_dict() if hasattr(error, "to_dict") else None,
-        "error": {"type": type(error).__name__, "message": str(error)},
-        "context": {
+    text = _dump_text(
+        "quarantined-job",
+        [],
+        capacity=0,
+        violation=error if hasattr(error, "to_dict") else None,
+        error=error,
+        context={
             "job": {
                 "kind": job.kind,
                 "fingerprint": fingerprint,
@@ -288,13 +320,10 @@ def dump_quarantine(
             },
             "attempts": attempts,
         },
-    }
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"quarantine-{fingerprint[:12]}.flight.jsonl"
-    path.write_text(
-        json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
     )
-    return path
+    return _write_dump(
+        directory, f"quarantine-{fingerprint[:12]}.flight.jsonl", text
+    )
 
 
 def dump_job_failure(
@@ -318,27 +347,13 @@ def dump_job_failure(
         return None
     events = list(telemetry.tracer.events)[-capacity:]
     fingerprint = job.fingerprint()
-    header: Dict[str, Any] = {
-        "kind": DUMP_KIND,
-        "schema": FLIGHT_SCHEMA_VERSION,
-        "reason": "unhandled-exception",
-        "capacity": capacity,
-        "events": len(events),
-        "sim_time_s": events[-1].time_s if events else 0.0,
-        "crash_count": None,
-        "machine": None,
-        "violation": (
-            error.to_dict() if hasattr(error, "to_dict") else None
-        ),
-        "error": {"type": type(error).__name__, "message": str(error)},
-        "context": {"job": {"kind": job.kind, "fingerprint": fingerprint}},
-    }
-    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    lines.extend(
-        json.dumps(event_to_dict(event), sort_keys=True, separators=(",", ":"))
-        for event in events
+    text = _dump_text(
+        "unhandled-exception",
+        events,
+        capacity=capacity,
+        sim_time_s=events[-1].time_s if events else 0.0,
+        violation=error if hasattr(error, "to_dict") else None,
+        error=error,
+        context={"job": {"kind": job.kind, "fingerprint": fingerprint}},
     )
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"job-{fingerprint[:12]}.flight.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write_dump(directory, f"job-{fingerprint[:12]}.flight.jsonl", text)

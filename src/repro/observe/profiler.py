@@ -1,9 +1,9 @@
 """Sim-time profiler for the discrete-event dispatch loop.
 
-:class:`SimProfiler` hooks :meth:`repro.kernel.sim.Simulator.step`
-through the same zero-cost-when-disabled observer pattern as
-:mod:`repro.verify` (one identity comparison per event when detached)
-and attributes every processed event to the component that scheduled it:
+:class:`SimProfiler` is a :class:`repro.kernel.sim.SimObserver` on the
+simulator's observer tuple, beside any invariant checker or flight
+recorder (one truth test per event when nothing is attached), and
+attributes every processed event to the component that scheduled it:
 the voltage regulator's settle events, the OCM/MSR chain, the polling
 module's recurring poll, the fault injector, the bench runner, spawned
 cooperative tasks.  Per (component, site) bucket it accumulates
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.kernel.sim import RecurringEvent, Task
+from repro.kernel.sim import RecurringEvent, SimObserver, Task
 
 #: Schema tag embedded in profile snapshots.
 PROFILE_SCHEMA_VERSION = 1
@@ -88,7 +88,7 @@ def resolve_site(callback: Any) -> Tuple[str, str]:
     return (module, site)
 
 
-class SimProfiler:
+class SimProfiler(SimObserver):
     """Per-component event/sim-time/wall-time attribution for one run."""
 
     def __init__(self) -> None:
@@ -100,14 +100,14 @@ class SimProfiler:
     def install(self, target: Any) -> "SimProfiler":
         """Attach to a :class:`Machine` or a bare :class:`Simulator`."""
         simulator = getattr(target, "simulator", target)
-        simulator.attach_profiler(self)
+        simulator.attach(self)
         self._simulator = simulator
         return self
 
     def uninstall(self) -> None:
         """Detach from the simulator (no-op when not installed)."""
         if self._simulator is not None:
-            self._simulator.detach_profiler()
+            self._simulator.detach(self)
             self._simulator = None
 
     # -- the dispatch-loop hook ----------------------------------------------------

@@ -58,9 +58,6 @@ class Machine:
     #: The seed :meth:`build` assembled this machine from — kept so
     #: post-mortem artifacts can fingerprint an equivalent rebuild.
     build_seed: int = field(default=2024)
-    #: The flight recorder bound to this machine, if any (see
-    #: :class:`repro.observe.FlightRecorder`).
-    flight: Optional[object] = field(default=None, repr=False)
 
     @classmethod
     def build(
@@ -131,16 +128,16 @@ class Machine:
         """Attach a runtime invariant checker to every layer's hook.
 
         Returns the installed :class:`repro.verify.InvariantChecker`
-        (also kept on :attr:`verifier`); a fresh checker is built when
-        none is passed.
+        (also kept on :attr:`verifier`): ``checker``, or a fresh one when
+        none is passed.  When a checker is already installed (e.g. by
+        ``verify=True``) that checker is returned and nothing changes.
         """
-        from repro.verify import InvariantChecker
+        if self.verifier is None:
+            from repro.verify import InvariantChecker
 
-        if checker is None:
-            checker = InvariantChecker()
-        checker.install(self)
-        self.verifier = checker
-        return checker
+            checker = checker if checker is not None else InvariantChecker()
+            self.verifier = checker.install(self)
+        return self.verifier
 
     def spec_fingerprint(self) -> dict:
         """JSON-safe identity of this machine's build specification.
@@ -231,10 +228,10 @@ class Machine:
         Kernel modules stay registered (they reload from initramfs on a
         real machine); the MSR and regulator state is wiped.
         """
-        if self.flight is not None:
-            # Snapshot the pre-crash trace tail before hardware state is
-            # wiped (opt-in: characterization sweeps crash by design).
-            self.flight.on_crash(self)
+        for observer in self.simulator.observers:
+            # Before hardware state is wiped: a flight recorder snapshots
+            # the pre-crash trace tail here.
+            observer.on_crash(self)
         self.processor.reboot()
         self.crash_count += 1
         if settle_s > 0:

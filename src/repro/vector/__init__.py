@@ -46,8 +46,6 @@ from repro.vector.kernels import (
     voltage_for_scale_grid,
 )
 from repro.vector.profile import (
-    attach_kernel_profiler,
-    detach_kernel_profiler,
     kernel_profiler,
     profiled_kernels,
     record_kernel_site,
@@ -60,10 +58,8 @@ __all__ = [
     "MAX_RECORDED_EVENTS",
     "MaskedGrid",
     "SafetyGrid",
-    "attach_kernel_profiler",
     "crash_voltage_grid",
     "critical_voltage_grid",
-    "detach_kernel_profiler",
     "effective_voltage_grid",
     "explore_feasibility_grid",
     "fault_grid",

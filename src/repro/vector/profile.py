@@ -4,10 +4,11 @@ The PR-4 :class:`~repro.observe.profiler.SimProfiler` attributes cost per
 (component, site) by hooking the event dispatch loop — but the direct-mode
 characterization sweep (and its vectorized replacement) never schedules a
 simulator event, so there is nothing for ``after_event`` to see.  This
-module provides the out-of-band attachment point instead: code on the
-batch fast path (and the scalar oracle, for before/after comparisons)
-checks :func:`kernel_profiler` and, when one is attached, charges its work
-to a named site via ``SimProfiler.record_site``.
+module provides the out-of-band attachment point instead, the
+:func:`profiled_kernels` ``with`` block: code on the batch fast path (and
+the scalar oracle, for before/after comparisons) checks
+:func:`kernel_profiler` and, when one is attached, charges its work to a
+named site via ``SimProfiler.record_site``.
 
 The hook is deliberately dependency-free (no repro imports) so that both
 ``repro.core.characterization`` and ``repro.vector`` can consult it
@@ -33,18 +34,6 @@ from typing import Any, Iterator, Optional
 _kernel_profiler: Optional[Any] = None
 
 
-def attach_kernel_profiler(profiler: Any) -> None:
-    """Install ``profiler`` (a ``SimProfiler``) as the active kernel hook."""
-    global _kernel_profiler
-    _kernel_profiler = profiler
-
-
-def detach_kernel_profiler() -> None:
-    """Remove the active kernel hook (no-op when none is attached)."""
-    global _kernel_profiler
-    _kernel_profiler = None
-
-
 def kernel_profiler() -> Optional[Any]:
     """The currently attached profiler, or ``None``."""
     return _kernel_profiler
@@ -67,13 +56,15 @@ def record_kernel_site(
 
 @contextmanager
 def profiled_kernels(profiler: Any) -> Iterator[Any]:
-    """Attach ``profiler`` for the duration of a ``with`` block."""
+    """Attach ``profiler`` for the duration of a ``with`` block.
+
+    The only way to attach a kernel profiler; blocks nest, and the
+    enclosing block's profiler (or none) is restored on exit.
+    """
+    global _kernel_profiler
     previous = _kernel_profiler
-    attach_kernel_profiler(profiler)
+    _kernel_profiler = profiler
     try:
         yield profiler
     finally:
-        if previous is not None:
-            attach_kernel_profiler(previous)
-        else:
-            detach_kernel_profiler()
+        _kernel_profiler = previous

@@ -38,9 +38,11 @@ progress*, the properties the reproduction's claims rest on:
     session registry without loss or double counting, regardless of the
     executor (serial or process pool).
 
-All hooks are ``None`` by default and each hot path pays exactly one
-identity comparison when no checker is installed, so tier-1 timing
-results stay byte-identical with verification off.
+The checker rides the simulator's observer tuple alongside any profiler
+or flight recorder, in any install order; the component probes are
+``None`` by default.  Each hot path pays one check when no checker is
+installed, so tier-1 timing results stay byte-identical with
+verification off.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from repro.cpu import ocm
 from repro.cpu.msr import MSR_OC_MAILBOX
 from repro.errors import InvariantViolation, ReproError
 from repro.faults.margin import ONSET_FRACTION
+from repro.kernel.sim import SimObserver
 
 #: Environment knob: a non-empty value other than ``0``/``false``/``no``
 #: makes :meth:`Machine.build` install a checker on every machine it
@@ -73,7 +76,7 @@ def verify_enabled_from_env(environ: Optional[Dict[str, str]] = None) -> bool:
     return env.get(VERIFY_ENV, "").strip().lower() not in ("", "0", "false", "no")
 
 
-class InvariantChecker:
+class InvariantChecker(SimObserver):
     """Asserts runtime invariants on one machine (and one engine session).
 
     Use :meth:`install` to attach to a built
@@ -90,10 +93,6 @@ class InvariantChecker:
         self.checks = 0
         self._machine: Optional[Any] = None
         self._last_time = 0.0
-        #: Flight recorder to notify before a violation is raised (see
-        #: :class:`repro.observe.FlightRecorder`); picked up from the
-        #: machine at :meth:`install` time, settable directly too.
-        self.flight: Optional[Any] = None
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -105,9 +104,7 @@ class InvariantChecker:
             raise ReproError("InvariantChecker is already installed on a machine")
         self._machine = machine
         self._last_time = machine.simulator.now
-        if self.flight is None:
-            self.flight = getattr(machine, "flight", None)
-        machine.simulator.attach_observer(self)
+        machine.simulator.attach(self)
         machine.processor.ocm_observer = self._on_ocm
         for core in machine.processor.cores:
             core.regulator.observer = self._on_regulator_transition
@@ -124,7 +121,7 @@ class InvariantChecker:
         machine = self._machine
         if machine is None:
             return
-        machine.simulator.detach_observer()
+        machine.simulator.detach(self)
         machine.processor.ocm_observer = None
         for core in machine.processor.cores:
             core.regulator.observer = None
@@ -137,9 +134,11 @@ class InvariantChecker:
         time_s = self._machine.simulator.now if self._machine is not None else 0.0
         violation = InvariantViolation(invariant, message, time_s=time_s, **details)
         self.violations.append(violation)
-        if self.flight is not None:
-            # Freeze the trace tail before unwinding destroys the scene.
-            self.flight.on_violation(violation)
+        if self._machine is not None:
+            # Let every observer (a flight recorder freezes the trace
+            # tail) see the scene before unwinding destroys it.
+            for observer in self._machine.simulator.observers:
+                observer.on_violation(violation)
         raise violation
 
     # -- simulator observer (sim-monotonic, heap-hygiene) ------------------------

@@ -104,8 +104,9 @@ class TestImportGraph:
 
 
 class TestRetiredSurfaces:
-    """The live-monitoring commands and options, and the sweep-path
-    flags, are gone from the parser."""
+    """The live-monitoring commands and options, the sweep-path flags
+    and the ``observe replay`` duplicate of ``fuzz --replay`` are gone
+    from the parser."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -117,6 +118,7 @@ class TestRetiredSurfaces:
             ["characterize", "--no-batch"],
             ["campaign", "--batch"],
             ["campaign", "--no-batch"],
+            ["observe", "replay", "dump.jsonl"],
         ],
         ids=[
             "top",
@@ -126,6 +128,7 @@ class TestRetiredSurfaces:
             "characterize-no-batch",
             "campaign-batch",
             "campaign-no-batch",
+            "observe-replay",
         ],
     )
     def test_rejected_as_usage_error(self, argv, capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.kernel.sim import Simulator
+from repro.kernel.sim import SimObserver, Simulator
 
 
 class TestScheduling:
@@ -303,3 +303,80 @@ class TestHeapHygiene:
         recurring.cancel()
         sim.run_until(1.0)
         assert sim.pending_entries() == [(10.0, False)]
+
+
+class _Log(SimObserver):
+    def __init__(self, name, calls):
+        self.name = name
+        self.calls = calls
+
+    def after_step(self, simulator, event_time):
+        self.calls.append((self.name, "step", event_time))
+
+    def after_event(self, callback, advanced_s, wall_s):
+        assert wall_s >= 0.0
+        self.calls.append((self.name, "event", callback, advanced_s))
+
+    def after_run_until(self, simulator):
+        self.calls.append((self.name, "run_until", simulator.now))
+
+
+class TestObservers:
+    """One observer tuple: any number of observers, any attach order."""
+
+    def test_attach_is_idempotent_and_detach_removes(self):
+        sim = Simulator()
+        first, second = SimObserver(), SimObserver()
+        sim.attach(first)
+        sim.attach(second)
+        sim.attach(first)
+        assert sim.observers == (first, second)
+        sim.detach(first)
+        assert sim.observers == (second,)
+        sim.detach(first)  # not attached: no-op
+        sim.detach(second)
+        assert sim.observers == ()
+
+    def test_every_observer_sees_every_hook_in_attach_order(self):
+        sim = Simulator()
+        calls = []
+        sim.attach(_Log("a", calls))
+        sim.attach(_Log("b", calls))
+
+        def tick():
+            calls.append(("callback",))
+
+        sim.schedule(2.0, tick)
+        sim.run_until(3.0)
+        assert calls == [
+            ("a", "step", 2.0),
+            ("b", "step", 2.0),
+            ("callback",),
+            ("a", "event", tick, 2.0),
+            ("b", "event", tick, 2.0),
+            ("a", "run_until", 3.0),
+            ("b", "run_until", 3.0),
+        ]
+
+    def test_base_observer_is_a_complete_no_op(self):
+        observed, bare = Simulator(), Simulator()
+        observed.attach(SimObserver())
+        for sim in (observed, bare):
+            fired = []
+            sim.schedule(1.0, lambda: fired.append(sim.now))
+            sim.schedule_recurring(0.25, lambda: None)
+            sim.run_until(2.0)
+            assert fired == [1.0]
+        assert observed.processed_events == bare.processed_events
+        assert observed.now == bare.now
+        for hook in ("on_crash", "on_violation"):
+            assert getattr(SimObserver(), hook)(None) is None
+
+    def test_observer_attached_mid_run_starts_at_next_event(self):
+        sim = Simulator()
+        calls = []
+        late = _Log("late", calls)
+        sim.schedule(1.0, lambda: sim.attach(late))
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        assert [call[:2] for call in calls] == [("late", "step"), ("late", "event")]

@@ -30,7 +30,7 @@ from repro.engine import (
     SerialExecutor,
     execute_job,
 )
-from repro.errors import InvariantViolation, ObserveError, SimulationError
+from repro.errors import InvariantViolation, ObserveError
 from repro.kernel.sim import Simulator
 from repro.observe import (
     FlightRecorder,
@@ -66,27 +66,30 @@ class TestProfilerLifecycle:
     def test_attach_detach(self):
         simulator = Simulator()
         profiler = SimProfiler().install(simulator)
-        assert simulator._profiler is profiler
+        assert simulator.observers == (profiler,)
         profiler.uninstall()
-        assert simulator._profiler is None
+        assert simulator.observers == ()
         profiler.uninstall()  # idempotent
 
-    def test_second_profiler_rejected(self):
+    def test_second_profiler_sees_every_event_too(self):
         simulator = Simulator()
-        SimProfiler().install(simulator)
-        with pytest.raises(SimulationError):
-            SimProfiler().install(simulator)
+        first = SimProfiler().install(simulator)
+        second = SimProfiler().install(simulator)
+        simulator.schedule(1e-3, lambda: None)
+        simulator.run()
+        assert simulator.observers == (first, second)
+        assert first.to_collapsed() == second.to_collapsed() != ""
 
     def test_install_accepts_machine(self):
         machine = Machine.build(COMET_LAKE, seed=1)
         profiler = SimProfiler().install(machine)
-        assert machine.simulator._profiler is profiler
+        assert profiler in machine.simulator.observers
 
     def test_no_profiler_means_no_hook_state(self):
         simulator = Simulator()
         simulator.schedule(1e-3, lambda: None)
         simulator.run()
-        assert simulator._profiler is None
+        assert simulator.observers == ()
 
 
 class TestProfilerAttribution:
@@ -146,9 +149,15 @@ class TestProfilerAttribution:
 
 
 class TestProfilerDeterminism:
-    def _profiled_run(self):
+    def _profiled_run(self, before=None, after=None):
+        """One profiled scenario; ``before``/``after`` attach other
+        observers before or after the profiler."""
         machine = Machine.build(COMET_LAKE, seed=7)
+        if before is not None:
+            before(machine)
         profiler = SimProfiler().install(machine)
+        if after is not None:
+            after(machine)
         machine.simulator.schedule_recurring(1e-4, lambda: None)
         machine.write_voltage_offset(-80)
         machine.advance(5e-3)
@@ -171,6 +180,25 @@ class TestProfilerDeterminism:
         wall = profiler.wall_snapshot()
         assert wall["wall"] is True
         assert all("sim_time_s" not in b for b in wall["buckets"])
+
+    @pytest.mark.parametrize("order", ["checker-first", "profiler-first"])
+    def test_other_observers_leave_the_profile_unchanged(self, order):
+        _, alone = self._profiled_run()
+        installed = []
+
+        def install_others(machine):
+            machine.install_invariants()
+            FlightRecorder(machine)
+            installed.append(machine)
+
+        if order == "checker-first":
+            machine, profiler = self._profiled_run(before=install_others)
+        else:
+            machine, profiler = self._profiled_run(after=install_others)
+        assert installed == [machine]
+        assert len(machine.simulator.observers) == 2  # profiler uninstalled
+        assert machine.verifier.checks > 0
+        assert profiler.to_collapsed() == alone.to_collapsed()
 
     def test_profiler_does_not_perturb_the_simulation(self):
         bare = Machine.build(COMET_LAKE, seed=9)
@@ -258,15 +286,30 @@ class TestFlightRecorder:
         assert dump.reason == "invariant-violation"
         assert dump.header["violation"]["invariant"] == "ocm-roundtrip"
 
-    def test_checker_picks_up_recorder_set_after_install(self, monkeypatch):
+    def test_recorder_attached_after_checker_gets_violation_dump(self, monkeypatch):
         _break_decode_sign(monkeypatch)
         machine = _traced_machine()
         machine.install_invariants()
         recorder = FlightRecorder(machine)
-        machine.verifier.flight = recorder
         with pytest.raises(InvariantViolation):
             machine.write_voltage_offset(-50)
         assert recorder.last_dump is not None
+        assert load_flight_dump(recorder.last_dump).reason == "invariant-violation"
+
+    def test_install_invariants_returns_the_build_time_checker(self):
+        machine = Machine.build(COMET_LAKE, seed=3, verify=True)
+        checker = machine.verifier
+        assert machine.install_invariants() is checker
+        assert machine.install_invariants(checker) is checker
+        assert machine.simulator.observers.count(checker) == 1
+
+    def test_uninstalled_recorder_no_longer_dumps(self, tmp_path):
+        machine = _traced_machine()
+        recorder = FlightRecorder(machine, dump_dir=tmp_path, record_crashes=True)
+        recorder.uninstall()
+        machine.reboot()
+        assert recorder.dump_paths == [] and recorder.last_dump is None
+        assert recorder not in machine.simulator.observers
 
     def test_crash_dumps_are_opt_in(self, tmp_path):
         machine = _traced_machine()
@@ -488,25 +531,25 @@ class TestCLI:
         assert code == 1
         assert "replay reproduced" in out
 
-    def test_observe_replay_command(self, capsys, tmp_path, monkeypatch):
+    def test_fuzz_replay_describes_flight_dump(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
         _break_decode_sign(monkeypatch)
         summary = run_schedule(
             schedule_for_job(FuzzJob(codename="Comet Lake", seed=0, case_index=0))
         )
         code, out = self._run(
-            capsys, ["observe", "replay", summary["flight_dump"]]
+            capsys, ["fuzz", "--replay", summary["flight_dump"]]
         )
         assert code == 1
         assert "recorded violation" in out
         assert "replay reproduced" in out
 
-    def test_observe_replay_without_schedule(self, capsys, tmp_path):
+    def test_fuzz_replay_without_schedule(self, capsys, tmp_path):
         machine = _traced_machine()
         recorder = FlightRecorder(machine, dump_dir=tmp_path, record_crashes=True)
         machine.reboot()
         code, out = self._run(
-            capsys, ["observe", "replay", str(recorder.dump_paths[0])]
+            capsys, ["fuzz", "--replay", str(recorder.dump_paths[0])]
         )
         assert code == 2
         assert "no schedule" in out

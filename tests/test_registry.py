@@ -415,6 +415,7 @@ class TestDiff:
         assert "seed" in diff.render()
 
     def test_env_drift_attributed_before_results(self, registry, monkeypatch):
+        monkeypatch.delenv("REPRO_VERIFY", raising=False)
         run_a = _record_fuzz_run(registry)
         monkeypatch.setenv("REPRO_VERIFY", "1")
         run_b = _record_fuzz_run(registry)
@@ -626,10 +627,10 @@ class TestFlightRegistration:
         session.close()
         assert main(["runs", "show", run_id[:12]]) == 0
         assert "flight dumps:" in capsys.readouterr().out
-        # `observe replay <run-id>` resolves the run's recorded dumps;
+        # `fuzz --replay <run-id>` resolves the run's recorded dumps;
         # this dump carries no schedule, which replay reports (exit 2)
         # after listing what it found.
-        assert main(["observe", "replay", run_id[:12]]) == 2
+        assert main(["fuzz", "--replay", run_id[:12]]) == 2
         out = capsys.readouterr().out
         assert "recorded flight dump(s)" in out
 

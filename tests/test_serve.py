@@ -691,8 +691,11 @@ class TestChaosConvergence:
         )
 
     def test_chaotic_fleet_campaign_matches_serial(
-        self, tmp_path, coarse_config
+        self, tmp_path, coarse_config, monkeypatch
     ):
+        # The chaos draws are keyed by job fingerprints, which include
+        # the result-affecting environment: pin it to the defaults.
+        monkeypatch.delenv("REPRO_VERIFY", raising=False)
         jobs = _row_jobs(coarse_config)
 
         # -- the undisturbed serial reference ------------------------------

@@ -13,13 +13,8 @@ from __future__ import annotations
 from repro.core.characterization import CharacterizationConfig, CharacterizationFramework
 from repro.cpu import COMET_LAKE
 from repro.observe.profiler import SimProfiler
-from repro.vector.profile import (
-    attach_kernel_profiler,
-    detach_kernel_profiler,
-    kernel_profiler,
-    profiled_kernels,
-    record_kernel_site,
-)
+import repro.vector
+from repro.vector.profile import kernel_profiler, profiled_kernels, record_kernel_site
 
 COARSE = CharacterizationConfig(
     offset_start_mv=-10, offset_stop_mv=-250, offset_step_mv=10
@@ -37,27 +32,36 @@ class TestHookLifecycle:
 
     def test_attach_detach_roundtrip(self):
         profiler = SimProfiler()
-        attach_kernel_profiler(profiler)
-        try:
+        with profiled_kernels(profiler) as active:
+            assert active is profiler
             assert kernel_profiler() is profiler
-        finally:
-            detach_kernel_profiler()
         assert kernel_profiler() is None
 
     def test_profiled_kernels_restores_previous_hook(self):
         outer = SimProfiler()
         inner = SimProfiler()
-        attach_kernel_profiler(outer)
-        try:
+        with profiled_kernels(outer):
             with profiled_kernels(inner) as active:
                 assert active is inner
                 assert kernel_profiler() is inner
             assert kernel_profiler() is outer
-        finally:
-            detach_kernel_profiler()
-        with profiled_kernels(inner):
-            pass
         assert kernel_profiler() is None
+
+    def test_hook_restored_when_block_raises(self):
+        outer = SimProfiler()
+        with profiled_kernels(outer):
+            try:
+                with profiled_kernels(SimProfiler()):
+                    raise RuntimeError("boom")
+            except RuntimeError:
+                pass
+            assert kernel_profiler() is outer
+        assert kernel_profiler() is None
+
+    def test_profiled_kernels_is_the_only_attach_point(self):
+        for name in ("attach_kernel_profiler", "detach_kernel_profiler"):
+            assert not hasattr(repro.vector.profile, name)
+            assert name not in repro.vector.__all__
 
     def test_record_site_accumulates(self):
         profiler = SimProfiler()

@@ -68,7 +68,7 @@ class TestEnvKnob:
         monkeypatch.delenv("REPRO_VERIFY", raising=False)
         machine = Machine.build(COMET_LAKE, seed=3)
         assert machine.verifier is None
-        assert machine.simulator._observer is None
+        assert machine.simulator.observers == ()
         assert machine.processor.ocm_observer is None
         assert machine.injector.observer is None
         assert all(
@@ -93,7 +93,7 @@ class TestCheckerLifecycle:
         machine = Machine.build(COMET_LAKE, seed=3, verify=False)
         checker = InvariantChecker().install(machine)
         checker.uninstall()
-        assert machine.simulator._observer is None
+        assert machine.simulator.observers == ()
         assert machine.processor.ocm_observer is None
         assert machine.injector.observer is None
         checker.install(Machine.build(COMET_LAKE, seed=4, verify=False))
