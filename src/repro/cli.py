@@ -8,13 +8,11 @@ Exposes the reproduction's main flows without writing Python::
     python -m repro attack --cpu "Comet Lake" --attack plundervolt
     python -m repro attack --cpu "Comet Lake" --attack imul --protect
     python -m repro campaign --workers 4
-    python -m repro campaign --checkpoint ckpt/   # killable; resume below
-    python -m repro campaign --resume ckpt/
+    REPRO_CACHE_DIR=ckpt python -m repro campaign   # killable; rerun resumes
     python -m repro chaos --budget 60 --out chaos.json
     python -m repro spec
     python -m repro maximal
     python -m repro profile --out profile.speedscope.json
-    python -m repro campaign --report run.json && python -m repro report run.json
     python -m repro runs list --cpu "Comet Lake"
     python -m repro runs show <run-id>
     python -m repro reproduce <run-id>          # byte-identity re-execution
@@ -144,12 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", metavar="PATH", help="write matrix + engine stats as JSON"
     )
     campaign.add_argument(
-        "--report",
-        metavar="PATH",
-        default=None,
-        help="write the engine run manifest (run.json) after the campaign",
-    )
-    campaign.add_argument(
         "--spans",
         metavar="PATH",
         default=None,
@@ -161,21 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="also export the wall-clock span sidecar (non-deterministic)",
-    )
-    campaign.add_argument(
-        "--checkpoint",
-        metavar="DIR",
-        default=None,
-        help="persist completed jobs into this checkpoint directory as "
-        "they land (a killed campaign becomes resumable)",
-    )
-    campaign.add_argument(
-        "--resume",
-        metavar="DIR",
-        default=None,
-        help="resume from a checkpoint directory: jobs completed by the "
-        "interrupted run are served from it, not re-executed "
-        "(implies --checkpoint DIR)",
     )
 
     explore = sub.add_parser(
@@ -723,17 +700,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write the wall-clock sidecar (non-deterministic) as JSON",
     )
 
-    report = sub.add_parser(
-        "report", help="render an engine run manifest (run.json) as Markdown"
-    )
-    report.add_argument("path", metavar="RUN_JSON", help="manifest path")
-    report.add_argument(
-        "--md",
-        metavar="PATH",
-        default=None,
-        help="write the Markdown here instead of printing it",
-    )
-
     return parser
 
 
@@ -989,23 +955,14 @@ def _cmd_campaign(args) -> int:
     from repro.analysis.report import render_table
     from repro.cpu.models import model_by_codename
     from repro.engine import (
-        CampaignCheckpoint,
         EngineSession,
         Quarantined,
         RetryPolicy,
-        executor_from_env,
         get_session,
         make_executor,
         set_session,
     )
 
-    checkpoint_dir = args.resume or args.checkpoint
-    checkpoint = (
-        CampaignCheckpoint(checkpoint_dir) if checkpoint_dir is not None else None
-    )
-    if args.resume and checkpoint is not None:
-        print(f"resuming from checkpoint {checkpoint_dir} "
-              f"({checkpoint.completed_count()} job(s) already completed)")
     if args.remote is not None or args.executor == "remote":
         from repro.serve import RemoteExecutor
 
@@ -1017,22 +974,14 @@ def _cmd_campaign(args) -> int:
         executor = RemoteExecutor(
             url, policy=RetryPolicy.from_env(), max_wait_s=args.remote_wait
         )
-        session = set_session(
-            EngineSession(executor=executor, checkpoint=checkpoint)
-        )
+        session = set_session(EngineSession(executor=executor))
     elif args.executor is not None or args.workers is not None:
         executor = make_executor(
             args.executor or "process",
             workers=args.workers,
             policy=RetryPolicy.from_env(),
         )
-        session = set_session(
-            EngineSession(executor=executor, checkpoint=checkpoint)
-        )
-    elif checkpoint is not None:
-        session = set_session(
-            EngineSession(executor=executor_from_env(), checkpoint=checkpoint)
-        )
+        session = set_session(EngineSession(executor=executor))
     else:
         session = get_session()
     jobs = experiments.prevention_jobs(seed=args.seed, include_aes=not args.no_aes)
@@ -1078,7 +1027,7 @@ def _cmd_campaign(args) -> int:
     )
     if quarantined:
         print(f"WARNING: {quarantined} campaign cell(s) quarantined after "
-              "repeated failures; see the run report's quarantine list")
+              "repeated failures; see the quarantine list in repro runs show")
     if args.json:
         cells = []
         for job, outcome in zip(jobs, outcomes):
@@ -1100,9 +1049,6 @@ def _cmd_campaign(args) -> int:
         }
         path = write_text(args.json, _json.dumps(payload, indent=2, sort_keys=True))
         print(f"JSON artifact written to {path}")
-    if args.report:
-        path = session.write_run_report(args.report)
-        print(f"run manifest written to {path} (render with: repro report {path})")
     if args.spans_wall and not args.spans:
         print("--spans-wall needs --spans PATH for the main timeline",
               file=sys.stderr)
@@ -1508,24 +1454,13 @@ def _cmd_runs(args) -> int:
         ))
         return 0
 
+    from repro.observe import render_markdown
+
     run = registry.get_run(args.run_id)
-    code = run["code"]
-    describe = code.get("describe") or "unknown checkout"
-    print(f"run {run['run_id']}")
-    print(f"  recorded:  {run['created_at']} (status: {run['status']}, "
-          f"manifest schema {run['schema']})")
-    print(f"  code:      repro {code.get('version', '?')} ({describe})")
-    env = run["env"]
-    rendered_env = ", ".join(
-        f"{name}={value or '<unset>'}" for name, value in sorted(env.items())
-    )
-    print(f"  env:       {rendered_env or '-'}")
-    print(f"  jobs:      {run['jobs_total']} total — "
-          f"{run['jobs_executed']} executed, {run['jobs_cached']} cached, "
-          f"{run['jobs_resumed']} resumed, "
-          f"{run['jobs_quarantined']} quarantined")
-    print(f"  CPUs:      {', '.join(run['codenames']) or '-'}")
-    print(f"  manifest:  object {run['manifest_sha'][:12]}")
+    print(render_markdown(registry.manifest(run["run_id"])))
+    print(f"recorded {run['created_at']} (status: {run['status']}; "
+          f"CPUs: {', '.join(run['codenames']) or '-'}; "
+          f"manifest object {run['manifest_sha'][:12]})")
     results = registry.results_for(run["run_id"])
     if results:
         print()
@@ -1948,18 +1883,6 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    from repro.observe import load_manifest, render_markdown, write_markdown
-
-    manifest = load_manifest(args.path)
-    if args.md:
-        path = write_markdown(manifest, args.md)
-        print(f"Markdown report written to {path}")
-    else:
-        print(render_markdown(manifest), end="")
-    return 0
-
-
 def _cmd_serve(args) -> int:
     import tempfile
     import time
@@ -2133,7 +2056,6 @@ _COMMANDS = {
     "serve": _cmd_serve,
     "work": _cmd_work,
     "profile": _cmd_profile,
-    "report": _cmd_report,
 }
 
 #: Registry verbs fail with a one-line message, not a traceback: a

@@ -14,7 +14,8 @@ hand-rolled serial loop into
   process-pool — that runs job batches and reports per-worker telemetry
   counters home,
 * and a persistent :class:`~repro.engine.cache.ResultCache` addressed by
-  job fingerprint.
+  job fingerprint, written as each result lands, so a killed campaign
+  rerun over the same ``REPRO_CACHE_DIR`` resumes where it stopped.
 
 :class:`~repro.engine.session.EngineSession` ties the four together; the
 experiment API, the CLI and both conftests share one default session via
@@ -22,7 +23,6 @@ experiment API, the CLI and both conftests share one default session via
 """
 
 from repro.engine.cache import CacheStats, ResultCache
-from repro.engine.checkpoint import CampaignCheckpoint
 from repro.engine.executors import (
     COORDINATOR_ENV,
     EXECUTOR_ENV,
@@ -73,7 +73,6 @@ __all__ = [
     "AttackCampaignJob",
     "BatchCharacterizationJob",
     "CacheStats",
-    "CampaignCheckpoint",
     "ChaosPolicy",
     "CharacterizationJob",
     "CharacterizationRowJob",

@@ -14,7 +14,10 @@ Two layers:
   ``REPRO_CACHE_DIR`` environment variable) that persists results across
   processes, so repeated CLI invocations share sweeps.  It is a
   :class:`repro.registry.store.ResultStore`, the one on-disk result
-  format that campaign checkpoints and the coordinator use too.  A blob
+  format the coordinator uses too.  The engine session writes each
+  result here as it lands, so the disk layer is also a campaign's
+  checkpoint: a killed campaign rerun with the same directory serves
+  every job that had finished.  A blob
   torn by a killed process (or by a chaos injection, see
   :class:`repro.engine.resilience.ChaosPolicy`) fails its sha256, is
   quarantined as ``<sha>.corrupt`` (counted in ``stats.corrupt``) and

@@ -55,7 +55,7 @@ COORDINATOR_ENV = "REPRO_COORDINATOR"
 
 #: Per-job completion callback: ``progress(done_count, result)``.  Used
 #: by the engine session to keep its progress gauges current while a
-#: batch is in flight and to checkpoint completed results incrementally.
+#: batch is in flight and to cache completed results as they land.
 ProgressCallback = Callable[[int, JobResult], None]
 
 

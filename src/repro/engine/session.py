@@ -20,7 +20,7 @@ need isolation construct their own.
 from __future__ import annotations
 
 import atexit
-import json
+import functools
 import logging
 import os
 import threading
@@ -34,7 +34,6 @@ from repro.core.characterization import (
 )
 from repro.cpu.models import CPUModel, EXTENDED_MODELS, model_by_codename
 from repro.engine.cache import ResultCache
-from repro.engine.checkpoint import CampaignCheckpoint
 from repro.engine.executors import Executor, executor_from_env
 from repro.engine.jobs import (
     CharacterizationJob,
@@ -85,7 +84,6 @@ class EngineSession:
         cache: Optional[ResultCache] = None,
         telemetry: Optional[Telemetry] = None,
         verifier: Optional[Any] = None,
-        checkpoint: Optional[CampaignCheckpoint] = None,
         chaos: Optional[ChaosPolicy] = None,
         registry: Union[None, str, RunRegistry] = "auto",
     ) -> None:
@@ -95,10 +93,6 @@ class EngineSession:
         # `or` would silently swap in the environment default.
         self.cache = cache if cache is not None else ResultCache.from_env()
         self.telemetry = telemetry or Telemetry()
-        #: Optional campaign checkpoint: completed results are persisted
-        #: as they land (so a SIGKILLed campaign resumes losslessly) and
-        #: consulted before execution on the next run.
-        self.checkpoint = checkpoint
         #: Optional session-side chaos (torn cache writes).  Worker-side
         #: chaos (kills/errors/stalls) travels on the executor instead.
         self.chaos = chaos
@@ -124,7 +118,6 @@ class EngineSession:
         self._respawns_counter = self.telemetry.registry.counter(
             "engine.pool_respawns"
         )
-        self._resumed_counter = self.telemetry.registry.counter("engine.resumed")
         # Live progress gauges: cumulative jobs submitted / finished this
         # session (cached jobs finish instantly).  The per-job executor
         # callback keeps "completed" current mid-batch.
@@ -204,19 +197,22 @@ class EngineSession:
         self._progress_total_gauge.set(self._progress_total)
         self._progress_done_gauge.set(self._progress_done)
 
-    def _note_progress(self, _done: int, result: JobResult) -> None:
+    def _note_progress(self, _done: int, result: JobResult, *, cache: bool) -> None:
         """Executor per-job callback: one more job finished.
 
-        Completed results are checkpointed *here*, as they land, not at
-        batch end — that is what makes a SIGKILLed campaign resumable
-        without losing finished work.
+        A cache-aware batch writes each result to the cache *here*, as it
+        lands, not at batch end — so a SIGKILLed campaign rerun over the
+        same disk cache serves every job that had finished.
         """
         self._progress_done += 1
         self._progress_done_gauge.set(self._progress_done)
-        if self.checkpoint is not None and not isinstance(
-            result.payload, Quarantined
+        if not cache or isinstance(result.payload, Quarantined):
+            return
+        self.cache.put(result.fingerprint, result.payload)
+        if self.chaos is not None and self.chaos.should_tear_cache(
+            result.fingerprint
         ):
-            self.checkpoint.record(result)
+            self.chaos.tear(self.cache, result.fingerprint)
 
     def _sync_supervision(self, before: SupervisionStats) -> None:
         """Fold the executor's supervision deltas into session counters."""
@@ -227,7 +223,9 @@ class EngineSession:
         self._timeouts_counter.inc(delta.timeouts)
         self._respawns_counter.inc(delta.respawns)
 
-    def _execute_batch(self, jobs: Sequence[JobSpec]) -> List[JobResult]:
+    def _execute_batch(
+        self, jobs: Sequence[JobSpec], *, cache: bool
+    ) -> List[JobResult]:
         """Run one batch through the executor with full bookkeeping."""
         before = self.counters() if self.verifier is not None else None
         supervision_before = self.executor.stats.copy()
@@ -239,7 +237,9 @@ class EngineSession:
         started = perf_counter()
         try:
             results = self.executor.run_jobs(
-                jobs, progress=self._note_progress, span_context=context
+                jobs,
+                progress=functools.partial(self._note_progress, cache=cache),
+                span_context=context,
             )
         finally:
             self._sync_supervision(supervision_before)
@@ -289,7 +289,8 @@ class EngineSession:
         """Append one provenance record to :attr:`history`.
 
         ``sources`` names where each payload came from: ``cache``,
-        ``resumed`` (checkpoint), ``executed`` or ``quarantined``.
+        ``executed``, ``quarantined``, or on a remote executor ``remote``
+        and ``remote-cache``.
         """
         self.history.append(
             {
@@ -344,24 +345,17 @@ class EngineSession:
             return
         self._registry_rows[fingerprint] = row
 
-    def _quarantine_payload(self, payload: Quarantined) -> None:
-        """Record one poison job the executor gave up on."""
-        info = payload.as_dict()
-        self.quarantined.append(info)
-        if self.checkpoint is not None:
-            self.checkpoint.record_quarantine(info)
-
     def run_jobs(
         self, jobs: Sequence[JobSpec], *, cache: bool = True
     ) -> List[Any]:
         """Execute jobs (cache-aware) and return payloads in input order.
 
-        Cached jobs are served without touching the executor; a
-        configured checkpoint serves results completed by a previous
-        (possibly killed) run of the same campaign; the remaining misses
-        are sharded through the executor in one batch, their results
-        cached and checkpointed, and their worker counters merged into
-        the session registry.  A poison job the supervised executor
+        Cached jobs are served without touching the executor — with a
+        disk cache that includes results a previous (possibly killed)
+        run of the same campaign completed; the remaining misses are
+        sharded through the executor in one batch, each result cached as
+        it lands, and their worker counters merged into the session
+        registry.  A poison job the supervised executor
         quarantined yields its :class:`Quarantined` marker as the
         payload — the rest of the batch is unaffected.
         """
@@ -380,24 +374,15 @@ class EngineSession:
                     sources[index] = "cache"
                     continue
                 self._cache_miss_counter.inc()
-            if self.checkpoint is not None:
-                hit = self.checkpoint.get(fingerprint, default=_MISS)
-                if hit is not _MISS:
-                    self._resumed_counter.inc()
-                    payloads[index] = hit
-                    sources[index] = "resumed"
-                    if cache:
-                        self.cache.put(fingerprint, hit)
-                    continue
             pending.append(index)
         self._announce_jobs(len(jobs), len(jobs) - len(pending))
         if pending:
-            results = self._execute_batch([jobs[i] for i in pending])
+            results = self._execute_batch([jobs[i] for i in pending], cache=cache)
             for index, result in zip(pending, results):
                 payloads[index] = result.payload
                 if isinstance(result.payload, Quarantined):
                     sources[index] = "quarantined"
-                    self._quarantine_payload(result.payload)
+                    self.quarantined.append(result.payload.as_dict())
                     continue
                 # A remote executor tags where each payload actually
                 # came from ("remote" = executed by the fleet,
@@ -408,12 +393,6 @@ class EngineSession:
                 origin = getattr(result, "origin", None)
                 if origin is not None:
                     sources[index] = origin
-                if cache:
-                    self.cache.put(result.fingerprint, result.payload)
-                    if self.chaos is not None and self.chaos.should_tear_cache(
-                        result.fingerprint
-                    ):
-                        self.chaos.tear(self.cache, result.fingerprint)
         if self.registry is not None:
             for job, payload, source in zip(jobs, payloads, sources):
                 self._stage_registry(job, payload, source)
@@ -454,8 +433,8 @@ class EngineSession:
         self._cache_miss_counter.inc()
         if model.codename in EXTENDED_MODELS:
             # Batch jobs go through run_jobs (cache=False: only the
-            # folded sweep is cached) so they are checkpointed and
-            # resumable like any other job.
+            # folded sweep is cached) so they are supervised, traced and
+            # recorded like any other job.
             payloads = self.run_jobs(job.batch_jobs(), cache=False)
             lost = sum(1 for p in payloads if isinstance(p, Quarantined))
             if lost:
@@ -486,7 +465,7 @@ class EngineSession:
 
         Thin delegate to :func:`repro.explore.runner.run_explore`: the
         plan is pruned, the surviving fault-space shards run as
-        cache-aware, checkpointable, registry-recorded jobs like any
+        cache-aware, resumable, registry-recorded jobs like any
         other campaign, and the canonical exploitability map comes back.
         ``rows_per_job`` is pure scheduling — the map is byte-identical
         whatever the chunking or executor.
@@ -534,8 +513,6 @@ class EngineSession:
             "cached_entries": len(self.cache),
             "supervision": self.executor.stats.as_dict(),
         }
-        if self.checkpoint is not None:
-            description["checkpoint"] = self.checkpoint.describe()
         if self.registry is not None:
             description["registry"] = {
                 "directory": str(self.registry.directory),
@@ -546,14 +523,14 @@ class EngineSession:
     # -- run reports -------------------------------------------------------------
 
     def run_manifest(self) -> dict:
-        """The ``run.json`` provenance manifest for this session so far.
+        """The provenance manifest for this session so far.
 
         Records what actually happened — per-batch job fingerprints and
         seed-stream paths, cache versus execution, the ``REPRO_*``
         environment in force, and a registry snapshot.  Everything is
         deterministic for a given seed except the clearly labelled
         ``wall_s`` batch durations.  Renderable with
-        :func:`repro.observe.render_markdown` / ``repro report``.
+        :func:`repro.observe.render_markdown` / ``repro runs show``.
         """
         all_jobs = [job for batch in self.history for job in batch["jobs"]]
         by_source = {
@@ -562,7 +539,6 @@ class EngineSession:
             )
             for source in (
                 "cache",
-                "resumed",
                 "executed",
                 "quarantined",
                 "remote",
@@ -588,7 +564,6 @@ class EngineSession:
             "jobs": {
                 "total": len(all_jobs),
                 "cached": by_source["cache"],
-                "resumed": by_source["resumed"],
                 "executed": by_source["executed"],
                 "quarantined": by_source["quarantined"],
                 "remote": by_source["remote"],
@@ -689,16 +664,6 @@ class EngineSession:
                 )
         self._recorded = (progress, run_id)
         return run_id
-
-    def write_run_report(self, path) -> Path:
-        """Write :meth:`run_manifest` as JSON to ``path``; returns it."""
-        target = Path(path)
-        if target.parent and not target.parent.exists():
-            target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(
-            json.dumps(self.run_manifest(), sort_keys=True, indent=2) + "\n"
-        )
-        return target
 
     def close(self) -> None:
         """Record the run, then shut down the executor's workers.

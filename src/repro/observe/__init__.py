@@ -9,8 +9,8 @@ perturbing the simulation:
 * :class:`FlightRecorder` — freezes the last N trace events into a
   replayable JSONL dump when an invariant trips, a machine check fires,
   or an exception escapes a campaign job;
-* :func:`render_markdown` — the ``repro report`` view of an engine run
-  manifest;
+* :func:`render_markdown` — the ``repro runs show`` view of a recorded
+  run manifest;
 * :mod:`repro.observe.spans` — the fleet-wide span model: deterministic
   sim-time spans propagated through worker processes and merged into a
   :class:`FleetTimeline`, with wall clocks segregated to a sidecar.
@@ -37,7 +37,6 @@ from repro.observe.report import (
     REPORT_SCHEMA_VERSION,
     load_manifest,
     render_markdown,
-    write_markdown,
 )
 from repro.observe.spans import (
     NULL_SPANS,
@@ -79,5 +78,4 @@ __all__ = [
     "render_markdown",
     "resolve_site",
     "spans_enabled",
-    "write_markdown",
 ]

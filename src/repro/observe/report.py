@@ -1,13 +1,13 @@
-"""Campaign run reports: manifest loading and Markdown rendering.
+"""Campaign run reports: Markdown rendering of a run manifest.
 
 The engine session records what actually happened during a run — which
 jobs executed versus hit the cache, their fingerprints and seed-stream
 paths, batch wall times, the environment knobs in force, and a final
-metric snapshot — into a ``run.json`` manifest
-(:meth:`repro.engine.EngineSession.run_manifest`).  This module turns
-that manifest into the human-facing Markdown the ``repro report``
-command prints: the provenance page one attaches to a set of campaign
-artifacts.
+metric snapshot — into a manifest
+(:meth:`repro.engine.EngineSession.run_manifest`) that the run registry
+stores (:meth:`repro.registry.RunRegistry.manifest`).  This module turns
+that manifest into the human-facing Markdown ``repro runs show`` prints:
+the provenance page of one recorded campaign.
 
 Wall-clock durations appear here (a report is about one concrete run),
 but they are clearly labelled and everything else in the manifest is
@@ -17,44 +17,29 @@ fields.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List
 
 from repro.errors import ObserveError
 
-#: Manifest schema tag (see ``EngineSession.run_manifest``).
-#: v2 added the resilience fields: per-job payload sources
-#: (cache/resumed/executed/quarantined), the quarantine list and the
-#: supervision stats.  v3 added the registry provenance fields: the
-#: content-addressed ``run_id``, the ``code`` fingerprint
-#: (version + git-describe) and the resolved result-affecting
-#: environment.  v1 and v2 manifests still load and render.
+#: Manifest schema tag (see ``EngineSession.run_manifest``): the
+#: registry schema, with per-job payload sources, the quarantine list,
+#: the supervision stats, the content-addressed ``run_id``, the ``code``
+#: fingerprint (version + git-describe) and the resolved
+#: result-affecting environment.
 REPORT_SCHEMA_VERSION = 3
-
-#: Schemas this renderer accepts.
-SUPPORTED_SCHEMAS = (1, 2, 3)
 
 #: Manifest discriminator.
 REPORT_KIND = "run-report"
 
 
-def load_manifest(source: Union[str, Path, Dict[str, Any]]) -> Dict[str, Any]:
-    """Load and validate a run manifest (path, JSON text, or dict)."""
-    if isinstance(source, dict):
-        manifest = source
-    else:
-        if isinstance(source, Path) or "{" not in str(source):
-            text = Path(source).read_text()
-        else:
-            text = str(source)
-        manifest = json.loads(text)
+def load_manifest(manifest: Dict[str, Any]) -> Dict[str, Any]:
+    """Validate a run manifest; returns it unchanged."""
     if not isinstance(manifest, dict) or manifest.get("kind") != REPORT_KIND:
         raise ObserveError("not a run-report manifest")
-    if manifest.get("schema") not in SUPPORTED_SCHEMAS:
+    if manifest.get("schema") != REPORT_SCHEMA_VERSION:
         raise ObserveError(
-            f"run-report schema {manifest.get('schema')!r} not in "
-            f"{SUPPORTED_SCHEMAS}"
+            f"run-report schema {manifest.get('schema')!r} != "
+            f"{REPORT_SCHEMA_VERSION}"
         )
     return manifest
 
@@ -70,8 +55,7 @@ def render_markdown(manifest: Dict[str, Any]) -> str:
     manifest = load_manifest(manifest)
     lines: List[str] = ["# Campaign run report", ""]
 
-    # Schema-3 provenance header: the registry run id and the code that
-    # recorded it (older manifests simply have neither).
+    # Provenance header: the registry run id and the code that recorded it.
     run_id = manifest.get("run_id")
     code = manifest.get("code") or {}
     if run_id or code:
@@ -89,34 +73,23 @@ def render_markdown(manifest: Dict[str, Any]) -> str:
     cache = engine.get("cache", {})
     jobs = manifest.get("jobs", {})
     total = jobs.get("total", 0)
-    cached = jobs.get("cached", 0)
-    executed = jobs.get("executed", 0)
-    resumed = jobs.get("resumed", 0)
+    # The registry's conservation law: a fleet-executed job is executed,
+    # a fleet dedup hit is cached.
+    executed = jobs.get("executed", 0) + jobs.get("remote", 0)
+    cached = jobs.get("cached", 0) + jobs.get("remote_cached", 0)
     hit_rate = (cached / total) if total else 0.0
-    job_line = (
-        f"- jobs: {total} total, {executed} executed, {cached} served from "
-        f"cache (hit rate {hit_rate:.0%})"
-    )
-    if resumed:
-        job_line += f", {resumed} resumed from checkpoint"
     lines += [
         "## Engine",
         "",
         f"- executor: `{engine.get('executor', '?')}` "
         f"({engine.get('workers', 1)} worker(s))",
-        job_line,
+        f"- jobs: {total} total, {executed} executed, {cached} served from "
+        f"cache (hit rate {hit_rate:.0%})",
         f"- result cache: {cache.get('hits', 0)} hits / "
         f"{cache.get('misses', 0)} misses, "
         f"{engine.get('cached_entries', 0)} entries",
+        "",
     ]
-    checkpoint = engine.get("checkpoint")
-    if checkpoint:
-        lines.append(
-            f"- checkpoint: `{checkpoint.get('directory', '?')}` "
-            f"({checkpoint.get('completed', 0)} completed, "
-            f"{checkpoint.get('quarantined', 0)} quarantined)"
-        )
-    lines.append("")
 
     supervision = engine.get("supervision") or {}
     quarantined = manifest.get("quarantined", [])
@@ -174,12 +147,12 @@ def render_markdown(manifest: Dict[str, Any]) -> str:
             "|---|------|----------|--------|----------------------------|",
         ]
         for index, batch in enumerate(batches):
-            batch_jobs = batch.get("jobs", [])
-            batch_cached = sum(1 for j in batch_jobs if j.get("cached"))
+            sources = [job.get("source") for job in batch.get("jobs", [])]
+            batch_executed = sum(s in ("executed", "remote") for s in sources)
+            batch_cached = sum(s in ("cache", "remote-cache") for s in sources)
             lines.append(
-                f"| {index} | {len(batch_jobs)} | "
-                f"{len(batch_jobs) - batch_cached} | {batch_cached} | "
-                f"{_fmt(batch.get('wall_s', 0.0))} |"
+                f"| {index} | {len(sources)} | {batch_executed} | "
+                f"{batch_cached} | {_fmt(batch.get('wall_s', 0.0))} |"
             )
         lines.append("")
 
@@ -192,12 +165,10 @@ def render_markdown(manifest: Dict[str, Any]) -> str:
         for batch in batches:
             for job in batch.get("jobs", []):
                 path = "/".join(str(p) for p in job.get("seed_path", ()))
-                source = job.get(
-                    "source", "cache" if job.get("cached") else "executed"
-                )
                 lines.append(
                     f"| {job.get('kind', '?')} | `{path}` | "
-                    f"`{str(job.get('fingerprint', ''))[:12]}` | {source} |"
+                    f"`{str(job.get('fingerprint', ''))[:12]}` | "
+                    f"{job.get('source', '?')} |"
                 )
         lines.append("")
 
@@ -289,14 +260,3 @@ def render_markdown(manifest: Dict[str, Any]) -> str:
         lines.append("")
 
     return "\n".join(lines).rstrip() + "\n"
-
-
-def write_markdown(
-    manifest: Union[str, Path, Dict[str, Any]], path: Union[str, Path]
-) -> Path:
-    """Render ``manifest`` and write the Markdown to ``path``."""
-    target = Path(path)
-    if target.parent and not target.parent.exists():
-        target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(render_markdown(manifest))
-    return target

@@ -12,8 +12,8 @@ automatically by every :class:`~repro.engine.session.EngineSession`
 * :class:`ObjectStore` — the blobs: manifests, pickled job specs,
   pickled payloads, each verified against its address on read;
 * :class:`ResultStore` — a fingerprint index over those blobs: the one
-  on-disk result format of the engine's disk cache, campaign
-  checkpoints and the coordinator's dedup store;
+  on-disk result format of the engine's disk cache (which is also what
+  a killed campaign resumes from) and the coordinator's dedup store;
 * :func:`reproduce_run` — re-execute a recorded run and assert
   byte-identity of every result blob;
 * :func:`diff_runs` — attribute drift between two runs to code,

@@ -332,7 +332,9 @@ class RunRegistry:
                     # the by-origin breakdown in describe().
                     by_source.get("executed", 0) + by_source.get("remote", 0),
                     by_source.get("cache", 0) + by_source.get("remote-cache", 0),
-                    by_source.get("resumed", 0),
+                    # jobs_resumed: kept so older indexes open unchanged;
+                    # a resumed campaign's jobs are cache hits now.
+                    0,
                     by_source.get("quarantined", 0),
                 ),
             )
@@ -460,7 +462,7 @@ class RunRegistry:
         return self._run_row(row)
 
     def manifest(self, run_id_or_prefix: str) -> Dict[str, Any]:
-        """The stored ``run.json`` manifest for a run (verified bytes)."""
+        """The stored run manifest for a run (verified bytes)."""
         run = self.get_run(run_id_or_prefix)
         return json.loads(self.store.get_bytes(run["manifest_sha"]))
 

@@ -18,9 +18,9 @@ Two handles read the blobs, and differ in what a damaged one means.
 :class:`ObjectStore` serves the run registry and raises
 :class:`~repro.errors.RegistryIntegrityError`: a run record fails
 loudly.  :class:`ResultStore` adds a fingerprint index and is the one
-on-disk result format of the engine's disk cache, campaign checkpoints
-and the coordinator; there a damaged blob is quarantined and reads as a
-miss, so the caller recomputes.
+on-disk result format of the engine's disk cache and the coordinator;
+there a damaged blob is quarantined and reads as a miss, so the caller
+recomputes.
 """
 
 from __future__ import annotations

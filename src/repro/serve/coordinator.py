@@ -9,7 +9,7 @@ The coordinator owns three pieces of state behind one lock:
   monotonic deadline by which it must heartbeat;
 * a **result store** — fleet-wide content-addressed dedup
   (:class:`repro.registry.store.ResultStore`, the on-disk result format
-  the engine's cache and checkpoints use too).
+  the engine's disk cache uses too).
 
 Robustness semantics deliberately mirror PR-5's in-process supervisor
 (:class:`repro.engine.executors.ParallelExecutor`): leasing a job

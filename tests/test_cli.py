@@ -104,9 +104,10 @@ class TestImportGraph:
 
 
 class TestRetiredSurfaces:
-    """The live-monitoring commands and options, the sweep-path flags
-    and the ``observe replay`` duplicate of ``fuzz --replay`` are gone
-    from the parser."""
+    """The live-monitoring commands and options, the sweep-path flags,
+    the ``observe replay`` duplicate of ``fuzz --replay`` and the
+    campaign's private checkpoint and report files are gone from the
+    parser."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -119,6 +120,10 @@ class TestRetiredSurfaces:
             ["campaign", "--batch"],
             ["campaign", "--no-batch"],
             ["observe", "replay", "dump.jsonl"],
+            ["report", "run.json"],
+            ["campaign", "--checkpoint", "d"],
+            ["campaign", "--resume", "d"],
+            ["campaign", "--report", "r.json"],
         ],
         ids=[
             "top",
@@ -129,6 +134,10 @@ class TestRetiredSurfaces:
             "campaign-batch",
             "campaign-no-batch",
             "observe-replay",
+            "report",
+            "campaign-checkpoint",
+            "campaign-resume",
+            "campaign-report",
         ],
     )
     def test_rejected_as_usage_error(self, argv, capsys):
@@ -289,22 +298,38 @@ class TestChaos:
         assert "result digest:" in out
 
 
-class TestCampaignCheckpoint:
-    def test_checkpoint_then_resume(self, tmp_path, capsys):
-        ckpt = tmp_path / "ckpt"
-        args = ["campaign", "--cpu", "Comet Lake", "--no-aes"]
-        assert main(args + ["--checkpoint", str(ckpt)]) == 0
-        first = capsys.readouterr().out
-        assert (ckpt / "checkpoint.json").exists()
-        assert main(args + ["--resume", str(ckpt)]) == 0
-        second = capsys.readouterr().out
-        assert "resuming from checkpoint" in second
-        assert "already completed" in second
+class TestCampaignResume:
+    def test_rerun_over_the_disk_cache_resumes(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.engine import reset_session
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "ckpt"))
+        monkeypatch.setenv("REPRO_REGISTRY_DIR", str(tmp_path / "registry"))
+        monkeypatch.delenv("REPRO_REGISTRY", raising=False)
+        # --executor builds a fresh session (so a fresh cache following
+        # REPRO_CACHE_DIR), as a new process would.
+        args = ["campaign", "--cpu", "Comet Lake", "--no-aes",
+                "--executor", "serial"]
+        try:
+            assert main(args) == 0
+            first = capsys.readouterr().out
+            assert list((tmp_path / "ckpt" / "objects").glob("*/*"))
+            assert main(args) == 0
+            second = capsys.readouterr().out
+        finally:
+            reset_session()
+        assert "misses=0" in second
         # The resumed campaign renders the same prevention matrix.
         matrix = lambda text: [
             line for line in text.splitlines() if line.startswith("Comet Lake")
         ]
         assert matrix(first) == matrix(second)
+        run_id = second.split("recorded as run ")[1].split()[0]
+        assert main(["runs", "show", run_id]) == 0
+        report = capsys.readouterr().out
+        assert "# Campaign run report" in report
+        assert "(hit rate 100%)" in report
 
 
 class TestCampaignLogging:

@@ -27,6 +27,7 @@ from repro.engine import (
     EngineSession,
     FuzzJob,
     JobSpec,
+    ResultCache,
     SerialExecutor,
     execute_job,
 )
@@ -435,7 +436,7 @@ class TestFuzzFlightDumps:
 
 class TestRunManifest:
     def _session_with_history(self) -> EngineSession:
-        session = EngineSession(executor=SerialExecutor())
+        session = EngineSession(executor=SerialExecutor(), cache=ResultCache())
         jobs = [
             FuzzJob(codename="Comet Lake", seed=0, case_index=index)
             for index in range(2)
@@ -460,7 +461,6 @@ class TestRunManifest:
             "total": 4,
             "cached": 2,
             "executed": 2,
-            "resumed": 0,
             "quarantined": 0,
             "remote": 0,
             "remote_cached": 0,
@@ -473,22 +473,54 @@ class TestRunManifest:
         assert first["jobs"][0]["fingerprint"] == second["jobs"][0]["fingerprint"]
         assert "counters" in manifest["metrics"]
 
-    def test_write_and_render(self, tmp_path):
+    def test_render(self):
         session = self._session_with_history()
-        path = session.write_run_report(tmp_path / "out" / "run.json")
+        manifest = session.run_manifest()
         session.close()
-        manifest = json.loads(path.read_text())
         markdown = render_markdown(manifest)
         assert "# Campaign run report" in markdown
         assert "hit rate 50%" in markdown
         assert "`fuzz/Comet Lake/case@0`" in markdown
         assert "non-deterministic" in markdown  # wall_s clearly labelled
 
+    def test_render_counts_remote_jobs_like_the_registry(self):
+        """A fleet-executed job is executed and a fleet dedup hit is
+        cached, as in the registry's runs row."""
+        sources = ["remote"] * 6 + ["remote-cache"] * 4
+        manifest = {
+            "kind": "run-report",
+            "schema": 3,
+            "engine": {"executor": "remote", "workers": 1, "cache": {}},
+            "jobs": {
+                "total": 10, "cached": 0, "executed": 0, "quarantined": 0,
+                "remote": 6, "remote_cached": 4,
+            },
+            "batches": [
+                {
+                    "wall_s": 0.5,
+                    "jobs": [
+                        {"kind": "fuzz", "fingerprint": f"{index:064x}",
+                         "seed_path": ["fuzz"], "cached": False,
+                         "source": source}
+                        for index, source in enumerate(sources)
+                    ],
+                }
+            ],
+        }
+        markdown = render_markdown(manifest)
+        assert (
+            "10 total, 6 executed, 4 served from cache (hit rate 40%)"
+            in markdown
+        )
+        assert "| 0 | 10 | 6 | 4 | 0.5 |" in markdown
+
     def test_load_manifest_rejects_garbage(self):
         with pytest.raises(ObserveError):
             load_manifest({"kind": "nope"})
         with pytest.raises(ObserveError):
             load_manifest({"kind": "run-report", "schema": 99})
+        with pytest.raises(ObserveError):
+            load_manifest({"kind": "run-report", "schema": 2})
 
 
 # ---------------------------------------------------------------------------
@@ -503,20 +535,24 @@ class TestCLI:
         code = main(argv)
         return code, capsys.readouterr().out
 
-    def test_report_command(self, capsys, tmp_path):
-        session = EngineSession(executor=SerialExecutor())
+    def test_runs_show_renders_the_run_report(self, capsys, tmp_path):
+        from repro.registry import RunRegistry
+
+        registry = tmp_path / "registry"
+        session = EngineSession(
+            executor=SerialExecutor(),
+            cache=ResultCache(),
+            registry=RunRegistry(registry),
+        )
         session.run_jobs([FuzzJob(codename="Comet Lake", seed=0, case_index=0)])
-        manifest_path = session.write_run_report(tmp_path / "run.json")
+        run_id = session.record_run()
         session.close()
-        code, out = self._run(capsys, ["report", str(manifest_path)])
-        assert code == 0
-        assert "# Campaign run report" in out
-        md_path = tmp_path / "run.md"
-        code, _ = self._run(
-            capsys, ["report", str(manifest_path), "--md", str(md_path)]
+        code, out = self._run(
+            capsys, ["runs", "show", run_id[:12], "--registry", str(registry)]
         )
         assert code == 0
-        assert "## Jobs" in md_path.read_text()
+        assert "# Campaign run report" in out
+        assert "## Jobs" in out
 
     def test_fuzz_replay_accepts_flight_dump(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))

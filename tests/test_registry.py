@@ -656,23 +656,6 @@ class TestReportSchemas:
         assert manifest["run_id"] in rendered
         assert "Result-affecting environment" in rendered
 
-    def test_schema2_manifest_still_renders(self):
-        from repro.observe import render_markdown
-
-        manifest = {
-            "kind": "run-report",
-            "schema": 2,
-            "engine": {"executor": "serial", "workers": 1, "cache": {}},
-            "env": {"REPRO_EXECUTOR": "serial"},
-            "jobs": {"total": 1, "cached": 0, "executed": 1, "quarantined": 0},
-            "quarantined": [],
-            "batches": [],
-            "metrics": {},
-        }
-        rendered = render_markdown(manifest)
-        assert "## Provenance" not in rendered
-        assert "REPRO_EXECUTOR" in rendered
-
     def test_describe_exposes_registry(self, registry):
         session = _session(registry)
         session.run_jobs(_fuzz_jobs())

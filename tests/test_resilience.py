@@ -3,9 +3,9 @@
 The supervised executor's contract is that *nothing it does to keep a
 campaign alive may change what the campaign computes*: a retried job
 replays its exact named seed stream, a respawned pool re-runs only the
-jobs that were in flight, a resumed checkpoint serves byte-identical
-payloads, and a campaign run under deterministic chaos injection
-converges to the failure-free result.  These tests pin each of those
+jobs that were in flight, a campaign rerun over its disk cache serves
+byte-identical payloads, and a campaign run under deterministic chaos
+injection converges to the failure-free result.  These tests pin each of those
 properties, plus the failure semantics themselves (quarantine, strict
 mode, graceful degradation).
 """
@@ -24,7 +24,6 @@ import pytest
 
 from repro.cpu import PAPER_MODEL_TUPLE
 from repro.engine import (
-    CampaignCheckpoint,
     ChaosPolicy,
     EngineSession,
     FuzzJob,
@@ -46,7 +45,6 @@ from repro.errors import (
     ChaosError,
     ConfigurationError,
     JobFailedError,
-    ObserveError,
     ReproError,
 )
 from repro.observe import load_flight_dump
@@ -441,7 +439,7 @@ class TestSessionSupervision:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint + resume
+# Resume from the disk cache
 # ---------------------------------------------------------------------------
 
 
@@ -457,38 +455,36 @@ def _fuzz_jobs(count=4, seed=3):
     ]
 
 
-class TestCampaignCheckpoint:
+class TestResumeFromDiskCache:
+    """The disk cache is a campaign's checkpoint: each result is written
+    as it lands, so a rerun over the same directory resumes."""
+
     def test_record_and_resume_roundtrip(self, tmp_path):
         jobs = _fuzz_jobs()
         first = EngineSession(
-            executor=SerialExecutor(),
-            cache=ResultCache(),
-            checkpoint=CampaignCheckpoint(tmp_path),
+            executor=SerialExecutor(), cache=ResultCache(directory=tmp_path)
         )
         # The "interrupted" run only finishes half the campaign.
         first.run_jobs(jobs[:2])
-        assert first.checkpoint.completed_count() == 2
+        assert len(first.cache.disk) == 2
 
         resumed = EngineSession(
-            executor=SerialExecutor(),
-            cache=ResultCache(),
-            checkpoint=CampaignCheckpoint(tmp_path),
+            executor=SerialExecutor(), cache=ResultCache(directory=tmp_path)
         )
         resumed_payloads = resumed.run_jobs(jobs)
         clean = EngineSession(executor=SerialExecutor(), cache=ResultCache())
         clean_payloads = clean.run_jobs(jobs)
         assert _canonical(resumed_payloads) == _canonical(clean_payloads)
-        assert resumed.counters()["engine.resumed"] == 2
+        assert resumed.counters()["engine.cache_hits"] == 2
+        assert resumed.counters()["engine.jobs_executed"] == 2
         manifest = resumed.run_manifest()
-        assert manifest["jobs"]["resumed"] == 2
+        assert manifest["jobs"]["cached"] == 2
         assert manifest["jobs"]["executed"] == 2
 
     def test_torn_entry_recomputes_identically(self, tmp_path):
         jobs = _fuzz_jobs(count=2)
         first = EngineSession(
-            executor=SerialExecutor(),
-            cache=ResultCache(),
-            checkpoint=CampaignCheckpoint(tmp_path),
+            executor=SerialExecutor(), cache=ResultCache(directory=tmp_path)
         )
         clean_payloads = first.run_jobs(jobs)
         # Tear one entry mid-file, as a kill during the write would.
@@ -496,48 +492,20 @@ class TestCampaignCheckpoint:
         entry.write_bytes(entry.read_bytes()[:20])
 
         resumed = EngineSession(
-            executor=SerialExecutor(),
-            cache=ResultCache(),
-            checkpoint=CampaignCheckpoint(tmp_path),
+            executor=SerialExecutor(), cache=ResultCache(directory=tmp_path)
         )
         payloads = resumed.run_jobs(jobs)
         assert _canonical(payloads) == _canonical(clean_payloads)
-        assert resumed.counters()["engine.resumed"] == 1
+        assert resumed.counters()["engine.cache_hits"] == 1
+        assert resumed.cache.stats.corrupt == 1
         assert list((tmp_path / "objects").glob("*/*.corrupt"))
-        assert resumed.checkpoint.completed_count() == 2
+        assert len(resumed.cache.disk) == 2
 
-    def test_quarantine_records_survive_reopen(self, tmp_path):
-        checkpoint = CampaignCheckpoint(tmp_path)
-        checkpoint.record_quarantine(
-            {"fingerprint": "f" * 64, "kind": "scripted", "attempts": 3}
-        )
-        reopened = CampaignCheckpoint(tmp_path)
-        assert reopened.quarantined[0]["kind"] == "scripted"
-        assert reopened.describe()["quarantined"] == 1
-
-    def test_rejects_schema_1_checkpoint(self, tmp_path):
-        """The old ``entries/*.pkl`` layout must not resume as empty."""
-        (tmp_path / "entries").mkdir()
-        (tmp_path / "entries" / f"{'a' * 64}.pkl").write_bytes(b"old entry")
-        (tmp_path / "checkpoint.json").write_text(
-            json.dumps(
-                {"kind": "campaign-checkpoint", "schema": 1, "completed": 1,
-                 "quarantined": []}
-            )
-        )
-        with pytest.raises(ObserveError, match="schema 1"):
-            CampaignCheckpoint(tmp_path)
-
-    def test_rejects_foreign_manifest(self, tmp_path):
-        (tmp_path / "checkpoint.json").write_text(
-            json.dumps({"kind": "something-else"})
-        )
-        with pytest.raises(ObserveError):
-            CampaignCheckpoint(tmp_path)
-
-    def test_sigkilled_campaign_resumes_losslessly(self, tmp_path):
-        """End-to-end: SIGKILL a checkpointing campaign mid-run, resume,
-        and converge to the uninterrupted run's exact payloads."""
+    def test_sigkilled_batch_resumes_losslessly(self, tmp_path):
+        """End-to-end: SIGKILL a campaign in the middle of one six-job
+        batch, right after its third result lands; every landed result
+        is on disk, and the rerun executes only the rest and converges
+        to the uninterrupted run's exact payloads."""
         import signal
         import subprocess
         import sys
@@ -545,55 +513,69 @@ class TestCampaignCheckpoint:
 
         script = textwrap.dedent(
             """
-            import os, sys
+            import sys
             sys.path.insert(0, {src!r})
             from repro.engine import (
-                CampaignCheckpoint, EngineSession, FuzzJob, ResultCache,
-                SerialExecutor,
+                EngineSession, FuzzJob, ResultCache, SerialExecutor,
             )
+
+            class Announcing(SerialExecutor):
+                def run_jobs(self, jobs, *, progress=None, span_context=None):
+                    def landed(done, result):
+                        progress(done, result)
+                        print("landed", flush=True)
+                        if done == 3:
+                            sys.stdin.readline()  # hold here until killed
+
+                    return super().run_jobs(
+                        jobs, progress=landed, span_context=span_context
+                    )
+
             jobs = [
                 FuzzJob(codename={codename!r}, seed=3, case_index=i,
                         num_actions=6)
                 for i in range(6)
             ]
             session = EngineSession(
-                executor=SerialExecutor(), cache=ResultCache(),
-                checkpoint=CampaignCheckpoint({ckpt!r}),
+                executor=Announcing(),
+                cache=ResultCache(directory={cache_dir!r}),
+                registry=None,
             )
-            for job in jobs:
-                session.run_jobs([job])
-                print("done", flush=True)
+            session.run_jobs(jobs)
+            print("batch finished", flush=True)
         """
         ).format(
             src=str(Path(__file__).resolve().parent.parent / "src"),
             codename=PAPER_MODEL_TUPLE[0].codename,
-            ckpt=str(tmp_path / "ckpt"),
+            cache_dir=str(tmp_path / "cache"),
         )
         process = subprocess.Popen(
             [sys.executable, "-c", script],
+            stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             text=True,
         )
-        # Kill the campaign the instant the third job lands.
-        for _ in range(3):
-            assert process.stdout.readline().strip() == "done"
-        process.send_signal(signal.SIGKILL)
-        process.wait()
-
-        checkpoint = CampaignCheckpoint(tmp_path / "ckpt")
-        survived = checkpoint.completed_count()
-        assert survived >= 3
+        try:
+            # Kill the campaign the instant the third job lands.
+            for _ in range(3):
+                assert process.stdout.readline().strip() == "landed"
+        finally:
+            process.send_signal(signal.SIGKILL)
+            process.wait()
+            process.stdout.close()
+            process.stdin.close()
 
         jobs = _fuzz_jobs(count=6)
-        resumed = EngineSession(
-            executor=SerialExecutor(),
-            cache=ResultCache(),
-            checkpoint=checkpoint,
-        )
+        cache = ResultCache(directory=tmp_path / "cache")
+        survived = len(cache.disk)
+        assert survived >= 3
+        assert all(job.fingerprint() in cache.disk for job in jobs[:3])
+
+        resumed = EngineSession(executor=SerialExecutor(), cache=cache)
         payloads = resumed.run_jobs(jobs)
         clean = EngineSession(executor=SerialExecutor(), cache=ResultCache())
         assert _canonical(payloads) == _canonical(clean.run_jobs(jobs))
-        assert resumed.counters()["engine.resumed"] == survived
+        assert resumed.counters()["engine.jobs_executed"] == 6 - survived
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,24 @@
 """One store contract for every on-disk result holder.
 
-The engine's disk cache, campaign checkpoints and the coordinator's
-dedup store all persist results in the same
-:class:`~repro.registry.store.ResultStore`.  Each case below runs once
-per holder, through the holder's own API, so the three cannot drift
-apart on what a torn blob, an orphan blob, a torn index line or a
-concurrent writer means.
+The engine's disk cache and the coordinator's dedup store both persist
+results in the same :class:`~repro.registry.store.ResultStore`.  Each
+case below runs once per holder, through the holder's own API, so they
+cannot drift apart on what a torn blob, an orphan blob, a torn index
+line or a concurrent writer means.  The ``session`` holder writes
+through :class:`~repro.engine.EngineSession`'s per-job landing path —
+the write a killed campaign resumes from — rather than ``cache.put``.
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 
 import pytest
 
-from repro.engine import CampaignCheckpoint, ResultCache
-from repro.engine.jobs import JobResult
+from repro.engine import EngineSession, ResultCache, SerialExecutor
+from repro.engine.jobs import JobSpec
 from repro.registry.store import ResultStore, encode_object
 from repro.serve import Coordinator
 
@@ -46,16 +47,38 @@ def _cache(root) -> Holder:
     )
 
 
-def _checkpoint(root) -> Holder:
-    checkpoint = CampaignCheckpoint(root)
+@dataclass(frozen=True)
+class _Landing(JobSpec):
+    """A job whose fingerprint and payload are given outright."""
+
+    kind: ClassVar[str] = "store-contract"
+
+    key: str
+    value: Any
+
+    def fingerprint(self) -> str:
+        return self.key
+
+    def seed_path(self):
+        return ("store-contract", self.key)
+
+    def run(self, telemetry) -> Any:
+        return self.value
+
+
+def _session(root) -> Holder:
+    session = EngineSession(
+        executor=SerialExecutor(),
+        cache=ResultCache(directory=root),
+        registry=None,
+    )
+    cache = session.cache
     return Holder(
-        put=lambda fp, value: checkpoint.record(
-            JobResult(fingerprint=fp, payload=value, counters={})
-        ),
-        get=lambda fp: checkpoint.get(fp, MISS),
-        contains=checkpoint.store.__contains__,
-        store=checkpoint.store,
-        corrupt=lambda: checkpoint.store.stats.corrupt,
+        put=lambda fp, value: session.run_jobs([_Landing(fp, value)]),
+        get=lambda fp: cache.get(fp, MISS),
+        contains=cache.__contains__,
+        store=cache.disk,
+        corrupt=lambda: cache.stats.corrupt,
     )
 
 
@@ -75,8 +98,10 @@ def _coordinator(root) -> Holder:
     )
 
 
-@pytest.fixture(params=[_cache, _checkpoint, _coordinator],
-                ids=["cache", "checkpoint", "coordinator"])
+@pytest.fixture(
+    params=[_cache, _session, _coordinator],
+    ids=["cache", "session", "coordinator"],
+)
 def make(request, tmp_path):
     return lambda: request.param(tmp_path / "store")
 

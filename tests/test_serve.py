@@ -905,11 +905,43 @@ class TestRegistryOriginAccounting:
         assert info["by_origin"] == {"remote-cache": 2}
         assert info["dedup_hits"] == {"local": 0, "remote": 2}
 
+    def test_runs_show_job_line_matches_registry_row(
+        self, tmp_path, coordinator, coarse_config, capsys
+    ):
+        from repro.cli import main
+
+        jobs = _row_jobs(coarse_config)[:3]
+        _worker_thread(coordinator.url, max_idle_s=30.0, poll_interval_s=0.05)
+        # A first session leaves two of the three results in the fleet
+        # store, so the recorded run mixes remote and remote-cache jobs.
+        warm = EngineSession(
+            executor=RemoteExecutor(coordinator.url, poll_interval_s=0.02),
+            cache=ResultCache(),
+            registry=None,
+        )
+        warm.run_jobs(jobs[:2])
+        registry_dir = tmp_path / "registry"
+        session = EngineSession(
+            executor=RemoteExecutor(coordinator.url, poll_interval_s=0.02),
+            cache=ResultCache(),
+            registry=RunRegistry(registry_dir),
+        )
+        session.run_jobs(jobs)
+        run_id = session.record_run()
+        row = RunRegistry(registry_dir).get_run(run_id)
+        assert (row["jobs_executed"], row["jobs_cached"]) == (1, 2)
+        assert main(
+            ["runs", "show", run_id[:12], "--registry", str(registry_dir)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "3 total, 1 executed, 2 served from cache" in out
+
     def test_status_registry_cli_shows_dedup_by_origin(
         self, tmp_path, monkeypatch, capsys
     ):
         from repro.cli import main
 
+        monkeypatch.delenv("REPRO_REGISTRY", raising=False)
         monkeypatch.setenv("REPRO_REGISTRY_DIR", str(tmp_path / "registry"))
         assert main(["status", "--registry"]) == 0
         out = capsys.readouterr().out

@@ -359,7 +359,9 @@ def test_wall_registry_holds_only_per_kind_latency_histograms():
     assert all(h.count == 1 for h in wall.histograms())
 
 
-def test_registry_records_and_serves_span_timelines(tmp_path):
+def test_registry_records_and_serves_span_timelines(tmp_path, monkeypatch):
+    monkeypatch.delenv("REPRO_REGISTRY", raising=False)
+    monkeypatch.setenv("REPRO_REGISTRY_DIR", str(tmp_path / "registry"))
     jobs = [FuzzJob(codename="Sky Lake", seed=5, case_index=0, num_actions=3)]
     with EngineSession(executor=SerialExecutor()) as session:
         session.run_jobs(jobs, cache=False)
