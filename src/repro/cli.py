@@ -926,8 +926,7 @@ def _cmd_explore(args) -> int:
             (
                 "injections",
                 stats["injections_enumerated"],
-                stats["injections_pruned_masked"]
-                + stats["injections_pruned_equivalent"],
+                stats["injections_pruned_masked"],
                 stats["injections_simulated"],
             ),
         ],

@@ -611,10 +611,10 @@ class ExploreInjectionJob(JobSpec):
     deterministically from the spec (the FuzzJob pattern — the spec
     stays tiny, the fingerprint still covers the whole replay) and are
     memoized once per process, so every shard after the first in a
-    worker reuses them.  Each (op_index, model) representative replays
-    the signature with exactly that operation corrupted; the
-    exponentiation the fault cannot reach replays as ``pow``.  The
-    verdict is one of ``masked`` (the signature survived),
+    worker reuses them.  Each (op_index, model) pair replays the
+    signature with exactly that operation corrupted, in closed form from
+    the golden trace (:func:`~repro.explore.victim.replay_with_fault`).
+    The verdict is one of ``masked`` (the signature survived),
     ``exploitable`` (Bellcore factoring recovered the key's primes) or
     ``corrupted`` (wrong but unexploitable).
     """
@@ -624,7 +624,7 @@ class ExploreInjectionJob(JobSpec):
     key_bits: int
     key_seed: int
     message: int
-    #: (op_index, fault_model) representatives to replay.
+    #: (op_index, fault_model) pairs to replay.
     reps: Tuple[Tuple[int, str], ...]
     seed: int = 0
 
@@ -641,9 +641,7 @@ class ExploreInjectionJob(JobSpec):
         trace = trace_victim(key, self.message)
         verdicts: List[Dict[str, Any]] = []
         for op_index, model in self.reps:
-            signature = replay_with_fault(
-                key, self.message, op_index, corruptor(model)
-            )
+            signature = replay_with_fault(trace, op_index, corruptor(model))
             if signature == trace.golden_signature:
                 verdict = "masked"
             else:

@@ -12,12 +12,13 @@ zero: coverage, not anecdote.
 
 Layout:
 
-* :mod:`repro.explore.victim` — tracing/replaying ALUs sharing the
-  attack path's ``BigIntALU`` op sequence;
+* :mod:`repro.explore.victim` — the tracing ALU sharing the attack
+  path's ``BigIntALU`` op sequence, and the closed-form single-fault
+  replay;
 * :mod:`repro.explore.faultspace` — the deterministic fault-model
   catalog (``flip:<b>``, ``trunc64``, ``zero``);
-* :mod:`repro.explore.plan` — frozen plans and the three pruning tiers
-  (grid-safe points, masked injections, equivalence classes);
+* :mod:`repro.explore.plan` — frozen plans and the two pruning tiers
+  (grid-safe points, masked injections);
 * :mod:`repro.explore.runner` — orchestration through the engine;
 * :mod:`repro.explore.emap` — map assembly, canonical JSON, coverage
   reports.
@@ -34,7 +35,6 @@ from repro.explore.faultspace import DEFAULT_FAULT_MODELS, corrupt, corruptor
 from repro.explore.plan import (
     EXPLORE_SCHEMA_VERSION,
     ExplorePlan,
-    InjectionClass,
     InjectionPlan,
     PointPlan,
     enumerate_injections,
@@ -42,7 +42,6 @@ from repro.explore.plan import (
 )
 from repro.explore.runner import run_explore
 from repro.explore.victim import (
-    ReplayALU,
     TracedOp,
     TracingALU,
     VictimTrace,
@@ -55,10 +54,8 @@ __all__ = [
     "DEFAULT_FAULT_MODELS",
     "EXPLORE_SCHEMA_VERSION",
     "ExplorePlan",
-    "InjectionClass",
     "InjectionPlan",
     "PointPlan",
-    "ReplayALU",
     "TracedOp",
     "TracingALU",
     "VictimTrace",

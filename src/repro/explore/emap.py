@@ -14,7 +14,7 @@ for.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.explore.plan import (
@@ -57,24 +57,14 @@ def build_map(
             record["pruned"] = None
             points.append(record)
 
-    # Injections: representative verdicts fan back out over their
-    # equivalence classes; masked prunes carry their proof tag.
-    verdict_by_rep = {
+    # Injections: replayed verdicts, and masked prunes with their proof
+    # tag.  ``class_rep`` names the replayed model itself.
+    verdict_by_pair = {
         (verdict["op_index"], verdict["model"]): verdict["verdict"]
         for verdict in injection_verdicts
     }
     injections: List[Dict] = []
     masked = set(injection_plan.masked)
-    expanded: Dict[Tuple[int, str], Dict] = {}
-    for cls in injection_plan.classes:
-        rep = cls.members[0]
-        verdict = verdict_by_rep[(cls.op_index, rep)]
-        for member in cls.members:
-            expanded[(cls.op_index, member)] = {
-                "verdict": verdict,
-                "pruned": None if member == rep else "equivalent",
-                "class_rep": rep,
-            }
     for op in trace.ops:
         for model in plan.fault_models:
             key = (op.index, model)
@@ -88,7 +78,9 @@ def build_map(
                 entry["verdict"] = "masked"
                 entry["pruned"] = "masked"
             else:
-                entry.update(expanded[key])
+                entry["verdict"] = verdict_by_pair[key]
+                entry["pruned"] = None
+                entry["class_rep"] = model
             injections.append(entry)
 
     feasible_points = sum(1 for p in points if p["status"] == "feasible")
@@ -114,7 +106,7 @@ def build_map(
             "points_probed": len(point_plan.candidates),
             "injections_enumerated": injection_plan.enumerated,
             "injections_pruned_masked": injection_plan.pruned_masked,
-            "injections_pruned_equivalent": injection_plan.pruned_equivalent,
+            "injections_pruned_equivalent": 0,
             "injections_simulated": injection_plan.simulated,
         },
         "summary": {
@@ -168,7 +160,6 @@ def render_report(
         lines.append(
             f"  injections: {stats['injections_enumerated']} enumerated, "
             f"{stats['injections_pruned_masked']} pruned masked, "
-            f"{stats['injections_pruned_equivalent']} pruned equivalent, "
             f"{stats['injections_simulated']} simulated -> "
             f"{summary['exploitable_pairs']} exploitable pairs"
         )

@@ -3,7 +3,7 @@
 An :class:`ExplorePlan` names the full Cartesian fault space for one
 victim: every traced operation index × every deterministic fault model ×
 every (frequency, offset) operating point.  Before anything is
-simulated, three pruning tiers cut the space down — each one *sound*, in
+simulated, two pruning tiers cut the space down — each one *sound*, in
 the sense that a pruned element's verdict is proven, not guessed
 (``tests/test_explore.py`` brute-forces a small plan unpruned to check
 exactly this):
@@ -19,11 +19,6 @@ exactly this):
    product whose residue under its consuming modulus equals the golden
    residue provably cannot reach the signature — pruned as ``masked``
    without replay.
-3. **Equivalence classes** (same function): two (op, model) pairs whose
-   corrupted products agree under the consuming modulus continue into
-   byte-identical replays, so only one representative per
-   ``(op_index, consumed_residue)`` class is simulated and the verdict
-   shared.
 """
 
 from __future__ import annotations
@@ -142,28 +137,15 @@ def prune_points(plan: ExplorePlan, instructions: Tuple[str, ...]) -> PointPlan:
     return PointPlan(points=tuple(points), predicted=tuple(predicted))
 
 
-# -- tiers 2+3: injection-space pruning ------------------------------------------
-
-
-@dataclass(frozen=True)
-class InjectionClass:
-    """One equivalence class of (op_index, fault_model) pairs.
-
-    All members corrupt operation ``op_index`` to the same residue under
-    its consuming modulus, so they replay identically; ``members[0]`` is
-    the simulated representative.
-    """
-
-    op_index: int
-    members: Tuple[str, ...]
+# -- tier 2: injection-space pruning ---------------------------------------------
 
 
 @dataclass(frozen=True)
 class InjectionPlan:
-    """The injection axis after masked/equivalence pruning."""
+    """The injection axis after masked pruning."""
 
-    #: Representatives to simulate, in first-appearance order.
-    classes: Tuple[InjectionClass, ...]
+    #: (op_index, model) pairs to replay, in op-then-model order.
+    replays: Tuple[Tuple[int, str], ...]
     #: (op_index, model) pairs proven unable to reach the signature.
     masked: Tuple[Tuple[int, str], ...]
     enumerated: int = 0
@@ -173,20 +155,15 @@ class InjectionPlan:
         return len(self.masked)
 
     @property
-    def pruned_equivalent(self) -> int:
-        return sum(len(c.members) - 1 for c in self.classes)
-
-    @property
     def simulated(self) -> int:
-        return len(self.classes)
+        return len(self.replays)
 
 
 def enumerate_injections(
     trace: VictimTrace, fault_models: Tuple[str, ...]
 ) -> InjectionPlan:
-    """Enumerate op × model, pruning masked pairs and equivalence classes."""
-    classes: Dict[Tuple[int, int], List[str]] = {}
-    order: List[Tuple[int, int]] = []
+    """Enumerate op × model, pruning the masked pairs."""
+    replays: List[Tuple[int, str]] = []
     masked: List[Tuple[int, str]] = []
     enumerated = 0
     for op in trace.ops:
@@ -194,20 +171,10 @@ def enumerate_injections(
         golden_residue = op.product % modulus
         for model in fault_models:
             enumerated += 1
-            residue = corrupt(model, op.product) % modulus
-            if residue == golden_residue:
+            if corrupt(model, op.product) % modulus == golden_residue:
                 masked.append((op.index, model))
-                continue
-            key = (op.index, residue)
-            if key not in classes:
-                classes[key] = []
-                order.append(key)
-            classes[key].append(model)
+            else:
+                replays.append((op.index, model))
     return InjectionPlan(
-        classes=tuple(
-            InjectionClass(op_index=key[0], members=tuple(classes[key]))
-            for key in order
-        ),
-        masked=tuple(masked),
-        enumerated=enumerated,
+        replays=tuple(replays), masked=tuple(masked), enumerated=enumerated
     )

@@ -46,20 +46,20 @@ def point_jobs(
 
 def injection_jobs(
     plan: ExplorePlan,
-    reps: Tuple[Tuple[int, str], ...],
+    replays: Tuple[Tuple[int, str], ...],
     *,
     rows_per_job: int,
 ) -> List[ExploreInjectionJob]:
-    """Shard the injection-class representatives into replay jobs."""
+    """Shard the unmasked (op_index, model) pairs into replay jobs."""
     return [
         ExploreInjectionJob(
             key_bits=plan.key_bits,
             key_seed=plan.key_seed,
             message=plan.message,
-            reps=tuple(reps[start : start + rows_per_job]),
+            reps=tuple(replays[start : start + rows_per_job]),
             seed=plan.seed,
         )
-        for start in range(0, len(reps), rows_per_job)
+        for start in range(0, len(replays), rows_per_job)
     ]
 
 
@@ -84,7 +84,7 @@ def run_explore(
     point_plan = prune_points(plan, instructions)
     logger.info(
         "explore %s%s: %d ops x %d models = %d injections "
-        "(%d masked, %d equivalent, %d simulated); %d points "
+        "(%d masked, %d simulated); %d points "
         "(%d pruned safe, %d probed)",
         plan.codename,
         " [protected]" if plan.protect else "",
@@ -92,19 +92,15 @@ def run_explore(
         len(plan.fault_models),
         injection_plan.enumerated,
         injection_plan.pruned_masked,
-        injection_plan.pruned_equivalent,
         injection_plan.simulated,
         len(point_plan.points),
         point_plan.pruned_safe,
         len(point_plan.candidates),
     )
 
-    reps = tuple(
-        (cls.op_index, cls.members[0]) for cls in injection_plan.classes
-    )
     jobs = point_jobs(
         plan, point_plan.candidates, instructions, rows_per_job=rows_per_job
-    ) + injection_jobs(plan, reps, rows_per_job=rows_per_job)
+    ) + injection_jobs(plan, injection_plan.replays, rows_per_job=rows_per_job)
     split = len(point_plan.candidates) // rows_per_job + (
         1 if len(point_plan.candidates) % rows_per_job else 0
     )

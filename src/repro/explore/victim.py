@@ -1,22 +1,25 @@
-"""Tracing and replaying the RSA-CRT victim's multiplication sequence.
+"""Tracing the RSA-CRT victim's multiplications and replaying one fault.
 
 The explorer needs to address every multiplication the victim issues —
-"operation 173 of the signature" — and to re-run the signature with
-exactly one of those operations corrupted.  Both needs are met by ALUs
-that share :class:`~repro.faults.alu.BigIntALU`'s ``modmul``/``modexp``
-with the attack-path :class:`~repro.faults.alu.FaultableALU`, so the
-traced operation indices address the fault-injecting ALU's
-multiplications one for one:
+"operation 173 of the signature" — and to know the signature produced
+with exactly one of those operations corrupted (the deterministic
+single-fault adversary of the ARMORY model).
 
-* :class:`TracingALU` executes the signature exactly and records every
-  ``bigmul`` — operands, exact product, and the modulus the product is
-  reduced by immediately afterwards (``None`` for the final Garner
-  recombination multiply, which is consumed mod ``n``).
-* :class:`ReplayALU` re-executes the signature with real arithmetic but
-  returns a corrupted product at exactly one operation index — the
-  deterministic single-fault adversary of the ARMORY model.  Only the
-  exponentiation the fault lands in runs the op-by-op loop; the other,
-  fault-free one replays as ``pow`` and just advances the op counter.
+* :class:`TracingALU` shares :class:`~repro.faults.alu.BigIntALU`'s
+  ``modmul``/``modexp`` with the attack-path
+  :class:`~repro.faults.alu.FaultableALU`, so the traced operation
+  indices address the fault-injecting ALU's multiplications one for one.
+  It executes the signature exactly and records every ``bigmul`` —
+  operands, exact product, and the modulus the product is reduced by
+  immediately afterwards (``None`` for the final Garner recombination
+  multiply, which is consumed mod ``n``).
+* :func:`replay_with_fault` never re-executes the signature.  It reads
+  the faulted op's operands and exact product from the golden trace,
+  and finishes the exponentiation the fault lands in with one ``pow``:
+  everything after a single fault is fault-free arithmetic on the
+  corrupted value.  The other CRT half is the golden one, read from its
+  last traced multiply.  ``BigIntALU.modexp``, run op by op, is the
+  oracle the tests hold this closed form against.
 
 Region labels are derived from the exponent structure: square-and-multiply
 over ``e`` issues ``popcount(e) + bit_length(e) - 1`` modular
@@ -33,11 +36,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.attacks.rsa_crt import RSACRTSigner, RSAKey
 from repro.errors import ConfigurationError
-from repro.faults.alu import BigIntALU
+from repro.faults.alu import BigIntALU, _square_schedule
 
 #: Region labels in trace order.
 REGION_SP = "sp"
@@ -109,44 +112,17 @@ class TracingALU(BigIntALU):
         return result
 
 
-class ReplayALU(BigIntALU):
-    """Executes arithmetic exactly except at one corrupted operation.
+class _Half(NamedTuple):
+    """One CRT exponentiation ``base ** exponent % modulus`` of the trace."""
 
-    ``corruptor`` maps the exact product of operation ``target_index`` to
-    the value the faulted multiplier would have produced; every other
-    operation is computed correctly.  This is the deterministic
-    single-fault adversary: one transient fault per signature.
-    """
-
-    def __init__(self, target_index: int, corruptor: Callable[[int], int]) -> None:
-        self.target_index = target_index
-        self.corruptor = corruptor
-        self.op_count = 0
-
-    def bigmul(self, lhs: int, rhs: int) -> int:
-        if lhs < 0 or rhs < 0:
-            raise ConfigurationError("bigmul operates on non-negative integers")
-        product = lhs * rhs
-        if self.op_count == self.target_index:
-            product = self.corruptor(product)
-        self.op_count += 1
-        return product
-
-    def modexp(self, base: int, exponent: int, modulus: int) -> int:
-        """``BigIntALU.modexp``, run op by op only where the fault lands.
-
-        An exponentiation that does not contain ``target_index`` is
-        fault-free, so its result is ``pow(base, exponent, modulus)`` by
-        definition; it only advances ``op_count`` by the multiplications
-        it would have issued (:func:`modexp_op_count`).
-        """
-        ops = modexp_op_count(exponent)
-        if self.op_count <= self.target_index < self.op_count + ops:
-            return super().modexp(base, exponent, modulus)
-        if modulus <= 0:
-            raise ConfigurationError("modulus must be positive")
-        self.op_count += ops
-        return pow(base, exponent, modulus)
+    #: Trace index of its first op.
+    start: int
+    exponent: int
+    modulus: int
+    #: Its op sequence (:func:`~repro.faults.alu._square_schedule`).
+    squares: Tuple[bool, ...]
+    #: Its fault-free result: the product of its last multiply, reduced.
+    golden: int
 
 
 @dataclass(frozen=True)
@@ -177,6 +153,23 @@ class VictimTrace:
         residue mod ``n`` can reach the signature.
         """
         return op.reduce_mod if op.reduce_mod is not None else self.key.n
+
+    @functools.cached_property
+    def _halves(self) -> Dict[str, _Half]:
+        """The ``sp`` and ``sq`` exponentiations, computed once per trace."""
+        halves = {}
+        start = 0
+        for region, exponent, modulus in (
+            (REGION_SP, self.key.dp, self.key.p),
+            (REGION_SQ, self.key.dq, self.key.q),
+        ):
+            squares = _square_schedule(exponent)
+            last = self.ops[start + len(squares) - 1]
+            halves[region] = _Half(
+                start, exponent, modulus, squares, last.product % modulus
+            )
+            start += len(squares)
+        return halves
 
 
 @functools.lru_cache(maxsize=TRACE_MEMO_SIZE)
@@ -230,7 +223,53 @@ def trace_victim(key: RSAKey, message: int) -> VictimTrace:
 
 
 def replay_with_fault(
-    key: RSAKey, message: int, op_index: int, corruptor: Callable[[int], int]
+    trace: VictimTrace, op_index: int, corruptor: Callable[[int], int]
 ) -> int:
-    """The signature produced with operation ``op_index`` corrupted."""
-    return RSACRTSigner(key).sign(ReplayALU(op_index, corruptor), message)
+    """The signature produced with operation ``op_index`` corrupted.
+
+    ``corruptor`` maps the op's exact product to the faulted multiplier's
+    output; every other op is exact.  Out-of-range indices corrupt
+    nothing and give the golden signature.
+
+    Inside an exponentiation (right-to-left square-and-multiply, bit
+    ``k``), with ``v`` the faulted product reduced mod ``m``:
+
+    * a faulted multiply ``result * acc`` leaves ``result = v``; every
+      later multiply is by ``acc`` squared once per bit, so the half is
+      ``v * acc ** (2 * (e >> (k+1))) % m``;
+    * a faulted squaring leaves ``acc = v``; the half is the result so
+      far (the last multiply before it, or 1) times ``v ** (e >> (k+1))``.
+
+    Garner's recombination then runs with the other half's golden value.
+    """
+    if not 0 <= op_index < trace.op_count:
+        return trace.golden_signature
+    key = trace.key
+    op = trace.ops[op_index]
+    halves = trace._halves
+    s_q = halves[REGION_SQ].golden
+    if op.region == REGION_RECOMBINE_MUL:
+        return (s_q + corruptor(op.product)) % key.n
+    value = corruptor(op.product) % op.reduce_mod
+    if op.region == REGION_RECOMBINE_H:
+        return (s_q + key.q * value) % key.n
+
+    half = halves[op.region]
+    m = half.modulus
+    position = op_index - half.start
+    rest = half.exponent >> (half.squares[:position].count(True) + 1)
+    if half.squares[position]:
+        prior = position - 1
+        while prior >= 0 and half.squares[prior]:
+            prior -= 1
+        result = trace.ops[half.start + prior].product % m if prior >= 0 else 1 % m
+        faulted = result * pow(value, rest, m) % m
+    else:
+        faulted = value * pow(op.rhs, rest << 1, m) % m
+
+    if op.region == REGION_SP:
+        s_p = faulted
+    else:
+        s_p, s_q = halves[REGION_SP].golden, faulted
+    h = key.qinv * ((s_p - s_q) % key.p) % key.p
+    return (s_q + key.q * h) % key.n

@@ -437,7 +437,9 @@ class RunRegistry:
             params.append(fingerprint + "%")
         if clauses:
             query += " WHERE " + " AND ".join(clauses)
-        query += " ORDER BY created_at DESC, run_id"
+        # created_at has one-second resolution; within a second the row
+        # inserted last (INSERT OR REPLACE re-inserts) is the newest.
+        query += " ORDER BY created_at DESC, rowid DESC"
         if limit:
             query += f" LIMIT {int(limit)}"
         with self._connect() as db:

@@ -36,9 +36,6 @@ from repro.faults.alu import BigIntALU
 from repro.explore import (
     DEFAULT_FAULT_MODELS,
     ExplorePlan,
-    ReplayALU,
-    TracedOp,
-    VictimTrace,
     canonical_json,
     corrupt,
     corruptor,
@@ -93,17 +90,22 @@ class TestVictimTrace:
         assert trace.golden_signature == pow(MESSAGE % KEY.n, KEY.d, KEY.n)
 
     def test_identity_replay_reproduces_golden(self, trace):
-        signature = replay_with_fault(KEY, MESSAGE, 0, lambda value: value)
-        assert signature == trace.golden_signature
+        for op_index in range(trace.op_count):
+            signature = replay_with_fault(trace, op_index, lambda value: value)
+            assert signature == trace.golden_signature, op_index
 
     def test_replay_ops_match_traced_ops(self, trace):
-        alu = ReplayALU(target_index=-1, corruptor=lambda value: value)
-        signature = RSACRTSigner(KEY).sign(alu, MESSAGE)
-        assert alu.op_count == trace.op_count
-        assert (signature, alu.op_count) == oracle_replay(-1, "zero")
+        # The op-by-op oracle issues exactly the traced ops, and an index
+        # outside them corrupts nothing on either side.
+        signature, op_count = oracle_replay(KEY, -1, "zero")
+        assert op_count == trace.op_count
+        assert signature == trace.golden_signature
+        for op_index in (-1, trace.op_count):
+            assert oracle_replay(KEY, op_index, "zero")[0] == signature
+            assert replay_with_fault(trace, op_index, corruptor("zero")) == signature
 
     def test_sp_fault_is_bellcore_exploitable(self, trace):
-        faulty = replay_with_fault(KEY, MESSAGE, 0, corruptor("flip:0"))
+        faulty = replay_with_fault(trace, 0, corruptor("flip:0"))
         result = bellcore_extract(KEY.n, KEY.e, MESSAGE, faulty)
         assert result is not None
         assert result.factors() == tuple(sorted((KEY.p, KEY.q)))
@@ -117,8 +119,9 @@ class TestVictimTrace:
 
 
 class OracleReplayALU(BigIntALU):
-    """The replay ALU without the CRT-half skip: every op runs through
-    ``bigmul``, including both exponentiations' full loops."""
+    """The single-fault replay run op by op: every multiply of the
+    signature goes through ``bigmul``, and the one at ``target_index``
+    returns ``corruptor(product)``."""
 
     def __init__(self, target_index, corruptor):
         self.target_index = target_index
@@ -133,32 +136,62 @@ class OracleReplayALU(BigIntALU):
         return product
 
 
-def oracle_replay(op_index, model):
+def oracle_replay(key, op_index, model):
     alu = OracleReplayALU(op_index, corruptor(model))
-    return RSACRTSigner(KEY).sign(alu, MESSAGE), alu.op_count
+    return RSACRTSigner(key).sign(alu, MESSAGE), alu.op_count
 
 
 class TestReplayEquivalence:
-    """``replay_with_fault`` (pow for the unfaulted CRT half) must agree
-    with the op-by-op oracle on every single-fault replay."""
+    """The closed-form ``replay_with_fault`` must agree with the op-by-op
+    oracle on every single-fault replay."""
 
-    def test_every_default_injection_matches_the_oracle(self, trace):
+    @pytest.mark.parametrize(
+        "key",
+        [
+            KEY,
+            RSAKey.generate(256, seed=42),
+            # RSA's CRT exponents are odd; even ones open each
+            # exponentiation with squarings before any multiply.
+            dataclasses.replace(KEY, dp=KEY.dp * 4, dq=KEY.dq * 2),
+        ],
+        ids=["128", "256", "even-exponents"],
+    )
+    def test_every_default_injection_matches_the_oracle(self, key):
+        trace = trace_victim(key, MESSAGE)
         for op_index in range(trace.op_count):
             for model in DEFAULT_FAULT_MODELS:
-                expected, _ = oracle_replay(op_index, model)
+                expected, _ = oracle_replay(key, op_index, model)
                 assert (
-                    replay_with_fault(KEY, MESSAGE, op_index, corruptor(model))
-                    == expected
+                    replay_with_fault(trace, op_index, corruptor(model)) == expected
                 ), (op_index, model)
 
     @settings(max_examples=60, deadline=None)
-    @given(op_index=st.integers(min_value=0, max_value=10_000),
-           bit=st.integers(min_value=0, max_value=300))
-    def test_bit_flips_match_the_oracle(self, op_index, bit):
-        op_index %= trace_victim(KEY, MESSAGE).op_count
+    @given(bits=st.sampled_from([64, 128, 256, 512]),
+           key_seed=st.integers(min_value=0, max_value=3),
+           position=st.integers(min_value=-2, max_value=10_000),
+           bit=st.integers(min_value=0, max_value=1100))
+    def test_bit_flips_match_the_oracle(self, bits, key_seed, position, bit):
+        key = RSAKey.generate(bits, seed=key_seed)
+        trace = trace_victim(key, MESSAGE)
+        # Two indices past the trace are drawn too: they corrupt nothing.
+        op_index = position if position < 0 else position % (trace.op_count + 2)
         model = f"flip:{bit}"
-        expected, _ = oracle_replay(op_index, model)
-        assert replay_with_fault(KEY, MESSAGE, op_index, corruptor(model)) == expected
+        expected, _ = oracle_replay(key, op_index, model)
+        assert replay_with_fault(trace, op_index, corruptor(model)) == expected
+
+    def test_replay_runs_no_alu_arithmetic(self, trace, monkeypatch):
+        expected = [oracle_replay(KEY, op_index, "flip:0")[0]
+                    for op_index in range(trace.op_count)]
+
+        def forbidden(*args):
+            raise AssertionError("replay ran BigIntALU arithmetic")
+
+        monkeypatch.setattr(BigIntALU, "modexp", forbidden)
+        monkeypatch.setattr(BigIntALU, "modmul", forbidden)
+        for op_index in range(trace.op_count):
+            assert replay_with_fault(trace, op_index, corruptor("flip:0")) == (
+                expected[op_index]
+            )
 
 
 class TestFaultModels:
@@ -191,34 +224,7 @@ class TestPruningSoundness:
         assert plan.enumerated == trace.op_count * len(DEFAULT_FAULT_MODELS)
         golden = trace.golden_signature
         for op_index, model in plan.masked:
-            assert replay_with_fault(KEY, MESSAGE, op_index, corruptor(model)) == golden
-
-    def test_equivalence_members_share_the_representative_verdict(self, trace):
-        plan = enumerate_injections(trace, DEFAULT_FAULT_MODELS)
-
-        def verdict(op_index, model):
-            signature = replay_with_fault(KEY, MESSAGE, op_index, corruptor(model))
-            if signature == trace.golden_signature:
-                return "masked"
-            result = bellcore_extract(KEY.n, KEY.e, MESSAGE, signature)
-            if result is not None and result.factors() == tuple(sorted((KEY.p, KEY.q))):
-                return "exploitable"
-            return "corrupted"
-
-        for cls in plan.classes:
-            verdicts = {verdict(cls.op_index, model) for model in cls.members}
-            assert len(verdicts) == 1
-
-    def test_equivalence_collapses_identical_corruptions(self):
-        # A product of exactly 2^64: trunc64 and zero both corrupt it to
-        # 0, so they must land in one class with a single representative.
-        op = TracedOp(index=0, lhs=1 << 32, rhs=1 << 32, product=1 << 64,
-                      reduce_mod=KEY.p, region="sp")
-        trace = VictimTrace(key=KEY, message=MESSAGE, golden_signature=0, ops=(op,))
-        plan = enumerate_injections(trace, ("trunc64", "zero"))
-        assert plan.simulated == 1
-        assert plan.pruned_equivalent == 1
-        assert plan.classes[0].members == ("trunc64", "zero")
+            assert replay_with_fault(trace, op_index, corruptor(model)) == golden
 
     def test_grid_safe_points_probe_safe_on_a_live_machine(self):
         point_plan = prune_points(PLAN, ("imul",))
@@ -243,10 +249,9 @@ class TestPruningSoundness:
             stats["points_pruned_safe"] + stats["points_probed"]
         )
         assert stats["injections_enumerated"] == (
-            stats["injections_pruned_masked"]
-            + stats["injections_pruned_equivalent"]
-            + stats["injections_simulated"]
+            stats["injections_pruned_masked"] + stats["injections_simulated"]
         )
+        assert stats["injections_pruned_equivalent"] == 0
 
 
 class TestMapIdentity:

@@ -569,6 +569,21 @@ class TestCLIRunsAndStatus:
         assert run_id in out
         assert "fuzz/Sky Lake/case@0" in out
 
+    def test_runs_in_one_second_list_newest_first(self, registry, monkeypatch):
+        monkeypatch.setattr(
+            "repro.registry.registry._utc_now", lambda: "2026-01-01T00:00:00Z"
+        )
+        first = _record_fuzz_run(registry)
+        session = _session(registry)
+        session.run_jobs(_fuzz_jobs(2))
+        second = session.record_run()
+        session.close()
+        assert second != first
+        assert [run["run_id"] for run in registry.runs()] == [second, first]
+        # Re-recording a run makes it the newest again.
+        assert _record_fuzz_run(registry) == first
+        assert [run["run_id"] for run in registry.runs()] == [first, second]
+
     def test_status_registry(self, registry, capsys):
         _record_fuzz_run(registry)
         record_point(
