@@ -3,24 +3,27 @@
 Executors run batches of :class:`~repro.engine.jobs.JobSpec` and return
 :class:`~repro.engine.jobs.JobResult` lists *in input order*.  Because
 every job derives its randomness from a seed stream keyed by its own
-identity, the two executors are interchangeable: sharding a sweep across
+identity, the executors are interchangeable: sharding a sweep across
 worker processes reproduces the serial output byte for byte, only
 faster.  Selection is config-driven:
 
-* ``REPRO_EXECUTOR`` — ``serial`` (default) or ``process``;
+* ``REPRO_EXECUTOR`` — ``serial`` (default), ``process`` or ``remote``;
 * ``REPRO_WORKERS`` — worker count for the process pool;
+* ``REPRO_COORDINATOR`` — the coordinator URL of the remote executor;
 * ``REPRO_JOB_RETRIES`` / ``REPRO_JOB_TIMEOUT`` / ``REPRO_RETRY_BACKOFF``
   — the supervision policy (see :class:`~repro.engine.resilience.RetryPolicy`);
 * the CLI's ``--executor`` / ``--workers`` flags override the first two.
 
-:class:`ParallelExecutor` is a *supervised* executor: instead of a bare
-``pool.map`` (where one worker crash or hung job aborted the whole batch
-and discarded every completed result) it drives submit/wait futures with
-per-job timeouts, bounded deterministic-backoff retries,
-``BrokenProcessPool`` recovery (respawn, requeue in-flight jobs, keep
-completed results), poison-job quarantine, and graceful degradation to
-inline execution when the pool cannot be rebuilt.  None of this can
-perturb results: a retried job replays its exact seed stream.
+Every executor runs a batch on one attempt ledger,
+:class:`~repro.engine.leases.LeaseTable` — the table the campaign
+coordinator keeps for its fleet.  :class:`SerialExecutor` drains it one
+capacity-1 lease at a time.  :class:`ParallelExecutor` holds a one-job
+lease per pool submission, with the policy's timeout as its deadline:
+a worker exception is an error result, a timeout is the lease's
+expiry, and ``BrokenProcessPool`` expires every open lease, exactly as
+a SIGKILLed fleet worker's lease expires.  The ledger decides retry,
+requeue or quarantine; none of it can perturb results, because a
+retried job replays its exact seed stream.
 """
 
 from __future__ import annotations
@@ -28,10 +31,12 @@ from __future__ import annotations
 import os
 import time
 from abc import ABC, abstractmethod
-from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.engine.jobs import JobResult, JobSpec, execute_job
+from repro.engine.leases import JOB_PENDING, JOB_QUARANTINED, LEASE_EXPIRED, LeaseTable
 from repro.engine.resilience import (
     ChaosPolicy,
     Quarantined,
@@ -40,7 +45,7 @@ from repro.engine.resilience import (
     SupervisionStats,
     execute_supervised,
 )
-from repro.errors import ConfigurationError, JobFailedError
+from repro.errors import ConfigurationError
 
 #: Environment variables steering executor selection.
 EXECUTOR_ENV = "REPRO_EXECUTOR"
@@ -65,7 +70,9 @@ class Executor(ABC):
     #: Kind tag used by config, CLI output and bench artifacts.
     name: str = "abstract"
 
-    def __init__(self) -> None:
+    def __init__(self, *, policy: Optional[RetryPolicy] = None) -> None:
+        #: The attempt budget, timeout and backoff every job runs under.
+        self.policy = policy or RetryPolicy()
         #: Cumulative supervision bookkeeping; the session snapshots
         #: deltas into ``engine.retries`` / ``engine.requeues`` /
         #: ``engine.quarantined`` counters after every batch.
@@ -76,14 +83,14 @@ class Executor(ABC):
         self.failed_attempts: List[Dict[str, str]] = []
 
     def _record_failed_attempt(
-        self, job: JobSpec, attempt: int, error: BaseException
+        self, job: JobSpec, attempt: int, error_type: str
     ) -> None:
         self.failed_attempts.append(
             {
                 "fingerprint": job.fingerprint(),
                 "kind": job.kind,
                 "attempt": int(attempt),
-                "error_type": type(error).__name__,
+                "error_type": error_type,
             }
         )
 
@@ -120,19 +127,27 @@ class Executor(ABC):
         self.close()
 
 
-def _quarantine_result(
-    job: JobSpec, attempts: int, error: BaseException
+def quarantine_result(
+    job: JobSpec,
+    attempts: int,
+    failures: Sequence[Dict[str, Any]],
+    error: Optional[BaseException] = None,
 ) -> JobResult:
-    """The stand-in result for a poison job, with a parent-side flight dump."""
+    """The stand-in result for a poison job, from its failure history.
+
+    ``error`` is the terminal exception when the supervisor saw it; it
+    also gets a parent-side flight dump.
+    """
     from repro.observe.flight import dump_quarantine
 
-    path = dump_quarantine(job, error, attempts)
+    last = failures[-1] if failures else {}
+    path = dump_quarantine(job, error, attempts) if error is not None else None
     payload = Quarantined(
         fingerprint=job.fingerprint(),
         kind=job.kind,
         attempts=attempts,
-        error_type=type(error).__name__,
-        error_message=str(error),
+        error_type=str(last.get("error_type", "Error")),
+        error_message=str(last.get("error_message", "")),
         flight_dump=str(path) if path is not None else None,
     )
     return JobResult(
@@ -143,50 +158,98 @@ def _quarantine_result(
     )
 
 
-class SerialExecutor(Executor):
-    """Runs every job inline in the calling process.
+class SupervisedBatch:
+    """One ``run_jobs`` call on an attempt ledger.
 
-    Carries the same retry/quarantine supervision as the pool executor
-    (minus worker kills and timeouts, which need a process boundary), so
-    a campaign degraded to serial execution keeps its failure semantics.
+    The ledger decides retry, requeue and quarantine; the batch books
+    each transition on its executor (stats, failed attempts, backoff,
+    quarantine stand-ins).  Keys are batch positions, or fingerprints
+    for the remote executor.
     """
 
-    name = "serial"
-
-    def __init__(self, *, policy: Optional[RetryPolicy] = None) -> None:
-        super().__init__()
-        self.policy = policy or RetryPolicy()
-
-    def _run_one(
+    def __init__(
         self,
-        job: JobSpec,
-        completed: Sequence[JobResult],
-        span_context=None,
-    ) -> JobResult:
+        executor: Executor,
+        progress: Optional[ProgressCallback],
+        jobs: Iterable[Tuple[Hashable, JobSpec]] = (),
+    ) -> None:
+        self.executor = executor
+        self.progress = progress
+        self.table = LeaseTable()
+        self.results: Dict[Hashable, JobResult] = {}
+        self.submit(jobs)
+
+    def submit(self, jobs: Iterable[Tuple[Hashable, JobSpec]]) -> None:
+        for key, job in jobs:
+            self.table.submit(key, job, self.executor.policy.max_attempts)
+
+    def land(self, key: Hashable, result: JobResult) -> None:
+        self.results[key] = result
+        if self.progress is not None:
+            self.progress(len(self.results), result)
+
+    def settle(self, key: Hashable, state: str, error: BaseException) -> None:
+        """Book the failed attempt that left ``key`` in ``state``."""
+        record = self.table.jobs[key]
+        self.executor._record_failed_attempt(
+            record.job, record.attempts, record.failures[-1]["error_type"]
+        )
+        if state == JOB_QUARANTINED:
+            self.executor.stats.quarantined += 1
+            self.land(
+                key,
+                quarantine_result(
+                    record.job, record.attempts, record.failures, error
+                ),
+            )
+
+    def fail(self, key: Hashable, error: BaseException) -> None:
+        """An attempt raised: retry after the backoff, or quarantine."""
+        state = self.table.fail(key, type(error).__name__, str(error))
+        self.settle(key, state, error)
+        if state == JOB_PENDING:
+            self.executor.stats.retries += 1
+            time.sleep(
+                self.executor.policy.backoff_for(self.table.jobs[key].attempts)
+            )
+
+    def run_inline(self, span_context) -> None:
+        """Drain the ledger in this process, one capacity-1 lease at a time.
+
+        Chaos injection never applies here: an inline kill would take
+        the calling process down.
+        """
         from repro.observe.spans import note_queue_wait
 
-        policy = self.policy
-        attempt = 0
         while True:
-            attempt += 1
+            lease = self.table.lease("inline", 1, None)
+            if lease is None:
+                return
+            key = lease.keys[0]
+            record = self.table.jobs[key]
             submitted = time.monotonic()
             try:
                 result = execute_job(
-                    job, span_context=span_context, attempt=attempt
+                    record.job, span_context=span_context, attempt=record.attempts
                 )
-                result.attempts = attempt
-                note_queue_wait(result.spans, result.span_wall, submitted)
-                return result
             except Exception as error:
-                self._record_failed_attempt(job, attempt, error)
-                if attempt < policy.max_attempts:
-                    self.stats.retries += 1
-                    time.sleep(policy.backoff_for(attempt))
-                    continue
-                if policy.quarantine:
-                    self.stats.quarantined += 1
-                    return _quarantine_result(job, attempt, error)
-                raise JobFailedError(job, attempt, error, completed) from error
+                self.fail(key, error)
+            else:
+                self.table.complete(key)
+                result.attempts = record.attempts
+                note_queue_wait(result.spans, result.span_wall, submitted)
+                self.land(key, result)
+
+
+class SerialExecutor(Executor):
+    """Runs every job inline in the calling process.
+
+    It drives the attempt ledger with capacity 1, so retries and
+    quarantine behave as on the pool; worker kills and timeouts need a
+    process boundary, so neither happens here.
+    """
+
+    name = "serial"
 
     def run_jobs(
         self,
@@ -195,13 +258,10 @@ class SerialExecutor(Executor):
         progress: Optional[ProgressCallback] = None,
         span_context=None,
     ) -> List[JobResult]:
-        results: List[JobResult] = []
-        for job in jobs:
-            result = self._run_one(job, results, span_context)
-            results.append(result)
-            if progress is not None:
-                progress(len(results), result)
-        return results
+        jobs = list(jobs)
+        batch = SupervisedBatch(self, progress, enumerate(jobs))
+        batch.run_inline(span_context)
+        return [batch.results[index] for index in range(len(jobs))]
 
 
 class ParallelExecutor(Executor):
@@ -213,23 +273,14 @@ class ParallelExecutor(Executor):
     increments home in :class:`JobResult.counters`; the session merges
     them into its registry.
 
-    Supervision (per :class:`RetryPolicy`):
-
-    * every attempt is a tracked future with an optional wall-clock
-      deadline; a timed-out attempt is abandoned (its late result, and
-      its late counters, are discarded) and the job retried;
-    * a failed attempt retries after a deterministic backoff, up to
-      ``max_attempts``, then is quarantined (default) or raises
-      :class:`~repro.errors.JobFailedError` carrying the batch's
-      completed results;
-    * ``BrokenProcessPool`` respawns the pool and requeues every
-      in-flight job — completed results are never lost, and a requeue
-      consumes one attempt so a chaos-killed job reruns on a clean
-      (never re-faulted) attempt number;
-    * after ``max_pool_respawns`` pool rebuilds in one batch the
-      executor degrades gracefully: the remaining jobs finish inline in
-      the calling process (without chaos injection — a kill would take
-      the session down) and the batch still completes.
+    Each pool submission is a one-job lease on the batch's ledger (see
+    the module docstring).  The pool-specific parts stay here: an
+    expired attempt cannot be preempted, so its future is abandoned — it
+    keeps occupying a worker, and its late result and counters are
+    discarded; a broken pool is respawned; and after
+    ``max_pool_respawns`` rebuilds in one batch the remaining jobs
+    finish inline on the same ledger, without chaos injection (a kill
+    would take the session down).
 
     An optional :class:`ChaosPolicy` is shipped to workers with every
     attempt; see :mod:`repro.engine.resilience`.
@@ -244,11 +295,10 @@ class ParallelExecutor(Executor):
         policy: Optional[RetryPolicy] = None,
         chaos: Optional[ChaosPolicy] = None,
     ) -> None:
-        super().__init__()
+        super().__init__(policy=policy)
         if workers is not None and workers < 1:
             raise ConfigurationError("workers must be at least 1")
         self.workers = workers or max(1, os.cpu_count() or 1)
-        self.policy = policy or RetryPolicy()
         self.chaos = chaos
         self._pool = None
 
@@ -283,200 +333,117 @@ class ParallelExecutor(Executor):
         if not jobs:
             return []
         policy = self.policy
+        batch = SupervisedBatch(self, progress, enumerate(jobs))
+        table = batch.table
         pool = self._ensure_pool()
-
-        results: List[Optional[JobResult]] = [None] * len(jobs)
-        completed = 0
-        attempts = [0] * len(jobs)
-        queue = deque(range(len(jobs)))
-        #: future -> (job index, wall-clock deadline or None, submit time)
-        in_flight: Dict[Future, Tuple[int, Optional[float], float]] = {}
-        #: timed-out futures whose (stale) results must be discarded.
+        #: future -> (job index, submit time) of every open lease.
+        in_flight: Dict[Future, Tuple[int, float]] = {}
+        #: futures of expired leases; their late results are discarded.
         abandoned: Set[Future] = set()
         respawns_this_batch = 0
-        degraded = False
 
-        def completed_results() -> List[JobResult]:
-            return [r for r in results if r is not None]
-
-        def land(index: int, result: JobResult) -> None:
-            nonlocal completed
-            result.attempts = attempts[index]
-            results[index] = result
-            completed += 1
-            if progress is not None:
-                progress(completed, result)
-
-        def fail_attempt(index: int, error: BaseException) -> None:
-            """One attempt failed: back off and requeue, or give up."""
-            self._record_failed_attempt(jobs[index], attempts[index], error)
-            if attempts[index] < policy.max_attempts:
-                self.stats.retries += 1
-                time.sleep(policy.backoff_for(attempts[index]))
-                queue.append(index)
-                return
-            if policy.quarantine:
-                self.stats.quarantined += 1
-                land(index, _quarantine_result(jobs[index], attempts[index], error))
-                return
-            raise JobFailedError(
-                jobs[index], attempts[index], error, completed_results()
-            ) from error
-
-        def submit(index: int) -> None:
-            nonlocal pool
-            attempts[index] += 1
-            task = SupervisedTask(
-                job=jobs[index],
-                attempt=attempts[index],
-                chaos=self.chaos,
-                span_context=span_context,
-            )
+        while len(batch.results) < len(jobs):
             try:
-                future = pool.submit(execute_supervised, task)
-            except BrokenProcessPool:
-                # The pool died between batches; rebuilding here is free
-                # (no in-flight work to lose yet).
-                pool = self._respawn_pool()
-                future = pool.submit(execute_supervised, task)
-            submitted = time.monotonic()
-            deadline = (
-                submitted + policy.timeout_s
-                if policy.timeout_s is not None
-                else None
-            )
-            in_flight[future] = (index, deadline, submitted)
+                # Keep at most `workers` attempts in flight — counting
+                # abandoned attempts that still occupy a worker — so a
+                # submitted attempt starts (nearly) immediately and its
+                # deadline measures execution, not queueing.
+                capacity = self.workers - len(abandoned)
+                if table.queue and capacity <= 0:
+                    # The only way forward is a fresh pool (the wedged
+                    # processes are left to finish and die on their own).
+                    raise BrokenProcessPool(
+                        "every pool worker is stuck on a timed-out job"
+                    )
+                while len(in_flight) < capacity:
+                    lease = table.lease("pool worker", 1, policy.timeout_s)
+                    if lease is None:
+                        break
+                    index = lease.keys[0]
+                    task = SupervisedTask(
+                        job=jobs[index],
+                        attempt=table.jobs[index].attempts,
+                        chaos=self.chaos,
+                        span_context=span_context,
+                    )
+                    try:
+                        future = pool.submit(execute_supervised, task)
+                    except BrokenProcessPool:
+                        # The pool died between batches; rebuilding here
+                        # is free (no in-flight work to lose yet).
+                        pool = self._respawn_pool()
+                        future = pool.submit(execute_supervised, task)
+                    in_flight[future] = (index, time.monotonic())
 
-        def recover_broken_pool(error: BaseException) -> None:
-            """Respawn (or degrade) and requeue every in-flight job."""
-            nonlocal pool, respawns_this_batch, degraded
-            casualties = sorted(index for index, _, _ in in_flight.values())
-            in_flight.clear()
-            abandoned.clear()
-            # A requeue keeps the attempt it consumed: the job that
-            # killed the worker must not re-run on the same (possibly
-            # chaos-faulted) attempt number, and innocent casualties
-            # rerun identically regardless (same seed stream).
-            self.stats.requeues += len(casualties)
-            for index in casualties:
-                if attempts[index] >= policy.max_attempts:
-                    # The crash consumed the last attempt.
-                    if policy.quarantine:
-                        self.stats.quarantined += 1
-                        land(
-                            index,
-                            _quarantine_result(jobs[index], attempts[index], error),
-                        )
-                    else:
-                        raise JobFailedError(
-                            jobs[index], attempts[index], error, completed_results()
-                        ) from error
-                else:
-                    queue.appendleft(index)
-            respawns_this_batch += 1
-            if respawns_this_batch > policy.max_pool_respawns:
-                degraded = True
-            else:
-                pool = self._respawn_pool()
-
-        while completed < len(results) and not degraded:
-            # Keep at most `workers` attempts in flight — counting
-            # abandoned (timed-out but unpreemptable) attempts that
-            # still occupy a worker — so a submitted attempt starts
-            # (nearly) immediately and its deadline measures execution,
-            # not queueing.
-            capacity = self.workers - len(abandoned)
-            if queue and capacity <= 0:
-                # Every worker is wedged on a timed-out attempt; the
-                # only way forward is a fresh pool (the old processes
-                # are left to finish and die on their own).
-                recover_broken_pool(
-                    TimeoutError("every pool worker is stuck on a timed-out job")
-                )
-                continue
-            try:
-                while queue and len(in_flight) < capacity:
-                    submit(queue.popleft())
-            except BrokenProcessPool as error:
-                recover_broken_pool(error)
-                continue
-
-            if not in_flight:
-                break
-            now = time.monotonic()
-            deadlines = [d for _, d, _ in in_flight.values() if d is not None]
-            wait_s = (
-                max(0.0, min(deadlines) - now) + 1e-3 if deadlines else None
-            )
-            done, _ = wait(
-                set(in_flight) | abandoned,
-                timeout=wait_s,
-                return_when=FIRST_COMPLETED,
-            )
-
-            for future in done:
-                if future in abandoned:
-                    # A late arrival from a timed-out attempt: discard
-                    # the result *and* its counters so nothing is
-                    # double-merged.
-                    abandoned.discard(future)
-                    continue
-                if future not in in_flight:
-                    continue
-                index, _deadline, submitted = in_flight.pop(future)
-                try:
-                    result = future.result()
-                except BrokenProcessPool as error:
-                    # counted as casualty
-                    in_flight[future] = (index, _deadline, submitted)
-                    recover_broken_pool(error)
-                    break
-                except Exception as error:
-                    fail_attempt(index, error)
-                else:
-                    note_queue_wait(result.spans, result.span_wall, submitted)
-                    land(index, result)
-
-            # Expire attempts past their deadline (they cannot be
-            # preempted: the future is abandoned, the job retried).
-            now = time.monotonic()
-            for future, (index, deadline, _submitted) in list(in_flight.items()):
-                if deadline is None or now < deadline or future.done():
-                    continue
-                del in_flight[future]
-                future.cancel()
-                if not future.cancelled():
-                    abandoned.add(future)
-                self.stats.timeouts += 1
-                fail_attempt(
-                    index,
-                    TimeoutError(
-                        f"job attempt exceeded {policy.timeout_s:g}s timeout"
+                deadlines = [
+                    lease.deadline
+                    for lease in table.leases.values()
+                    if lease.deadline is not None
+                ]
+                done, _ = wait(
+                    set(in_flight) | abandoned,
+                    timeout=(
+                        max(0.0, min(deadlines) - time.monotonic()) + 1e-3
+                        if deadlines
+                        else None
                     ),
+                    return_when=FIRST_COMPLETED,
                 )
+                broken: Optional[BaseException] = None
+                for future in done:
+                    if future in abandoned:
+                        # A late arrival from a timed-out attempt: drop
+                        # the result *and* its counters.
+                        abandoned.discard(future)
+                        continue
+                    index, submitted = in_flight.pop(future)
+                    try:
+                        result = future.result()
+                    except BrokenProcessPool as error:
+                        broken = error  # its lease stays open: a casualty
+                    except Exception as error:
+                        batch.fail(index, error)
+                    else:
+                        table.complete(index)
+                        note_queue_wait(result.spans, result.span_wall, submitted)
+                        batch.land(index, result)
+                if broken is not None:
+                    raise broken
 
-        if degraded:
-            # The pool could not be kept alive; finish inline so the
-            # batch still completes.  Chaos injection stays off in this
-            # mode (an inline kill would take the session down), which
-            # cannot change payloads — only chaos bookkeeping.
-            inline = SerialExecutor(policy=policy)
-            pending = sorted(set(queue) | {i for i, _, _ in in_flight.values()})
-            queue.clear()
-            in_flight.clear()
-            for index in pending:
-                self.stats.degraded += 1
-                result = inline._run_one(
-                    jobs[index], completed_results(), span_context
-                )
-                attempts[index] += result.attempts
-                land(index, result)
-            self.stats.retries += inline.stats.retries
-            self.stats.quarantined += inline.stats.quarantined
-            self.failed_attempts.extend(inline.drain_failed_attempts())
+                # An attempt past its deadline cannot be preempted: its
+                # future is abandoned and the job's lease expired.
+                for _lease, ((index, state),) in table.reap("TimeoutError"):
+                    future = next(f for f, (i, _) in in_flight.items() if i == index)
+                    del in_flight[future]
+                    if not future.cancel():
+                        abandoned.add(future)
+                    self.stats.timeouts += 1
+                    if state == JOB_PENDING:
+                        self.stats.retries += 1
+                    batch.settle(
+                        index,
+                        state,
+                        TimeoutError(
+                            f"job attempt exceeded {policy.timeout_s:g}s timeout"
+                        ),
+                    )
+            except BrokenProcessPool as error:
+                for lease_id in list(table.leases):
+                    for index, state in table.expire(
+                        lease_id, LEASE_EXPIRED, f"process pool broke: {error}"
+                    ):
+                        self.stats.requeues += 1
+                        batch.settle(index, state, error)
+                in_flight.clear()
+                abandoned.clear()
+                respawns_this_batch += 1
+                if respawns_this_batch > policy.max_pool_respawns:
+                    self.stats.degraded += len(jobs) - len(batch.results)
+                    batch.run_inline(span_context)
+                    break
+                pool = self._respawn_pool()
 
-        assert all(result is not None for result in results)
-        return results  # type: ignore[return-value]
+        return [batch.results[index] for index in range(len(jobs))]
 
     def close(self) -> None:
         if self._pool is not None:

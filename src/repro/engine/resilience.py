@@ -2,15 +2,15 @@
 
 Large characterization/attack campaigns (Tables 3-5 of the paper) run
 for a long time across many worker processes; production campaign
-runners survive their own failures.  This module holds the pieces the
-supervised :class:`~repro.engine.executors.ParallelExecutor` is built
+runners survive their own failures.  The attempt ledger
+(:mod:`repro.engine.leases`) decides retry, requeue and quarantine for
+every executor; this module holds the rest of what supervision is built
 from:
 
-* :class:`RetryPolicy` — per-job timeouts, bounded retries with a
-  *deterministic* backoff schedule, and the quarantine/strict switch.
-  Retries replay the job's exact named seed stream, so a job that
-  succeeds on attempt 3 returns the byte-identical payload it would
-  have returned on attempt 1.
+* :class:`RetryPolicy` — per-job timeouts and bounded retries with a
+  *deterministic* backoff schedule.  Retries replay the job's exact
+  named seed stream, so a job that succeeds on attempt 3 returns the
+  byte-identical payload it would have returned on attempt 1.
 * :class:`ChaosPolicy` — seeded, deterministic fault injection (worker
   kills, job exceptions, job stalls, torn cache writes).  The decision
   for a given (job fingerprint, attempt) is a pure function of the
@@ -36,7 +36,7 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, Optional
+from typing import Any, ClassVar, Dict, Optional
 
 from repro.engine.jobs import JobResult, JobSpec, execute_job
 from repro.errors import ChaosError, ConfigurationError
@@ -61,35 +61,32 @@ _DRAW_SEPARATOR = "\x1f"
 class RetryPolicy:
     """How the supervisor treats one job's attempts.
 
-    ``max_attempts`` bounds total tries (1 = no retries).  ``timeout_s``
-    is the per-attempt wall-clock budget (``None`` = unbounded; a timed
-    out attempt cannot be preempted, it is abandoned and its late result
-    discarded).  Backoff before attempt *n+1* is the deterministic
-    ``backoff_s * backoff_factor**(n-1)`` — no jitter, so two runs of
-    the same campaign retry on the same schedule.  With ``quarantine``
-    on (the default) a job that exhausts its budget is quarantined and
-    the campaign continues; off, the executor raises
-    :class:`~repro.errors.JobFailedError` carrying the batch's completed
-    results.  ``max_pool_respawns`` bounds how many times one batch may
-    rebuild a broken process pool before degrading to inline execution.
+    ``max_attempts`` bounds total tries (1 = no retries); a job that
+    exhausts it is quarantined and the campaign continues.
+    ``timeout_s`` is the per-attempt wall-clock budget (``None`` =
+    unbounded; a timed out attempt cannot be preempted, it is abandoned
+    and its late result discarded).  Backoff before attempt *n+1* is the
+    deterministic ``backoff_s * 2**(n-1)`` — no jitter, so two runs of
+    the same campaign retry on the same schedule.  ``max_pool_respawns``
+    bounds how many times one batch may rebuild a broken process pool
+    before degrading to inline execution.
     """
 
     max_attempts: int = 3
     timeout_s: Optional[float] = None
     backoff_s: float = 0.05
-    backoff_factor: float = 2.0
-    quarantine: bool = True
     max_pool_respawns: int = 2
+
+    #: Growth of the backoff from one retry to the next.
+    backoff_factor: ClassVar[float] = 2.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ConfigurationError("max_attempts must be at least 1")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ConfigurationError("timeout_s must be positive (or None)")
-        if self.backoff_s < 0 or self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                "backoff_s must be >= 0 and backoff_factor >= 1"
-            )
+        if self.backoff_s < 0:
+            raise ConfigurationError("backoff_s must be >= 0")
         if self.max_pool_respawns < 0:
             raise ConfigurationError("max_pool_respawns must be >= 0")
 
@@ -102,30 +99,19 @@ class RetryPolicy:
         """The policy selected by ``REPRO_JOB_RETRIES`` / ``REPRO_JOB_TIMEOUT``
         / ``REPRO_RETRY_BACKOFF`` (unset knobs keep their defaults)."""
         kwargs: Dict[str, Any] = {}
-        raw = os.environ.get(JOB_RETRIES_ENV)
-        if raw:
-            try:
-                kwargs["max_attempts"] = int(raw)
-            except ValueError as error:
-                raise ConfigurationError(
-                    f"{JOB_RETRIES_ENV} must be an integer, got {raw!r}"
-                ) from error
-        raw = os.environ.get(JOB_TIMEOUT_ENV)
-        if raw:
-            try:
-                kwargs["timeout_s"] = float(raw)
-            except ValueError as error:
-                raise ConfigurationError(
-                    f"{JOB_TIMEOUT_ENV} must be a number of seconds, got {raw!r}"
-                ) from error
-        raw = os.environ.get(RETRY_BACKOFF_ENV)
-        if raw:
-            try:
-                kwargs["backoff_s"] = float(raw)
-            except ValueError as error:
-                raise ConfigurationError(
-                    f"{RETRY_BACKOFF_ENV} must be a number of seconds, got {raw!r}"
-                ) from error
+        for env, name, parse, expected in (
+            (JOB_RETRIES_ENV, "max_attempts", int, "an integer"),
+            (JOB_TIMEOUT_ENV, "timeout_s", float, "a number of seconds"),
+            (RETRY_BACKOFF_ENV, "backoff_s", float, "a number of seconds"),
+        ):
+            raw = os.environ.get(env)
+            if raw:
+                try:
+                    kwargs[name] = parse(raw)
+                except ValueError as error:
+                    raise ConfigurationError(
+                        f"{env} must be {expected}, got {raw!r}"
+                    ) from error
         return cls(**kwargs)
 
 

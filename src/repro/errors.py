@@ -120,28 +120,6 @@ class ChaosError(ReproError):
     """
 
 
-class JobFailedError(ReproError):
-    """A supervised job exhausted its retry budget in strict mode.
-
-    Raised by an executor whose :class:`repro.engine.resilience.RetryPolicy`
-    has ``quarantine=False``.  Unlike the old ``pool.map`` failure mode,
-    the already-completed results of the batch are *not* discarded — they
-    travel on :attr:`partial` so the caller can persist or report them.
-    """
-
-    def __init__(self, job, attempts: int, cause: BaseException, partial) -> None:
-        super().__init__(
-            f"job {getattr(job, 'kind', 'job')} failed after {attempts} "
-            f"attempt(s): {type(cause).__name__}: {cause}"
-        )
-        self.job = job
-        self.attempts = attempts
-        self.cause = cause
-        #: Completed :class:`repro.engine.jobs.JobResult` list (input order,
-        #: holes for unfinished jobs removed).
-        self.partial = list(partial)
-
-
 class ObserveError(ReproError):
     """An observability operation failed (:mod:`repro.observe`).
 

@@ -24,10 +24,11 @@ without changing a line: submit the batch (span envelope on the HTTP
 headers), poll ``/v1/collect``, and hand back results in input order.
 When the coordinator stays unreachable beyond the retry budget — or
 stops making progress past ``max_wait_s`` — the executor degrades
-gracefully to inline execution with the same
-:class:`~repro.engine.resilience.RetryPolicy`, exactly like the process
-pool does when it cannot keep workers alive.  Degradation cannot change
-payload bytes; every job replays its named seed stream wherever it runs.
+gracefully: the remaining jobs finish inline on an attempt ledger under
+the same :class:`~repro.engine.resilience.RetryPolicy`, exactly like the
+process pool does when it cannot keep workers alive.  Degradation cannot
+change payload bytes; every job replays its named seed stream wherever
+it runs.
 """
 
 from __future__ import annotations
@@ -38,9 +39,15 @@ import urllib.error
 import urllib.request
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.executors import Executor, ProgressCallback, SerialExecutor
+from repro.engine.executors import (
+    Executor,
+    ProgressCallback,
+    SupervisedBatch,
+    quarantine_result,
+)
 from repro.engine.jobs import JobResult, JobSpec
-from repro.engine.resilience import ChaosPolicy, Quarantined, RetryPolicy
+from repro.engine.leases import LEASE_EXPIRED
+from repro.engine.resilience import ChaosPolicy, RetryPolicy
 from repro.errors import CoordinatorUnreachableError, ServeProtocolError
 from repro.registry.store import encode_object
 from repro.serve import protocol
@@ -189,9 +196,8 @@ class RemoteExecutor(Executor):
         max_wait_s: Optional[float] = None,
         transport: Optional[Transport] = None,
     ) -> None:
-        super().__init__()
+        super().__init__(policy=policy)
         self.url = url.rstrip("/")
-        self.policy = policy or RetryPolicy()
         self.chaos = chaos
         self.poll_interval_s = float(poll_interval_s)
         self.max_wait_s = max_wait_s
@@ -199,7 +205,7 @@ class RemoteExecutor(Executor):
 
     # -- landing results ---------------------------------------------------------
 
-    def _book_failures(self, fingerprint: str, job: JobSpec, entry: Dict) -> None:
+    def _book_failures(self, job: JobSpec, entry: Dict) -> None:
         """Fold the coordinator's failure history into local bookkeeping.
 
         Each entry becomes an ``attempt`` span in the fleet timeline via
@@ -208,22 +214,16 @@ class RemoteExecutor(Executor):
         """
         for failure in entry.get("failures", []):
             error_type = str(failure.get("error_type", "Error"))
-            self.failed_attempts.append(
-                {
-                    "fingerprint": fingerprint,
-                    "kind": job.kind,
-                    "attempt": int(failure.get("attempt", 0)),
-                    "error_type": error_type,
-                }
+            self._record_failed_attempt(
+                job, int(failure.get("attempt", 0)), error_type
             )
-            if error_type == "LeaseExpired":
+            if error_type == LEASE_EXPIRED:
                 self.stats.requeues += 1
             else:
                 self.stats.retries += 1
 
     def _land(
         self,
-        fingerprint: str,
         entry: Dict[str, Any],
         job: JobSpec,
         cached: bool,
@@ -231,26 +231,11 @@ class RemoteExecutor(Executor):
     ) -> JobResult:
         from repro.observe.spans import note_queue_wait
 
-        self._book_failures(fingerprint, job, entry)
+        self._book_failures(job, entry)
         attempts = int(entry.get("attempts", 1))
         if entry.get("status") == "quarantined":
-            failures = entry.get("failures", [])
-            last = failures[-1] if failures else {}
             self.stats.quarantined += 1
-            payload = Quarantined(
-                fingerprint=fingerprint,
-                kind=job.kind,
-                attempts=attempts,
-                error_type=str(last.get("error_type", "Error")),
-                error_message=str(last.get("error_message", "")),
-                flight_dump=None,
-            )
-            result = JobResult(
-                fingerprint=fingerprint,
-                payload=payload,
-                counters={},
-                attempts=attempts,
-            )
+            result = quarantine_result(job, attempts, entry.get("failures", []))
             result.origin = protocol.ORIGIN_REMOTE
             return result
         blob = protocol.decode_payload(str(entry["payload"]))
@@ -267,26 +252,6 @@ class RemoteExecutor(Executor):
             # queue_wait_s in the fleet timeline.
             note_queue_wait(result.spans, result.span_wall, submitted_s)
         return result
-
-    # -- degradation -------------------------------------------------------------
-
-    def _degrade(
-        self,
-        jobs: Sequence[JobSpec],
-        completed: List[JobResult],
-        progress: Optional[ProgressCallback],
-        span_context,
-        land: Callable[[JobSpec, JobResult], None],
-    ) -> None:
-        """Finish ``jobs`` inline under the same retry policy."""
-        inline = SerialExecutor(policy=self.policy)
-        for job in jobs:
-            self.stats.degraded += 1
-            result = inline._run_one(job, completed, span_context)
-            land(job, result)
-        self.stats.retries += inline.stats.retries
-        self.stats.quarantined += inline.stats.quarantined
-        self.failed_attempts.extend(inline.drain_failed_attempts())
 
     # -- the executor contract ---------------------------------------------------
 
@@ -305,15 +270,7 @@ class RemoteExecutor(Executor):
         for job, fingerprint in zip(jobs, fingerprints):
             by_fingerprint.setdefault(fingerprint, job)
 
-        results: Dict[str, JobResult] = {}
-        completed_count = 0
-
-        def land(fingerprint: str, result: JobResult) -> None:
-            nonlocal completed_count
-            results[fingerprint] = result
-            completed_count += 1
-            if progress is not None:
-                progress(completed_count, result)
+        batch = SupervisedBatch(self, progress)
 
         headers = protocol.span_headers(span_context)
         submit_message = {
@@ -330,20 +287,14 @@ class RemoteExecutor(Executor):
             "chaos": self.chaos.as_dict() if self.chaos is not None else None,
             "max_attempts": self.policy.max_attempts,
         }
+        unreachable = False
         try:
             reply, _ = self.transport.request(
                 "POST", "/v1/jobs", submit_message, headers=headers
             )
         except CoordinatorUnreachableError:
             # Never reached the fleet: the whole batch runs locally.
-            self._degrade(
-                [by_fingerprint[f] for f in sorted(by_fingerprint)],
-                list(results.values()),
-                progress,
-                span_context,
-                lambda job, result: land(job.fingerprint(), result),
-            )
-            return [results[fingerprint] for fingerprint in fingerprints]
+            reply, unreachable = {}, True
 
         cached = set(reply.get("cached", []))
         submitted_s = time.monotonic()
@@ -351,8 +302,7 @@ class RemoteExecutor(Executor):
         deadline = (
             submitted_s + self.max_wait_s if self.max_wait_s is not None else None
         )
-        unreachable = False
-        while pending:
+        while pending and not unreachable:
             try:
                 reply, _ = self.transport.request(
                     "POST",
@@ -367,10 +317,9 @@ class RemoteExecutor(Executor):
                 if fingerprint not in pending:
                     continue
                 pending.discard(fingerprint)
-                land(
+                batch.land(
                     fingerprint,
                     self._land(
-                        fingerprint,
                         entry,
                         by_fingerprint[fingerprint],
                         fingerprint in cached,
@@ -388,14 +337,11 @@ class RemoteExecutor(Executor):
             time.sleep(self.poll_interval_s)
 
         if unreachable and pending:
-            self._degrade(
-                [by_fingerprint[f] for f in sorted(pending)],
-                list(results.values()),
-                progress,
-                span_context,
-                lambda job, result: land(job.fingerprint(), result),
-            )
-        return [results[fingerprint] for fingerprint in fingerprints]
+            # Degrade: the rest finishes inline on the batch's ledger.
+            self.stats.degraded += len(pending)
+            batch.submit(sorted((f, by_fingerprint[f]) for f in pending))
+            batch.run_inline(span_context)
+        return [batch.results[fingerprint] for fingerprint in fingerprints]
 
 
 __all__ = [

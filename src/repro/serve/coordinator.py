@@ -1,45 +1,41 @@
 """Lease-based campaign coordinator (``repro serve``).
 
-The coordinator owns three pieces of state behind one lock:
+The coordinator keeps two pieces of state behind one lock:
 
-* a **job table** — every fingerprinted job ever submitted, with its
-  lifecycle state (``pending → leased → done | quarantined``), consumed
-  attempt count, and failure history;
-* a **lease table** — which worker currently holds which jobs, and the
-  monotonic deadline by which it must heartbeat;
+* the **attempt ledger** (:class:`repro.engine.leases.LeaseTable`) —
+  every fingerprinted job ever submitted, with its lifecycle state,
+  consumed attempt count and failure history, and which worker holds
+  which jobs until what deadline;
 * a **result store** — fleet-wide content-addressed dedup
   (:class:`repro.registry.store.ResultStore`, the on-disk result format
   the engine's disk cache uses too).
 
-Robustness semantics deliberately mirror PR-5's in-process supervisor
-(:class:`repro.engine.executors.ParallelExecutor`): leasing a job
-*consumes* an attempt, so a worker that is SIGKILLed or partitioned
-mid-lease simply stops heartbeating, its lease expires, and the jobs are
-re-queued at the *front* with their attempt numbers preserved — the next
-lease hands out attempt 2, the named seed streams replay, and the retry
-is byte-identical to an undisturbed first try.  A job that exhausts its
-attempt budget is quarantined with its failure history rather than
-poisoning the campaign.
+The ledger is the one every local executor drives too, so its rules are
+theirs: leasing a job *consumes* an attempt, so a worker that is
+SIGKILLed or partitioned mid-lease simply stops heartbeating, its lease
+expires, and the jobs are re-queued at the *front* with their attempt
+numbers preserved — the next lease hands out attempt 2, the named seed
+streams replay, and the retry is byte-identical to an undisturbed first
+try.  A job that exhausts its attempt budget is quarantined with its
+failure history rather than poisoning the campaign.  What stays here is
+protocol validation, HTTP, the store and the ``serve.*`` counters.
 
 Everything is stdlib: ``ThreadingHTTPServer`` in a daemon thread, JSON
 bodies, and the PR-9 span envelope carried on real HTTP headers.  The
-expiry reaper is *lazy* — it runs at the top of every state-mutating
-request instead of in a timer thread, which keeps the coordinator
-single-clocked and trivially testable (tests advance time by passing a
-``clock`` callable).
+expiry reaper is *lazy* — it runs at the top of every request instead
+of in a timer thread, which keeps the coordinator single-clocked and
+trivially testable (tests advance time by passing a ``clock`` callable).
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
+from repro.engine.leases import JOB_QUARANTINED, SETTLED_STATES, LeaseTable
 from repro.errors import ObserveError, ServeError, ServeProtocolError
 from repro.registry.store import ResultStore
 from repro.serve import protocol
@@ -50,31 +46,6 @@ DEFAULT_LEASE_TIMEOUT_S = 15.0
 
 #: Default attempt budget when a submission does not name one.
 DEFAULT_MAX_ATTEMPTS = 3
-
-
-@dataclass
-class _JobRecord:
-    """One fingerprinted job's lifecycle on the coordinator."""
-
-    fingerprint: str
-    kind: str
-    spec: str  # base64 pickle, exactly as submitted
-    max_attempts: int
-    state: str = protocol.JOB_PENDING
-    attempts: int = 0
-    lease_id: Optional[str] = None
-    failures: List[Dict[str, Any]] = field(default_factory=list)
-    envelope: Dict[str, str] = field(default_factory=dict)
-
-
-@dataclass
-class _Lease:
-    """One worker's claim over a set of jobs, valid until ``deadline``."""
-
-    lease_id: str
-    worker_id: str
-    deadline: float
-    fingerprints: Set[str] = field(default_factory=set)
 
 
 class Coordinator:
@@ -96,14 +67,10 @@ class Coordinator:
         self.lease_timeout_s = float(lease_timeout_s)
         self._host = host
         self._requested_port = port
-        self._clock = clock
         self._lock = threading.Lock()
-        self._jobs: Dict[str, _JobRecord] = {}
-        self._queue: Deque[str] = deque()
-        self._leases: Dict[str, _Lease] = {}
+        self._table = LeaseTable(clock=clock)
         self._workers: Set[str] = set()
         self._chaos: Optional[Dict[str, Any]] = None
-        self._lease_serial = 0
         self._server: Optional[_CoordinatorServer] = None
         self._thread: Optional[threading.Thread] = None
 
@@ -159,45 +126,21 @@ class Coordinator:
     def __exit__(self, *exc: Any) -> None:
         self.stop()
 
-    # -- lease-table mechanics ---------------------------------------------------
+    # -- ledger bookkeeping ------------------------------------------------------
 
-    def _reap_expired(self, now: float) -> None:
-        """Requeue (or quarantine) the jobs of every overdue lease.
+    def _count_requeue(self, state: str) -> None:
+        """Count one failed attempt that left its job in ``state``."""
+        if state == JOB_QUARANTINED:
+            self.registry.counter("serve.jobs.quarantined").inc()
+        else:
+            self.registry.counter("serve.jobs.requeued").inc()
 
-        Called under :attr:`_lock` at the top of each state-mutating
-        request.  Mirrors ``ParallelExecutor.recover_broken_pool``: the
-        attempt the dead worker consumed stays consumed, the jobs go to
-        the *front* of the queue, and a job already at its budget is
-        quarantined instead of requeued.
-        """
-        expired = [
-            lease for lease in self._leases.values() if lease.deadline < now
-        ]
-        for lease in expired:
-            del self._leases[lease.lease_id]
+    def _reap(self) -> None:
+        """Expire overdue leases; called under the lock by every request."""
+        for _lease, settled in self._table.reap():
             self.registry.counter("serve.leases.expired").inc()
-            for fingerprint in sorted(lease.fingerprints):
-                record = self._jobs.get(fingerprint)
-                if record is None or record.lease_id != lease.lease_id:
-                    continue
-                record.lease_id = None
-                record.failures.append(
-                    {
-                        "attempt": record.attempts,
-                        "error_type": "LeaseExpired",
-                        "error_message": (
-                            f"worker {lease.worker_id} missed its lease "
-                            f"deadline (lease {lease.lease_id})"
-                        ),
-                    }
-                )
-                if record.attempts >= record.max_attempts:
-                    record.state = protocol.JOB_QUARANTINED
-                    self.registry.counter("serve.jobs.quarantined").inc()
-                else:
-                    record.state = protocol.JOB_PENDING
-                    self._queue.appendleft(fingerprint)
-                    self.registry.counter("serve.jobs.requeued").inc()
+            for _fingerprint, state in settled:
+                self._count_requeue(state)
 
     # -- request handlers (all return (body-dict, extra-headers)) ----------------
 
@@ -221,7 +164,7 @@ class Coordinator:
         accepted: List[str] = []
         cached: List[str] = []
         with self._lock:
-            self._reap_expired(self._clock())
+            self._reap()
             if chaos is not None:
                 self._chaos = dict(chaos)
             for entry in jobs:
@@ -235,19 +178,17 @@ class Coordinator:
                     cached.append(fingerprint)
                     self.registry.counter("serve.jobs.deduped").inc()
                     continue
-                record = self._jobs.get(fingerprint)
                 # A done job whose stored result failed verification was
                 # just quarantined by the check above: run it afresh.
-                if record is None or record.state == protocol.JOB_DONE:
-                    record = _JobRecord(
-                        fingerprint=fingerprint,
-                        kind=str(entry["kind"]),
-                        spec=str(entry["spec"]),
-                        max_attempts=max_attempts,
-                        envelope=dict(envelope),
-                    )
-                    self._jobs[fingerprint] = record
-                    self._queue.append(fingerprint)
+                if self._table.submit(
+                    fingerprint,
+                    {
+                        "kind": str(entry["kind"]),
+                        "spec": str(entry["spec"]),
+                        "envelope": dict(envelope),
+                    },
+                    max_attempts,
+                ):
                     self.registry.counter("serve.jobs.submitted").inc()
                 # An in-flight duplicate submission shares the existing
                 # record — both clients collect the same result.
@@ -271,39 +212,24 @@ class Coordinator:
         capacity = int(message.get("capacity", 1))
         if capacity < 1:
             raise ServeProtocolError("'capacity' must be >= 1")
-        now = self._clock()
         with self._lock:
-            self._reap_expired(now)
+            self._reap()
             self._workers.add(worker_id)
+            lease = self._table.lease(
+                f"worker {worker_id}", capacity, self.lease_timeout_s
+            )
             granted: List[Dict[str, Any]] = []
             envelope: Dict[str, str] = {}
-            lease: Optional[_Lease] = None
-            while self._queue and len(granted) < capacity:
-                fingerprint = self._queue.popleft()
-                record = self._jobs.get(fingerprint)
-                if record is None or record.state != protocol.JOB_PENDING:
-                    continue
-                if lease is None:
-                    self._lease_serial += 1
-                    lease = _Lease(
-                        lease_id=f"lease-{self._lease_serial}",
-                        worker_id=worker_id,
-                        deadline=now + self.lease_timeout_s,
-                    )
-                    self._leases[lease.lease_id] = lease
-                    self.registry.counter("serve.leases.granted").inc()
-                record.state = protocol.JOB_LEASED
-                record.lease_id = lease.lease_id
-                record.attempts += 1  # leasing consumes the attempt
-                lease.fingerprints.add(fingerprint)
+            for fingerprint in lease.keys if lease is not None else ():
+                record = self._table.jobs[fingerprint]
                 if not envelope:
-                    envelope = dict(record.envelope)
+                    envelope = dict(record.job["envelope"])
                 granted.append(
                     {
                         "fingerprint": fingerprint,
-                        "kind": record.kind,
+                        "kind": record.job["kind"],
                         "attempt": record.attempts,
-                        "spec": record.spec,
+                        "spec": record.job["spec"],
                     }
                 )
             body: Dict[str, Any] = {
@@ -313,6 +239,7 @@ class Coordinator:
                 "chaos": self._chaos,
             }
             if lease is not None:
+                self.registry.counter("serve.leases.granted").inc()
                 body["lease_id"] = lease.lease_id
             return body, envelope
 
@@ -323,15 +250,12 @@ class Coordinator:
         protocol.check_protocol(headers)
         protocol.require(message, "lease_id")
         lease_id = str(message["lease_id"])
-        now = self._clock()
         with self._lock:
-            self._reap_expired(now)
-            lease = self._leases.get(lease_id)
-            if lease is None:
+            self._reap()
+            if not self._table.renew(lease_id, self.lease_timeout_s):
                 # Already reaped: the worker should abandon the batch —
                 # its jobs have been re-queued for someone else.
                 return {"ok": False, "reason": "unknown-lease"}, {}
-            lease.deadline = now + self.lease_timeout_s
             self.registry.counter("serve.leases.renewed").inc()
             return {"ok": True, "lease_timeout_s": self.lease_timeout_s}, {}
 
@@ -343,14 +267,13 @@ class Coordinator:
         protocol.require(message, "status")
         status = str(message["status"])
         with self._lock:
-            self._reap_expired(self._clock())
-            record = self._jobs.get(fingerprint)
+            self._reap()
+            record = self._table.jobs.get(fingerprint)
             if record is None:
                 raise ServeProtocolError(
                     f"result for unknown job {fingerprint[:12]}…"
                 )
-            lease = self._leases.get(record.lease_id or "")
-            if record.state in (protocol.JOB_DONE, protocol.JOB_QUARANTINED):
+            if record.state in SETTLED_STATES:
                 # Duplicate delivery (chaos, or a re-leased twin finishing
                 # after the original): the first result already won.
                 self.registry.counter("serve.results.duplicate").inc()
@@ -359,34 +282,22 @@ class Coordinator:
                 protocol.require(message, "payload")
                 blob = protocol.decode_payload(str(message["payload"]))
                 self.store.put(fingerprint, blob)
-                record.state = protocol.JOB_DONE
-                record.lease_id = None
+                self._table.complete(fingerprint)
                 self.registry.counter("serve.jobs.completed").inc()
             elif status == "error":
-                record.failures.append(
-                    {
-                        "attempt": int(message.get("attempt", record.attempts)),
-                        "error_type": str(message.get("error_type", "Error")),
-                        "error_message": str(message.get("error_message", "")),
-                    }
+                state = self._table.fail(
+                    fingerprint,
+                    str(message.get("error_type", "Error")),
+                    str(message.get("error_message", "")),
+                    attempt=int(message.get("attempt", record.attempts)),
                 )
-                record.lease_id = None
-                if record.attempts >= record.max_attempts:
-                    record.state = protocol.JOB_QUARANTINED
-                    self.registry.counter("serve.jobs.quarantined").inc()
-                else:
-                    record.state = protocol.JOB_PENDING
-                    self._queue.appendleft(fingerprint)
-                    self.registry.counter("serve.jobs.requeued").inc()
+                self._count_requeue(state)
+                if state != JOB_QUARANTINED:
                     self.registry.counter("serve.jobs.retries").inc()
             else:
                 raise ServeProtocolError(
                     f"result status must be 'ok' or 'error', got {status!r}"
                 )
-            if lease is not None:
-                lease.fingerprints.discard(fingerprint)
-                if not lease.fingerprints:
-                    self._leases.pop(lease.lease_id, None)
             return {"ok": True, "duplicate": False}, {}
 
     def handle_collect(
@@ -401,11 +312,11 @@ class Coordinator:
         done: Dict[str, Dict[str, Any]] = {}
         pending: List[str] = []
         with self._lock:
-            self._reap_expired(self._clock())
+            self._reap()
             for raw in fingerprints:
                 fingerprint = str(raw)
-                record = self._jobs.get(fingerprint)
-                if record is not None and record.state == protocol.JOB_QUARANTINED:
+                record = self._table.jobs.get(fingerprint)
+                if record is not None and record.state == JOB_QUARANTINED:
                     done[fingerprint] = {
                         "status": "quarantined",
                         "attempts": record.attempts,
@@ -432,14 +343,14 @@ class Coordinator:
         :attr:`registry` under ``counters``.
         """
         with self._lock:
-            self._reap_expired(self._clock())
+            self._reap()
             by_state: Dict[str, int] = {}
-            for record in self._jobs.values():
+            for record in self._table.jobs.values():
                 by_state[record.state] = by_state.get(record.state, 0) + 1
             return {
                 "protocol": protocol.PROTOCOL_VERSION,
-                "queue_depth": len(self._queue),
-                "leases": len(self._leases),
+                "queue_depth": len(self._table.queue),
+                "leases": len(self._table.leases),
                 "workers": sorted(self._workers),
                 "jobs": by_state,
                 "store": {

@@ -40,6 +40,8 @@ import base64
 import json
 from typing import Any, Dict, Mapping, Optional
 
+# Job states the coordinator reports are the attempt ledger's.
+from repro.engine.leases import JOB_DONE, JOB_LEASED, JOB_PENDING, JOB_QUARANTINED
 from repro.errors import ServeProtocolError
 from repro.observe.spans import (
     ENVELOPE_PARENT_KEY,
@@ -58,12 +60,6 @@ WORKER_HEADER = "repro-worker-id"
 
 #: Content type of every protocol body.
 CONTENT_TYPE = "application/json; charset=utf-8"
-
-#: Job states the coordinator's lease table moves jobs through.
-JOB_PENDING = "pending"
-JOB_LEASED = "leased"
-JOB_DONE = "done"
-JOB_QUARANTINED = "quarantined"
 
 #: Result origins reported to the client (and recorded by the session).
 ORIGIN_REMOTE = "remote"

@@ -6,8 +6,8 @@ replays its exact named seed stream, a respawned pool re-runs only the
 jobs that were in flight, a campaign rerun over its disk cache serves
 byte-identical payloads, and a campaign run under deterministic chaos
 injection converges to the failure-free result.  These tests pin each of those
-properties, plus the failure semantics themselves (quarantine, strict
-mode, graceful degradation).
+properties, plus the failure semantics themselves (quarantine, graceful
+degradation).
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import json
 import os
 import pickle
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, ClassVar, Dict, Tuple
@@ -41,12 +43,7 @@ from repro.engine.resilience import (
     JOB_TIMEOUT_ENV,
     RETRY_BACKOFF_ENV,
 )
-from repro.errors import (
-    ChaosError,
-    ConfigurationError,
-    JobFailedError,
-    ReproError,
-)
+from repro.errors import ChaosError, ConfigurationError, ReproError
 from repro.observe import load_flight_dump
 
 
@@ -118,7 +115,7 @@ def scripted_batch(scratch, count=4, **first_job_kwargs):
 
 class TestRetryPolicy:
     def test_deterministic_backoff_schedule(self):
-        policy = RetryPolicy(backoff_s=0.05, backoff_factor=2.0)
+        policy = RetryPolicy(backoff_s=0.05)
         assert [policy.backoff_for(n) for n in (1, 2, 3)] == [0.05, 0.1, 0.2]
 
     def test_from_env(self, monkeypatch):
@@ -146,9 +143,22 @@ class TestRetryPolicy:
         with pytest.raises(ConfigurationError):
             RetryPolicy(timeout_s=0.0)
         with pytest.raises(ConfigurationError):
-            RetryPolicy(backoff_factor=0.5)
+            RetryPolicy(backoff_s=-0.01)
         with pytest.raises(ConfigurationError):
             RetryPolicy(max_pool_respawns=-1)
+
+
+class TestRetiredKnobs:
+    """Quarantine is the one terminal outcome on every path, and the
+    backoff grows by a fixed factor: neither is a setting any more."""
+
+    @pytest.mark.parametrize(
+        "knob", [{"quarantine": False}, {"backoff_factor": 3.0}],
+        ids=["quarantine", "backoff_factor"],
+    )
+    def test_retired_knob_raises(self, knob):
+        with pytest.raises(TypeError):
+            RetryPolicy(**knob)
 
 
 class TestChaosPolicy:
@@ -195,7 +205,7 @@ class TestChaosPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Supervised execution: retries, quarantine, strict mode
+# Supervised execution: retries, quarantine, degradation
 # ---------------------------------------------------------------------------
 
 
@@ -221,25 +231,6 @@ class TestSerialSupervision:
         assert poison.error_type == "RuntimeError"
         assert [r.payload["value"] for r in results[1:]] == [10, 20, 30]
         assert executor.stats.quarantined == 1
-
-    def test_strict_mode_raises_with_partial_results(self, tmp_path):
-        """Regression: a mid-batch failure must not discard completed work.
-
-        The pre-supervision executor ran ``pool.map`` and lost every
-        finished result when any job raised; strict mode now hands the
-        completed prefix back on the exception.
-        """
-        executor = SerialExecutor(
-            policy=RetryPolicy(max_attempts=1, quarantine=False)
-        )
-        jobs = scripted_batch(tmp_path)
-        jobs[2] = ScriptedJob(
-            name="job2", scratch=str(tmp_path), fail_times=99
-        )
-        with pytest.raises(JobFailedError) as excinfo:
-            executor.run_jobs(jobs)
-        assert [r.payload["value"] for r in excinfo.value.partial] == [0, 10]
-        assert excinfo.value.attempts == 1
 
     def test_quarantine_writes_flight_dump(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path / "flight"))
@@ -297,19 +288,6 @@ class TestParallelSupervision:
             assert isinstance(results[0].payload, Quarantined)
             assert [r.payload["value"] for r in results[1:]] == [10, 20, 30]
 
-    def test_strict_mode_in_pool_carries_partial(self, tmp_path):
-        with ParallelExecutor(
-            1, policy=RetryPolicy(max_attempts=1, quarantine=False)
-        ) as executor:
-            jobs = scripted_batch(tmp_path)
-            jobs[2] = ScriptedJob(
-                name="job2", scratch=str(tmp_path), fail_times=99
-            )
-            with pytest.raises(JobFailedError) as excinfo:
-                executor.run_jobs(jobs)
-            done = {r.payload["name"] for r in excinfo.value.partial}
-            assert {"job0", "job1"} <= done
-
     def test_degrades_to_inline_when_pool_unrecoverable(self, tmp_path):
         with ParallelExecutor(
             2,
@@ -338,6 +316,80 @@ class TestParallelSupervision:
             )
             assert [r.payload["value"] for r in results] == [0, 10]
             assert all(r.attempts >= 2 for r in results)
+
+
+class _SerialFuture(Future):
+    """A future that hashes to its submission serial.
+
+    ``wait()`` hands its done futures back as a set; small-int hashes
+    fix that set's iteration order to submission order.
+    """
+
+    def __init__(self, serial: int) -> None:
+        super().__init__()
+        self._serial = serial
+
+    def __hash__(self) -> int:
+        return self._serial
+
+
+class _TogetherPool:
+    """A stand-in process pool whose futures complete on submission.
+
+    Every attempt submitted before the executor's next ``wait()`` is
+    done by then, so one wait round returns them together.  The job
+    named ``victim`` breaks the pool on its first attempt.
+    """
+
+    def __init__(self, victim: str, executions: list) -> None:
+        self.victim = victim
+        self.executions = executions
+        self.submitted = 0
+
+    def submit(self, fn, task):
+        future = _SerialFuture(self.submitted)
+        self.submitted += 1
+        if task.job.name == self.victim and task.attempt == 1:
+            future.set_exception(BrokenProcessPool("stand-in worker died"))
+        else:
+            self.executions.append(task.job.name)
+            future.set_result(fn(task))
+        return future
+
+    def shutdown(self, wait: bool = True) -> None:
+        pass
+
+
+class _TogetherPoolExecutor(ParallelExecutor):
+    def __init__(self, victim: str, executions: list, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self._make_pool = lambda: _TogetherPool(victim, executions)
+
+    def _ensure_pool(self):
+        if self._pool is None:
+            self._pool = self._make_pool()
+        return self._pool
+
+
+class TestPoolDeathRound:
+    def test_results_landing_with_a_pool_death_are_kept(self, tmp_path):
+        """A wait() round that returns one broken future beside finished
+        ones lands every finished result; only the broken attempt's job
+        is a casualty, so nothing re-executes."""
+        executions: list = []
+        jobs = scripted_batch(tmp_path, count=4)
+        executor = _TogetherPoolExecutor(
+            "job0",
+            executions,
+            workers=4,
+            policy=RetryPolicy(max_attempts=3, backoff_s=0.0),
+        )
+        results = executor.run_jobs(jobs)
+        assert [r.payload["value"] for r in results] == [0, 10, 20, 30]
+        assert sorted(executions) == ["job0", "job1", "job2", "job3"]
+        assert [r.attempts for r in results] == [2, 1, 1, 1]
+        assert executor.stats.requeues == 1
+        assert executor.stats.respawns == 1
 
 
 class TestExecuteSupervised:
