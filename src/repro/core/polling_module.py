@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.core.encoding import CoreStatus, decode_core_status, offset_voltage, read_request
@@ -218,6 +218,12 @@ class PollingCountermeasure(KernelModule):
         self._detection_margin_mv = detection_margin_mv
         self._recurring: Optional[RecurringEvent] = None
         self._jitter_event = None
+        # Per core, the raw (0x198, 0x150) pair of its last check and the
+        # verdict it gave: None for safe, else the decoded CoreStatus.
+        # ``_memo_revision`` is the unsafe set's revision the verdicts
+        # were taken against.
+        self._last_check: Dict[int, tuple] = {}
+        self._memo_revision = unsafe_states.revision
         self.stats = PollingStats(machine.telemetry.registry)
         self._tracer = machine.telemetry.tracer
         self._trace_on = self._tracer.enabled
@@ -266,6 +272,7 @@ class PollingCountermeasure(KernelModule):
         # load that raced an unload) would double-poll and double-count
         # every histogram sample once a second one is armed.
         self._disarm()
+        self._last_check.clear()
         self.stats.begin_lifetime()
         self._turnaround_base = self._turnaround.count
         self._turnaround_frozen = None
@@ -331,6 +338,9 @@ class PollingCountermeasure(KernelModule):
         """One iteration of Algo 3's outer loop: check every core."""
         self.stats.record_poll()
         now = self._machine.now
+        if self._unsafe_states.revision != self._memo_revision:
+            self._last_check.clear()
+            self._memo_revision = self._unsafe_states.revision
         for core in self._machine.processor.cores:
             self._check_core(core.index)
         if self._trace_on:
@@ -340,16 +350,28 @@ class PollingCountermeasure(KernelModule):
             )
 
     def _check_core(self, core_index: int) -> None:
-        """Algo 3, lines 4-7 for one core."""
+        """Algo 3, lines 4-7 for one core.
+
+        Both reads are issued and charged on every check.  Only the decode
+        and the unsafe-set lookup are skipped when the raw pair repeats
+        the core's last check: the verdict is a function of that pair.
+        """
         driver = self._machine.msr_driver
         self.stats.record_core_check()
         perf_value = driver.read(core_index, IA32_PERF_STATUS)  # line 4
         if not self._fast_offset_read:
             driver.write(core_index, MSR_OC_MAILBOX, read_request(plane=0))
         mailbox_value = driver.read(core_index, MSR_OC_MAILBOX)  # line 5
-        status = decode_core_status(perf_value, mailbox_value)
-        probe_offset = status.offset_mv - self._detection_margin_mv
-        if not self._unsafe_states.is_unsafe(status.frequency_ghz, probe_offset):
+        last = self._last_check.get(core_index)
+        if last is not None and last[0] == perf_value and last[1] == mailbox_value:
+            status = last[2]
+        else:
+            status = decode_core_status(perf_value, mailbox_value)
+            probe_offset = status.offset_mv - self._detection_margin_mv
+            if not self._unsafe_states.is_unsafe(status.frequency_ghz, probe_offset):
+                status = None
+            self._last_check[core_index] = (perf_value, mailbox_value, status)
+        if status is None:
             return  # line 6: not in (margin-widened) unsafe set
         now = self._machine.now
         self.stats.record_detection()
@@ -411,12 +433,15 @@ class PollingCountermeasure(KernelModule):
     def worst_case_turnaround_s(self) -> float:
         """Upper bound on unsafe-state dwell before remediation settles.
 
-        One full period (the attacker's write may land right after a
-        poll), plus the per-core ioctl chain, plus the regulator settle
-        latency of the remediation write — the two delay contributors
-        Sec. 5 names, plus the polling quantum.  Remediation *raises* the
-        voltage, so the fast raise latency applies.
+        The longest poll interval (the attacker's write may land right
+        after a poll; with jitter an interval runs up to
+        ``period * (1 + jitter)``), plus the per-core ioctl chain, plus
+        the regulator settle latency of the remediation write — the two
+        delay contributors Sec. 5 names, plus the polling quantum.
+        Remediation *raises* the voltage, so the fast raise latency
+        applies.
         """
         accesses = 3 if self._fast_offset_read else 4
         ioctl_chain = accesses * self._machine.msr_driver.access_latency_s
-        return self._period_s + ioctl_chain + self._machine.model.regulator_raise_latency_s
+        longest_interval = self._period_s * (1.0 + self._period_jitter)
+        return longest_interval + ioctl_chain + self._machine.model.regulator_raise_latency_s

@@ -65,17 +65,30 @@ class UnsafeStateSet:
     _unsafe: Dict[int, set] = field(default_factory=dict, repr=False)
     _crash: Dict[int, set] = field(default_factory=dict, repr=False)
 
+    #: Bumped by every mutation, so a consumer that memoizes verdicts (the
+    #: polling module) can tell the set changed under it.  It is not a
+    #: field: equality, :meth:`to_dict` and the pickled state leave it
+    #: out, so payload bytes do not depend on how a set was built.
+    revision = 0
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("revision", None)
+        return state
+
     # -- construction --------------------------------------------------------
 
     def add_unsafe(self, frequency_ghz: float, offset_mv: int) -> None:
         """Record a faulting cell (Algo 2, line 16)."""
         self._unsafe.setdefault(_freq_key(frequency_ghz), set()).add(int(offset_mv))
+        self.revision += 1
 
     def add_crash(self, frequency_ghz: float, offset_mv: int) -> None:
         """Record a crash cell (also unsafe — maximally so)."""
         key = _freq_key(frequency_ghz)
         self._crash.setdefault(key, set()).add(int(offset_mv))
         self._unsafe.setdefault(key, set()).add(int(offset_mv))
+        self.revision += 1
 
     def extend(self, cells: Iterable[CellResult]) -> None:
         """Fold a batch of probed cells into the set."""

@@ -156,10 +156,15 @@ class MSRFile:
 
     def read(self, core_index: int, address: int) -> int:
         """``rdmsr``: read a register on one core."""
-        definition = self.definition(address)
+        try:
+            definition = self._definitions[address]
+        except KeyError:
+            raise UnknownMSRError(address) from None
         value = self._values.get((core_index, address), definition.reset_value)
-        for hook in self._read_hooks.get(address, []):
-            value = hook(core_index, value) & _MASK64
+        hooks = self._read_hooks.get(address)
+        if hooks:
+            for hook in hooks:
+                value = hook(core_index, value) & _MASK64
         return value
 
     def write(self, core_index: int, address: int, value: int) -> bool:

@@ -81,6 +81,10 @@ class SimulatedProcessor:
             for i in range(model.core_count)
         ]
         self.msr = MSRFile()
+        #: Per core, the last ``Core.conditions`` snapshot that 0x198 was
+        #: encoded from and the encoded value: a poll of an unchanged core
+        #: reuses it instead of re-encoding.
+        self._perf_status_memo: List[Optional[tuple]] = [None] * len(self.cores)
         self.reboot_count = 0
         #: Optional runtime-invariant observer (repro.verify).  Called as
         #: ``observer(phase, core_index, value, command, response)`` with
@@ -169,9 +173,24 @@ class SimulatedProcessor:
         return response
 
     def _perf_status_read_hook(self, core_index: int, _stored: int) -> int:
-        """Synthesise IA32_PERF_STATUS from live core state."""
-        core = self.core(core_index)
-        return perf_status.encode(core.ratio, core.effective_voltage(self.now))
+        """Synthesise IA32_PERF_STATUS from live core state.
+
+        The voltage is the core's ``conditions`` snapshot's, which is
+        bit-identical to ``effective_voltage(now)``.  The snapshot object
+        only changes when the frequency or the applied offset moves, so
+        while it is the one last encoded the encoded value is reused.
+        """
+        try:
+            core = self.cores[core_index]
+        except IndexError:
+            core = self.core(core_index)  # raises CoreIndexError
+        conditions = core.conditions(self._clock())
+        memo = self._perf_status_memo[core_index]
+        if memo is not None and memo[0] is conditions:
+            return memo[1]
+        value = perf_status.encode(core.ratio, conditions.voltage_volts)
+        self._perf_status_memo[core_index] = (conditions, value)
+        return value
 
     def _perf_ctl_write_hook(self, core_index: int, value: int) -> Optional[int]:
         """Apply a requested P-state ratio from IA32_PERF_CTL bits [15:8]."""

@@ -58,9 +58,24 @@ PREVENTION_ATTACKS = ("imul", "plundervolt", "v0ltpwn")
 #: Victim secrets targeted by the prevention campaigns.  The values match
 #: the :class:`~repro.engine.AttackCampaignJob` defaults (``rsa_key_seed``
 #: and ``aes_key_hex``), so the recovered secrets in the matrix can be
-#: checked against them.
-PREVENTION_RSA_KEY = RSAKey.generate(512, seed=42)
+#: checked against them.  ``PREVENTION_RSA_KEY`` is built on first use
+#: (see :func:`__getattr__`).
 PREVENTION_AES_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+
+
+def __getattr__(name: str):
+    """Build ``PREVENTION_RSA_KEY`` on first access.
+
+    It is a 512-bit key generation, which the figure reproductions mount
+    no attack to need.  The key comes from the memoized
+    :meth:`RSAKey.generate`, so it is the very object the attack jobs
+    sign with, and it is kept as a module global once built.
+    """
+    if name == "PREVENTION_RSA_KEY":
+        key = RSAKey.generate(512, seed=42)
+        globals()[name] = key
+        return key
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def characterization(

@@ -46,6 +46,7 @@ from repro.explore.victim import (
     TracingALU,
     VictimTrace,
     modexp_op_count,
+    replay_op_by_op,
     replay_with_fault,
     trace_victim,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "modexp_op_count",
     "prune_points",
     "render_report",
+    "replay_op_by_op",
     "replay_with_fault",
     "run_explore",
     "trace_victim",

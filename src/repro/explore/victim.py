@@ -18,8 +18,10 @@ single-fault adversary of the ARMORY model).
   and finishes the exponentiation the fault lands in with one ``pow``:
   everything after a single fault is fault-free arithmetic on the
   corrupted value.  The other CRT half is the golden one, read from its
-  last traced multiply.  ``BigIntALU.modexp``, run op by op, is the
-  oracle the tests hold this closed form against.
+  last traced multiply.
+* :func:`replay_op_by_op` is the oracle the closed form is held against:
+  it signs again through ``BigIntALU.modexp``, op by op, corrupting the
+  one targeted multiply.
 
 Region labels are derived from the exponent structure: square-and-multiply
 over ``e`` issues ``popcount(e) + bit_length(e) - 1`` modular
@@ -273,3 +275,34 @@ def replay_with_fault(
         s_p, s_q = halves[REGION_SP].golden, faulted
     h = key.qinv * ((s_p - s_q) % key.p) % key.p
     return (s_q + key.q * h) % key.n
+
+
+class _OneFaultALU(BigIntALU):
+    """Exact arithmetic except the ``bigmul`` at ``target_index``, whose
+    product is replaced by ``corruptor(product)``."""
+
+    def __init__(self, target_index: int, corruptor: Callable[[int], int]) -> None:
+        self.target_index = target_index
+        self.corruptor = corruptor
+        self.op_count = 0
+
+    def bigmul(self, lhs: int, rhs: int) -> int:
+        product = lhs * rhs
+        if self.op_count == self.target_index:
+            product = self.corruptor(product)
+        self.op_count += 1
+        return product
+
+
+def replay_op_by_op(
+    key: RSAKey, message: int, op_index: int, corruptor: Callable[[int], int]
+) -> Tuple[int, int]:
+    """The single-fault replay run op by op: ``(signature, ops issued)``.
+
+    Every multiply of the signature goes through ``bigmul``; the one at
+    ``op_index`` is corrupted.  This is the oracle
+    :func:`replay_with_fault` must agree with, and the baseline its speed
+    is measured against.
+    """
+    alu = _OneFaultALU(op_index, corruptor)
+    return RSACRTSigner(key).sign(alu, message), alu.op_count

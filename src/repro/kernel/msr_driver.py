@@ -87,8 +87,10 @@ class MSRDriver:
 
     def read(self, core_index: int, address: int) -> int:
         """``rdmsr`` through the driver; charges ioctl latency."""
-        self.stats.reads += 1
-        self.stats.busy_seconds += self.access_latency_s
+        latency = self.latency_s
+        stats = self.stats
+        stats.reads += 1
+        stats.busy_seconds += latency
         self._reads_counter.inc()
         value = self.processor.rdmsr(core_index, address)
         if self._trace_on:
@@ -96,7 +98,7 @@ class MSRDriver:
                 "msr.read",
                 "msr",
                 self._now(),
-                self.access_latency_s,
+                latency,
                 track=f"core{core_index}",
                 address=f"0x{address:x}",
             )

@@ -94,10 +94,15 @@ class TestKey:
 
     def test_prevention_key_shares_the_memo(self):
         # A fresh interpreter, so no other test can have evicted the key.
+        # Importing the experiments generates no key; the first access
+        # builds it through the memo.
         script = (
             "from repro import experiments\n"
             "from repro.attacks.rsa_crt import RSAKey\n"
+            "assert RSAKey.generate.cache_info().misses == 0\n"
             "assert RSAKey.generate(512, seed=42) is experiments.PREVENTION_RSA_KEY\n"
+            "from repro.experiments import PREVENTION_RSA_KEY\n"
+            "assert PREVENTION_RSA_KEY is experiments.PREVENTION_RSA_KEY\n"
         )
         src = str(Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

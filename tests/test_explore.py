@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.attacks.rsa_crt import RSACRTSigner, RSAKey, bellcore_extract
+from repro.attacks.rsa_crt import RSAKey, bellcore_extract
 from repro.engine import (
     EngineSession,
     ExploreInjectionJob,
@@ -43,6 +43,7 @@ from repro.explore import (
     enumerate_injections,
     modexp_op_count,
     prune_points,
+    replay_op_by_op,
     replay_with_fault,
     run_explore,
     trace_victim,
@@ -118,27 +119,8 @@ class TestVictimTrace:
         assert trace_victim(KEY, MESSAGE) is trace
 
 
-class OracleReplayALU(BigIntALU):
-    """The single-fault replay run op by op: every multiply of the
-    signature goes through ``bigmul``, and the one at ``target_index``
-    returns ``corruptor(product)``."""
-
-    def __init__(self, target_index, corruptor):
-        self.target_index = target_index
-        self.corruptor = corruptor
-        self.op_count = 0
-
-    def bigmul(self, lhs, rhs):
-        product = lhs * rhs
-        if self.op_count == self.target_index:
-            product = self.corruptor(product)
-        self.op_count += 1
-        return product
-
-
 def oracle_replay(key, op_index, model):
-    alu = OracleReplayALU(op_index, corruptor(model))
-    return RSACRTSigner(key).sign(alu, MESSAGE), alu.op_count
+    return replay_op_by_op(key, MESSAGE, op_index, corruptor(model))
 
 
 class TestReplayEquivalence:
