@@ -1,12 +1,13 @@
-"""Disabled-path cost of span recording in the job execution pipeline.
+"""Cost of span recording in the job execution pipeline.
 
 Span tracing follows the telemetry layer's rule: observability must not
-tax the experiment.  With ``REPRO_SPANS=0`` every recorder is the shared
-``NULL_SPANS`` singleton and each phase costs one no-op context manager;
-with spans on, the per-phase cost is a couple of dict writes.  This
-benchmark races the same serial job batch with spans disabled against
+tax the experiment.  Every job attempt runs under a
+:class:`~repro.observe.spans.SpanRecorder`, and each phase it marks costs
+a couple of dict writes.  The baseline is a recorder subclass whose
+``phase()`` marks nothing, swapped in for ``execute_job``.  This
+benchmark races the same serial job batch under the baseline against
 itself (the spread is the machine's noise floor right now) and against
-the spans-enabled path, and pins the relative overhead to the same
+the real recorder, and pins the relative overhead to the same
 sub-percent regime as the telemetry-hook budget
 (``REPRO_OVERHEAD_BUDGET``, default 1%).
 """
@@ -19,7 +20,8 @@ from time import perf_counter
 
 from repro.core.characterization import CharacterizationConfig
 from repro.engine.jobs import CharacterizationRowJob, execute_job
-from repro.observe.spans import SPANS_ENV
+from repro.observe import spans
+from repro.telemetry import NULL_SPANS
 
 from conftest import record_trajectory, write_artifact
 
@@ -41,33 +43,40 @@ JOBS = tuple(
 )
 
 
-def _drain(enabled: bool) -> float:
-    os.environ[SPANS_ENV] = "1" if enabled else "0"
-    start = perf_counter()
-    for job in JOBS:
-        result = execute_job(job)
-        assert bool(result.spans) is enabled
-    return perf_counter() - start
+RECORDER = spans.SpanRecorder
 
 
-def _min_interleaved(settings) -> list:
-    best = [float("inf")] * len(settings)
+class BareRecorder(RECORDER):
+    """The span recorder with phase marking deleted."""
+
+    def phase(self, name: str, *, sim_start_s: float = 0.0):  # noqa: D102
+        return NULL_SPANS.phase(name)
+
+
+def _drain(recorder) -> float:
+    spans.SpanRecorder = recorder
+    try:
+        start = perf_counter()
+        for job in JOBS:
+            result = execute_job(job)
+            marked = any(record["kind"] == "phase" for record in result.spans)
+            assert marked is (recorder is RECORDER)
+        return perf_counter() - start
+    finally:
+        spans.SpanRecorder = RECORDER
+
+
+def _min_interleaved(recorders) -> list:
+    best = [float("inf")] * len(recorders)
     for _ in range(REPEATS):
-        for index, enabled in enumerate(settings):
-            best[index] = min(best[index], _drain(enabled))
+        for index, recorder in enumerate(recorders):
+            best[index] = min(best[index], _drain(recorder))
     return best
 
 
 def test_span_recording_cost_within_budget():
     budget = float(os.environ.get(BUDGET_ENV, DEFAULT_BUDGET))
-    prior = os.environ.get(SPANS_ENV)
-    try:
-        off_a, off_b, on = _min_interleaved([False, False, True])
-    finally:
-        if prior is None:
-            os.environ.pop(SPANS_ENV, None)
-        else:
-            os.environ[SPANS_ENV] = prior
+    off_a, off_b, on = _min_interleaved([BareRecorder, BareRecorder, RECORDER])
     off = min(off_a, off_b)
     noise = abs(off_a - off_b) / off
     overhead = (on - off) / off

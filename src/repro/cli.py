@@ -1052,17 +1052,12 @@ def _cmd_campaign(args) -> int:
         print("--spans-wall needs --spans PATH for the main timeline",
               file=sys.stderr)
     elif args.spans:
-        from repro.errors import ReproError
-
-        try:
-            path = session.export_spans(args.spans, wall_path=args.spans_wall)
-            print(f"span timeline written to {path} "
-                  "(open in https://ui.perfetto.dev)")
-            if args.spans_wall:
-                print(f"wall-clock span sidecar (non-deterministic) written "
-                      f"to {args.spans_wall}")
-        except ReproError as exc:
-            print(f"spans not exported: {exc}", file=sys.stderr)
+        path = session.export_spans(args.spans, wall_path=args.spans_wall)
+        print(f"span timeline written to {path} "
+              "(open in https://ui.perfetto.dev)")
+        if args.spans_wall:
+            print(f"wall-clock span sidecar (non-deterministic) written "
+                  f"to {args.spans_wall}")
     run_id = session.record_run()
     if run_id:
         print(f"recorded as run {run_id[:12]} "
@@ -1511,7 +1506,7 @@ def _cmd_spans(args) -> int:
     document = registry.spans_for(run_id)
     if document is None:
         print(f"run {run_id[:12]} has no recorded span timeline "
-              "(recorded before spans existed, or with REPRO_SPANS=0)",
+              "(recorded before spans existed)",
               file=sys.stderr)
         return 2
     timeline = FleetTimeline.from_dict(document)

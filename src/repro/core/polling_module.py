@@ -386,7 +386,8 @@ class PollingCountermeasure(KernelModule):
         # Detection-to-settled latency, the Sec. 5 decomposition: the
         # per-core ioctl chain (charged as driver busy time, not sim
         # time) plus the regulator's settle window for the remediation
-        # write (a raise, so the fast latency applies).
+        # write (fast when it raises the applied offset, slow when it
+        # lowers it).
         accesses = 3 if self._fast_offset_read else 4
         ioctl_chain = accesses * driver.access_latency_s
         regulator = self._machine.processor.core(core_index).regulator
@@ -433,15 +434,22 @@ class PollingCountermeasure(KernelModule):
     def worst_case_turnaround_s(self) -> float:
         """Upper bound on unsafe-state dwell before remediation settles.
 
-        The longest poll interval (the attacker's write may land right
-        after a poll; with jitter an interval runs up to
-        ``period * (1 + jitter)``), plus the per-core ioctl chain, plus
-        the regulator settle latency of the remediation write — the two
-        delay contributors Sec. 5 names, plus the polling quantum.
-        Remediation *raises* the voltage, so the fast raise latency
-        applies.
+        Also bounds every ``countermeasure.turnaround_s`` sample.  The
+        per-core ioctl chain plus the regulator settle latency of the
+        remediation write are the two delay contributors Sec. 5 names.
+        A remediation of an unsafe *applied* offset raises the voltage,
+        so the fast raise latency applies, after at most the longest
+        poll interval (the attacker's write may land right after a poll;
+        with jitter an interval runs up to ``period * (1 + jitter)``).
+        A remediation that *lowers* the applied offset (the unsafe
+        target was detected before the slow lowering applied it) ends
+        no unsafe dwell, but its sample is the slow lowering latency.
         """
         accesses = 3 if self._fast_offset_read else 4
         ioctl_chain = accesses * self._machine.msr_driver.access_latency_s
         longest_interval = self._period_s * (1.0 + self._period_jitter)
-        return longest_interval + ioctl_chain + self._machine.model.regulator_raise_latency_s
+        model = self._machine.model
+        return ioctl_chain + max(
+            longest_interval + model.regulator_raise_latency_s,
+            model.regulator_latency_s,
+        )

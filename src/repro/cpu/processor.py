@@ -18,7 +18,7 @@ property of *executing instructions* under given conditions and live in
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.errors import CoreIndexError
 from repro.cpu import ocm
@@ -38,6 +38,9 @@ from repro.cpu.msr import (
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.units import ratio_to_ghz
 
+if TYPE_CHECKING:
+    from repro.kernel.sim import Simulator
+
 
 class SimulatedProcessor:
     """A multi-core processor instance for one :class:`CPUModel`.
@@ -49,6 +52,10 @@ class SimulatedProcessor:
     clock:
         Zero-argument callable returning the current time in seconds;
         supplied by the test bench (manual clock or event simulator).
+    simulator:
+        The event simulator whose attached observers see every 0x150
+        transaction and the regulator request it makes; a processor on
+        a manual clock has none.
     """
 
     def __init__(
@@ -58,9 +65,11 @@ class SimulatedProcessor:
         *,
         shared_voltage_plane: bool = False,
         telemetry: Optional[Telemetry] = None,
+        simulator: Optional["Simulator"] = None,
     ) -> None:
         self.model = model
         self._clock = clock
+        self._simulator = simulator
         telemetry = telemetry or NULL_TELEMETRY
         self.telemetry = telemetry
         self._tracer = telemetry.tracer
@@ -86,12 +95,6 @@ class SimulatedProcessor:
         #: reuses it instead of re-encoding.
         self._perf_status_memo: List[Optional[tuple]] = [None] * len(self.cores)
         self.reboot_count = 0
-        #: Optional runtime-invariant observer (repro.verify).  Called as
-        #: ``observer(phase, core_index, value, command, response)`` with
-        #: ``phase`` of ``"command"`` (response ``None``, before the mailbox
-        #: acts) and ``"response"`` (after).  ``None`` keeps the 0x150 hot
-        #: path free of any extra work beyond one identity comparison.
-        self.ocm_observer: Optional[Callable] = None
         self._define_msrs()
 
     # -- construction ---------------------------------------------------------
@@ -147,11 +150,12 @@ class SimulatedProcessor:
         command = ocm.decode_command(value)
         core = self.core(core_index)
         self._ocm_counter.inc()
-        if self.ocm_observer is not None:
-            # Command-phase check runs BEFORE the mailbox acts so a broken
-            # decode is attributed to the protocol, not to whatever error
-            # the bogus offset triggers downstream.
-            self.ocm_observer("command", core_index, value, command, None)
+        observers = self._simulator.observers if self._simulator is not None else ()
+        for observer in observers:
+            # The command phase is observed BEFORE the mailbox acts so a
+            # broken decode is attributed to the protocol, not to whatever
+            # error the bogus offset triggers downstream.
+            observer.on_ocm("command", core_index, value, command, None)
         if self._trace_on:
             name = "ocm.write" if command.is_write else "ocm.read_request"
             self._tracer.instant(
@@ -160,16 +164,24 @@ class SimulatedProcessor:
             )
         if command.is_write:
             targets = self.cores if self.shared_voltage_plane else [core]
+            now = self.now
             for target in targets:
-                target.request_offset(command.plane, command.offset_mv, self.now)
+                target.request_offset(command.plane, command.offset_mv, now)
+                for observer in observers:
+                    observer.on_regulator_request(
+                        target.regulator,
+                        command.plane,
+                        target.regulator.transition(command.plane),
+                        now,
+                    )
             responded_units = command.offset_units
         else:
             responded_units = ocm.mv_to_units(core.target_offset_mv(command.plane))
         # The stored value is the mailbox response: busy bit cleared,
         # offset/plane fields reflecting the plane's target offset.
         response = ocm.encode_response(responded_units, command.plane)
-        if self.ocm_observer is not None:
-            self.ocm_observer("response", core_index, value, command, response)
+        for observer in observers:
+            observer.on_ocm("response", core_index, value, command, response)
         return response
 
     def _perf_status_read_hook(self, core_index: int, _stored: int) -> int:

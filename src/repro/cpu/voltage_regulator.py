@@ -23,7 +23,7 @@ is trivially testable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.cpu.ocm import VoltagePlane
@@ -74,9 +74,6 @@ class VoltageRegulator:
     slew: bool = False
     tracer: Optional[Tracer] = None
     track: str = "regulator"
-    #: Optional runtime-invariant observer (repro.verify); called as
-    #: ``observer(regulator, plane, transition, now)`` after each request.
-    observer: Optional[Callable] = field(default=None, repr=False)
     _transitions: Dict[VoltagePlane, _Transition] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -119,9 +116,11 @@ class VoltageRegulator:
                 from_mv=current,
                 to_mv=offset_mv,
             )
-        if self.observer is not None:
-            self.observer(self, plane, transition, now)
         return transition.settle_time
+
+    def transition(self, plane: VoltagePlane) -> Optional[_Transition]:
+        """The plane's most recent request (``None`` before the first)."""
+        return self._transitions.get(plane)
 
     def target_offset_mv(self, plane: VoltagePlane) -> float:
         """The most recently requested offset (what a read-back reports)."""

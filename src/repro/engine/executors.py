@@ -59,8 +59,7 @@ COORDINATOR_ENV = "REPRO_COORDINATOR"
 
 
 #: Per-job completion callback: ``progress(done_count, result)``.  Used
-#: by the engine session to keep its progress gauges current while a
-#: batch is in flight and to cache completed results as they land.
+#: by the engine session to cache completed results as they land.
 ProgressCallback = Callable[[int, JobResult], None]
 
 

@@ -675,11 +675,10 @@ class JobResult:
     #: *not* part of any fingerprint.
     attempts: int = 1
     #: Histogram snapshots (:meth:`repro.telemetry.registry.Histogram.marshal`)
-    #: and gauge values observed while the job ran — the rest of the
-    #: worker telemetry, marshalled home alongside the counters so
-    #: percentile columns survive the process boundary.
+    #: observed while the job ran — the rest of the worker telemetry,
+    #: marshalled home alongside the counters so percentile columns
+    #: survive the process boundary.
     histograms: Dict[str, Dict[str, Any]] = dataclasses.field(default_factory=dict)
-    gauges: Dict[str, float] = dataclasses.field(default_factory=dict)
     #: Deterministic span records for this attempt (job span + phases;
     #: see :mod:`repro.observe.spans`) and their wall-clock sidecar,
     #: kept strictly apart so the session's merged timeline stays
@@ -694,9 +693,9 @@ def execute_job(job: JobSpec, *, span_context=None, attempt: int = 1) -> JobResu
     Top-level by design so :class:`concurrent.futures.ProcessPoolExecutor`
     can pickle it by reference; the job spec itself travels by value.
     ``span_context`` is the session's propagated trace position
-    (:class:`repro.observe.spans.SpanContext`); with spans enabled the
-    attempt runs under a fresh :class:`~repro.observe.spans.SpanRecorder`
-    whose buffers ride home in the result.
+    (:class:`repro.observe.spans.SpanContext`); the attempt runs under a
+    fresh :class:`~repro.observe.spans.SpanRecorder` whose buffers ride
+    home in the result.
 
     An exception escaping the job (including an invariant violation) is
     re-raised unchanged, but first the job's trace tail is frozen into a
@@ -707,22 +706,18 @@ def execute_job(job: JobSpec, *, span_context=None, attempt: int = 1) -> JobResu
     of them when a directory is set and none otherwise.
     """
     from repro.observe.flight import FLIGHT_CAPACITY, flight_dir_from_env
-    from repro.observe.spans import NULL_SPANS, SpanRecorder, spans_enabled
+    from repro.observe.spans import SpanRecorder
 
     traced = flight_dir_from_env() is not None
     telemetry = Telemetry(max_events=FLIGHT_CAPACITY if traced else 0)
-    recorder = None
-    if spans_enabled():
-        recorder = SpanRecorder()
-        recorder.begin_job(
-            fingerprint=job.fingerprint(),
-            kind=job.kind,
-            attempt=attempt,
-            context=span_context,
-        )
-        telemetry._spans = recorder
-    else:
-        telemetry._spans = NULL_SPANS
+    recorder = SpanRecorder()
+    recorder.begin_job(
+        fingerprint=job.fingerprint(),
+        kind=job.kind,
+        attempt=attempt,
+        context=span_context,
+    )
+    telemetry.spans = recorder
     try:
         payload = job.run(telemetry)
     except Exception as error:
@@ -740,18 +735,13 @@ def execute_job(job: JobSpec, *, span_context=None, attempt: int = 1) -> JobResu
         for histogram in telemetry.registry.histograms()
         if histogram.count
     }
-    gauges = {gauge.name: gauge.value for gauge in telemetry.registry.gauges()}
-    spans: List[Dict[str, Any]] = []
-    span_wall: Dict[str, Dict[str, Any]] = {}
-    if recorder is not None:
-        recorder.finish_job()
-        spans, span_wall = recorder.export()
+    recorder.finish_job()
+    spans, span_wall = recorder.export()
     return JobResult(
         fingerprint=job.fingerprint(),
         payload=payload,
         counters=counters,
         histograms=histograms,
-        gauges=gauges,
         spans=spans,
         span_wall=span_wall,
     )

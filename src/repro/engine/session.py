@@ -45,7 +45,7 @@ from repro.engine.jobs import (
 from repro.engine.resilience import ChaosPolicy, Quarantined, SupervisionStats
 from repro.engine.seeds import SeedStream, seed_stream
 from repro.errors import ReproError
-from repro.observe.spans import FleetTimeline, spans_enabled
+from repro.observe.spans import FleetTimeline
 from repro.registry.registry import RunRegistry, code_fingerprint, compute_run_id
 from repro.registry.store import encode_object
 from repro.telemetry import Telemetry
@@ -118,23 +118,10 @@ class EngineSession:
         self._respawns_counter = self.telemetry.registry.counter(
             "engine.pool_respawns"
         )
-        # Live progress gauges: cumulative jobs submitted / finished this
-        # session (cached jobs finish instantly).  The per-job executor
-        # callback keeps "completed" current mid-batch.
-        self._progress_total = 0
-        self._progress_done = 0
-        self._progress_total_gauge = self.telemetry.registry.gauge(
-            "engine.progress.total"
-        )
-        self._progress_done_gauge = self.telemetry.registry.gauge(
-            "engine.progress.completed"
-        )
-        #: The fleet-wide span timeline (``None`` when ``REPRO_SPANS=0``):
-        #: every executed batch opens a batch span whose context is
-        #: propagated to workers, and their buffers merge back here.
-        self.timeline: Optional[FleetTimeline] = (
-            FleetTimeline() if spans_enabled() else None
-        )
+        #: The fleet-wide span timeline: every executed batch opens a
+        #: batch span whose context is propagated to workers, and their
+        #: buffers merge back here.
+        self.timeline = FleetTimeline()
         #: Wall-clock latency instruments (queue wait / execute time per
         #: job kind).  Deliberately a *separate* registry:
         #: ``self.telemetry`` stays fully deterministic.
@@ -176,10 +163,10 @@ class EngineSession:
     def _merge_telemetry(self, results: Iterable[JobResult]) -> None:
         """Fold worker-marshalled telemetry into the session registry.
 
-        Counters add, histogram snapshots merge exactly (aggregates are
-        commutative, the raw-sample window extends in input order) and
-        gauges take the last written value — all in input order, so the
-        merged state is byte-identical whichever executor ran the batch.
+        Counters add and histogram snapshots merge exactly (aggregates
+        are commutative, the raw-sample window extends in input order),
+        so the merged state is byte-identical whichever executor ran the
+        batch.
         """
         registry = self.telemetry.registry
         for result in results:
@@ -187,15 +174,6 @@ class EngineSession:
                 registry.counter(name).inc(value)
             for name, snapshot in getattr(result, "histograms", {}).items():
                 registry.histogram(name).merge(snapshot)
-            for name, value in getattr(result, "gauges", {}).items():
-                registry.gauge(name).set(value)
-
-    def _announce_jobs(self, submitted: int, finished: int) -> None:
-        """Advance the progress gauges by whole-job counts."""
-        self._progress_total += submitted
-        self._progress_done += finished
-        self._progress_total_gauge.set(self._progress_total)
-        self._progress_done_gauge.set(self._progress_done)
 
     def _note_progress(self, _done: int, result: JobResult, *, cache: bool) -> None:
         """Executor per-job callback: one more job finished.
@@ -204,8 +182,6 @@ class EngineSession:
         lands, not at batch end — so a SIGKILLed campaign rerun over the
         same disk cache serves every job that had finished.
         """
-        self._progress_done += 1
-        self._progress_done_gauge.set(self._progress_done)
         if not cache or isinstance(result.payload, Quarantined):
             return
         self.cache.put(result.fingerprint, result.payload)
@@ -229,11 +205,7 @@ class EngineSession:
         """Run one batch through the executor with full bookkeeping."""
         before = self.counters() if self.verifier is not None else None
         supervision_before = self.executor.stats.copy()
-        context = (
-            self.timeline.begin_batch([job.fingerprint() for job in jobs])
-            if self.timeline is not None
-            else None
-        )
+        context = self.timeline.begin_batch([job.fingerprint() for job in jobs])
         started = perf_counter()
         try:
             results = self.executor.run_jobs(
@@ -245,14 +217,13 @@ class EngineSession:
             self._sync_supervision(supervision_before)
         self._merge_telemetry(results)
         failures = self.executor.drain_failed_attempts()
-        if self.timeline is not None and context is not None:
-            self.timeline.end_batch(
-                context,
-                results,
-                failures=failures,
-                wall_s=perf_counter() - started,
-            )
-            self._observe_wall_latency(results)
+        self.timeline.end_batch(
+            context,
+            results,
+            failures=failures,
+            wall_s=perf_counter() - started,
+        )
+        self._observe_wall_latency(results)
         if self.verifier is not None:
             self.verifier.check_counter_conservation(
                 before, self.counters(), results
@@ -375,7 +346,6 @@ class EngineSession:
                     continue
                 self._cache_miss_counter.inc()
             pending.append(index)
-        self._announce_jobs(len(jobs), len(jobs) - len(pending))
         if pending:
             results = self._execute_batch([jobs[i] for i in pending], cache=cache)
             for index, result in zip(pending, results):
@@ -492,10 +462,6 @@ class EngineSession:
         ``wall_path`` (optional) additionally writes the labelled
         non-deterministic wall-clock lane layout.
         """
-        if self.timeline is None:
-            raise ReproError(
-                "span recording is disabled (REPRO_SPANS=0); nothing to export"
-            )
         from repro.telemetry.export import write_trace
 
         target = write_trace(path, self.timeline.to_events(), fmt=fmt)
@@ -573,7 +539,7 @@ class EngineSession:
             "batches": self.history,
             "metrics": self.telemetry.registry.snapshot(),
         }
-        if self.timeline is not None and len(self.timeline):
+        if len(self.timeline):
             # Everything in the summary except its "wall" key is
             # deterministic; compute_run_id folds neither in.
             manifest["spans"] = self.timeline.summary()
@@ -653,7 +619,7 @@ class EngineSession:
                 exc_info=True,
             )
             return None
-        if self.timeline is not None and len(self.timeline):
+        if len(self.timeline):
             try:
                 self.registry.record_spans(run_id, self.timeline.to_dict())
             except Exception:

@@ -11,13 +11,16 @@ product).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, MachineCheckError
 from repro.faults.margin import FaultModel, OperatingConditions
 from repro.telemetry import NULL_TELEMETRY, Telemetry
+
+if TYPE_CHECKING:
+    from repro.kernel.sim import SimObserver, Simulator
 
 _MASK64 = (1 << 64) - 1
 
@@ -56,7 +59,7 @@ class FaultInjector:
     binomial array draw — up to the first that faults or crashes, for
     callers (``FaultableALU.modexp``) whose conditions cannot move
     between windows.  Both consume the seeded stream, counters and
-    observer calls identically.
+    ``on_fault_window`` observer calls identically.
 
     Parameters
     ----------
@@ -71,9 +74,11 @@ class FaultInjector:
     telemetry:
         Optional observability hook; fault windows, injections and
         crashes are then counted and emitted as ``fault`` trace events.
-    clock:
-        Zero-argument time source for stamping fault events (the test
-        bench passes ``simulator.clock()``); defaults to a constant 0.
+    simulator:
+        The event simulator whose clock stamps fault events and whose
+        attached observers see every window and single-instruction
+        probe (the test bench passes its own); without one, events are
+        stamped at time 0.
     """
 
     def __init__(
@@ -83,7 +88,7 @@ class FaultInjector:
         *,
         max_recorded_events: int = 16,
         telemetry: Optional[Telemetry] = None,
-        clock: Optional[Callable[[], float]] = None,
+        simulator: Optional["Simulator"] = None,
     ) -> None:
         if max_recorded_events < 0:
             raise ConfigurationError("max_recorded_events must be non-negative")
@@ -93,14 +98,11 @@ class FaultInjector:
         telemetry = telemetry or NULL_TELEMETRY
         self._tracer = telemetry.tracer
         self._trace_on = telemetry.tracer.enabled
-        self._clock = clock or (lambda: 0.0)
+        self._clock = simulator.clock() if simulator is not None else (lambda: 0.0)
+        self._simulator = simulator
         self._windows_counter = telemetry.registry.counter("faults.windows")
         self._injected_counter = telemetry.registry.counter("faults.injected")
         self._crashes_counter = telemetry.registry.counter("faults.crashes")
-        #: Optional runtime-invariant observer (repro.verify); called as
-        #: ``observer(conditions, fault_count, crashed, instruction)`` after
-        #: every sampled window / single-instruction probe.
-        self.observer: Optional[Callable] = None
 
     @property
     def fault_model(self) -> FaultModel:
@@ -111,6 +113,9 @@ class FaultInjector:
     def rng(self) -> np.random.Generator:
         """The scenario-owned random generator all sampling flows through."""
         return self._rng
+
+    def _observers(self) -> Tuple["SimObserver", ...]:
+        return self._simulator.observers if self._simulator is not None else ()
 
     def _record_crash(self, conditions: OperatingConditions) -> None:
         """Count a crash and emit its ``fault.crash`` trace instant.
@@ -165,8 +170,8 @@ class FaultInjector:
         if crashed:
             self._record_crash(conditions)
         if crashed and raise_on_crash:
-            if self.observer is not None:
-                self.observer(conditions, 0, True, instruction)
+            for observer in self._observers():
+                observer.on_fault_window(conditions, 0, True, instruction)
             raise MachineCheckError(
                 f"machine check at {conditions.frequency_ghz:.1f} GHz / "
                 f"{conditions.voltage_volts * 1e3:.1f} mV "
@@ -205,8 +210,8 @@ class FaultInjector:
                         flipped_bit=flip.flipped_bit,
                     )
                 )
-        if self.observer is not None:
-            self.observer(conditions, fault_count, crashed, instruction)
+        for observer in self._observers():
+            observer.on_fault_window(conditions, fault_count, crashed, instruction)
         return WindowOutcome(
             ops=ops,
             fault_count=fault_count,
@@ -254,9 +259,11 @@ class FaultInjector:
                 if clean:
                     self._rng.binomial(trials[:clean], probability)
         self._windows_counter.inc(clean)
-        if self.observer is not None:
+        observers = self._observers()
+        if observers:
             for _ in range(clean):
-                self.observer(conditions, 0, False, instruction)
+                for observer in observers:
+                    observer.on_fault_window(conditions, 0, False, instruction)
         return clean
 
     def maybe_fault_value(
@@ -277,8 +284,8 @@ class FaultInjector:
         self._windows_counter.inc()
         if self._fault_model.is_crash(conditions.frequency_ghz, conditions.voltage_volts):
             self._record_crash(conditions)
-            if self.observer is not None:
-                self.observer(conditions, 0, True, instruction)
+            for observer in self._observers():
+                observer.on_fault_window(conditions, 0, True, instruction)
             raise MachineCheckError(
                 "machine check during single-instruction execution",
                 frequency_ghz=conditions.frequency_ghz,
@@ -288,13 +295,13 @@ class FaultInjector:
             conditions.frequency_ghz, conditions.voltage_volts, instruction=instruction
         )
         if probability <= 0.0 or self._rng.random() >= probability:
-            if self.observer is not None:
-                self.observer(conditions, 0, False, instruction)
+            for observer in self._observers():
+                observer.on_fault_window(conditions, 0, False, instruction)
             return None
         flip = self.flip_random_bit(value)
         self._injected_counter.inc()
-        if self.observer is not None:
-            self.observer(conditions, 1, False, instruction)
+        for observer in self._observers():
+            observer.on_fault_window(conditions, 1, False, instruction)
         if self._trace_on:
             self._tracer.instant(
                 "fault.injection", "fault", self._clock(), track="faults",

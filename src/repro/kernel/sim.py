@@ -137,8 +137,12 @@ class SimObserver:
     after the callback returns (the callback object, the simulated time
     the event advanced the clock by, and the callback's wall-clock cost),
     and ``after_run_until(simulator)`` once a :meth:`Simulator.run_until`
-    window completes.  The machine calls ``on_crash(machine)`` from
-    ``Machine.reboot``, and the invariant checker calls
+    window completes.  The machine's components call the rest: the
+    processor calls ``on_ocm`` around each 0x150 transaction and
+    ``on_regulator_request`` after each offset request it hands a
+    regulator, the fault injector calls ``on_fault_window`` after every
+    sampled window and single-instruction probe, ``Machine.reboot`` calls
+    ``on_crash(machine)``, and the invariant checker calls
     ``on_violation(violation)`` just before it raises.  Subclasses
     override the hooks they need.
     """
@@ -153,6 +157,27 @@ class SimObserver:
 
     def after_run_until(self, simulator: "Simulator") -> None:
         """A :meth:`Simulator.run_until` window completed."""
+
+    def on_ocm(
+        self,
+        phase: str,
+        core_index: int,
+        value: int,
+        command: Any,
+        response: Optional[int],
+    ) -> None:
+        """A 0x150 transaction: ``phase`` is ``"command"`` before the
+        mailbox acts (``response`` is ``None``), then ``"response"``."""
+
+    def on_regulator_request(
+        self, regulator: Any, plane: Any, transition: Any, now: float
+    ) -> None:
+        """A 0x150 write requested ``transition`` on ``regulator``'s plane."""
+
+    def on_fault_window(
+        self, conditions: Any, fault_count: int, crashed: bool, instruction: str
+    ) -> None:
+        """The fault injector sampled one window or single-instruction probe."""
 
     def on_crash(self, machine: Any) -> None:
         """The machine is recovering from a machine check."""

@@ -39,17 +39,15 @@ from repro.observe.report import (
     render_markdown,
 )
 from repro.observe.spans import (
-    NULL_SPANS,
     SPAN_SCHEMA_VERSION,
-    SPANS_ENV,
     FleetTimeline,
     SpanContext,
     SpanRecorder,
     derive_trace_id,
     job_span_id,
     note_queue_wait,
-    spans_enabled,
 )
+from repro.telemetry import NULL_SPANS
 
 __all__ = [
     "FLIGHT_DIR_ENV",
@@ -61,7 +59,6 @@ __all__ = [
     "PROFILE_SCHEMA_VERSION",
     "ProfileBucket",
     "REPORT_SCHEMA_VERSION",
-    "SPANS_ENV",
     "SPAN_SCHEMA_VERSION",
     "SimProfiler",
     "SpanContext",
@@ -77,5 +74,4 @@ __all__ = [
     "note_queue_wait",
     "render_markdown",
     "resolve_site",
-    "spans_enabled",
 ]

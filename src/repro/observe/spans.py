@@ -17,9 +17,8 @@ visibility with explicit trace-context propagation:
 * :class:`FleetTimeline` — the session-side merge.  Batches graft their
   workers' buffers in *input order* (never completion order), so the
   merged tree is identical whichever executor ran the jobs.
-* :data:`NULL_SPANS` — the shared no-op recorder behind the
-  ``REPRO_SPANS=0`` fast path (same sub-percent budget as disabled
-  telemetry, gated by ``benchmarks/test_bench_span_overhead.py``).
+* :data:`repro.telemetry.NULL_SPANS` — the shared no-op recorder of
+  every telemetry handle outside a job attempt.
 
 Determinism contract (the PR-4 profiler contract, extended): every field
 in a span *record* is simulation-time or identity-derived —
@@ -45,11 +44,6 @@ from repro.telemetry.events import PHASE_COMPLETE, TraceEvent
 #: Bumped whenever the span record layout or envelope keys change.
 SPAN_SCHEMA_VERSION = 1
 
-#: ``REPRO_SPANS=0`` (or false/no/off) disables span recording fleet-wide.
-#: Deliberately *not* in ``RESULT_AFFECTING_ENV``: spans observe job
-#: execution, they cannot change payloads (the parity suite is the proof).
-SPANS_ENV = "REPRO_SPANS"
-
 #: The span-context envelope keys — the future HTTP header names of the
 #: multi-host campaign protocol (ROADMAP item 3).
 ENVELOPE_TRACE_KEY = "repro-trace-id"
@@ -65,12 +59,6 @@ CAMPAIGN_SPAN_ID = "campaign"
 
 #: Separator keeping ("a","bc") and ("ab","c") on distinct trace ids.
 _DERIVE_SEPARATOR = "\x1f"
-
-
-def spans_enabled(environ: Optional[Mapping[str, str]] = None) -> bool:
-    """Whether span recording is on (default) for this process."""
-    env = os.environ if environ is None else environ
-    return env.get(SPANS_ENV, "").strip().lower() not in ("0", "false", "no", "off")
 
 
 def derive_trace_id(*parts: str) -> str:
@@ -187,21 +175,6 @@ class _PhaseHandle:
         return False
 
 
-class _NullPhaseHandle:
-    """Shared no-op phase handle (accepts ``end_sim`` writes, keeps nothing)."""
-
-    __slots__ = ("end_sim",)
-
-    def __init__(self) -> None:
-        self.end_sim: Optional[float] = None
-
-    def __enter__(self) -> "_NullPhaseHandle":
-        return self
-
-    def __exit__(self, *_exc) -> bool:
-        return False
-
-
 class SpanRecorder:
     """Worker-side span buffer for one job attempt.
 
@@ -211,8 +184,6 @@ class SpanRecorder:
     :class:`~repro.engine.jobs.JobResult`.  Records are purely
     sim-time/identity data; wall clocks land in the sidecar only.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self._trace_id = ""
@@ -324,31 +295,6 @@ class SpanRecorder:
             )
         records.extend(self._phases)
         return records, dict(self._wall)
-
-
-class _NullSpanRecorder(SpanRecorder):
-    """Recorder that drops everything (the ``REPRO_SPANS=0`` fast path)."""
-
-    enabled = False
-
-    def begin_job(self, **_kwargs) -> str:  # noqa: D102 - inherited contract
-        return ""
-
-    def phase(self, name: str, *, sim_start_s: float = 0.0):  # noqa: D102
-        return _NULL_PHASE
-
-    def finish_job(self, status: str = "ok") -> None:  # noqa: D102
-        return None
-
-    def export(self):  # noqa: D102 - inherited contract
-        return [], {}
-
-
-_NULL_PHASE = _NullPhaseHandle()
-
-#: The shared disabled recorder.  Stateless (nothing ever lands), so one
-#: instance serves every disabled telemetry handle.
-NULL_SPANS = _NullSpanRecorder()
 
 
 def note_queue_wait(

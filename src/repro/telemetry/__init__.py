@@ -2,8 +2,8 @@
 
 The subsystem has three parts:
 
-* :mod:`repro.telemetry.registry` — counters, gauges and sim-time
-  histograms with a no-op fast path when disabled;
+* :mod:`repro.telemetry.registry` — counters and sim-time histograms
+  with a no-op fast path when disabled;
 * :mod:`repro.telemetry.events` — a typed event tracer (spans, instants,
   counter samples) stamped with :meth:`Simulator.now`;
 * :mod:`repro.telemetry.export` — deterministic JSONL and Chrome
@@ -32,14 +32,12 @@ from repro.telemetry.export import (
     to_jsonl,
     write_trace,
 )
-from repro.telemetry.hub import NULL_TELEMETRY, Telemetry
+from repro.telemetry.hub import NULL_SPANS, NULL_TELEMETRY, Telemetry
 from repro.telemetry.registry import (
     NULL_COUNTER,
-    NULL_GAUGE,
     NULL_HISTOGRAM,
     NULL_REGISTRY,
     Counter,
-    Gauge,
     Histogram,
     Registry,
 )
@@ -49,12 +47,11 @@ __all__ = [
     "NULL_TELEMETRY",
     "Registry",
     "Counter",
-    "Gauge",
     "Histogram",
     "NULL_REGISTRY",
     "NULL_COUNTER",
-    "NULL_GAUGE",
     "NULL_HISTOGRAM",
+    "NULL_SPANS",
     "Tracer",
     "TraceEvent",
     "NULL_TRACER",

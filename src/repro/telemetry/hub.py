@@ -24,6 +24,37 @@ from repro.telemetry.export import write_trace
 from repro.telemetry.registry import NULL_REGISTRY, Registry
 
 
+class _NullPhase:
+    """Shared no-op phase handle (accepts ``end_sim`` writes, keeps nothing)."""
+
+    __slots__ = ("end_sim",)
+
+    def __init__(self) -> None:
+        self.end_sim: Optional[float] = None
+
+    def __enter__(self) -> "_NullPhase":
+        return self
+
+    def __exit__(self, *_exc) -> bool:
+        return False
+
+
+class _NullSpanRecorder:
+    """Span recorder that marks nothing: phases are no-op context managers."""
+
+    def phase(self, name: str, *, sim_start_s: float = 0.0) -> _NullPhase:
+        """A no-op phase handle."""
+        return _NULL_PHASE
+
+
+_NULL_PHASE = _NullPhase()
+
+#: The shared span recorder of every handle outside a job attempt;
+#: ``execute_job`` installs a :class:`repro.observe.spans.SpanRecorder`
+#: on the attempt's own handle.
+NULL_SPANS = _NullSpanRecorder()
+
+
 class Telemetry:
     """Bundled metric registry and event tracer for one machine/run."""
 
@@ -34,26 +65,9 @@ class Telemetry:
         # tracer: components then skip building events altogether.
         traced = enabled and max_events != 0
         self.tracer: Tracer = Tracer(max_events=max_events) if traced else NULL_TRACER
-        # Span recorder, bound lazily: repro.observe imports this module,
-        # so the recorder class cannot be imported at module level.
-        # ``execute_job`` installs the per-attempt recorder directly; an
-        # ad-hoc handle gets one (or the shared null) on first access.
-        self._spans = None
-
-    @property
-    def spans(self):
-        """The span recorder job code marks phases on (never ``None``).
-
-        Disabled telemetry — or ``REPRO_SPANS=0`` — hands out the shared
-        no-op recorder, keeping the hot path branch-free.
-        """
-        if self._spans is None:
-            from repro.observe.spans import NULL_SPANS, SpanRecorder, spans_enabled
-
-            self._spans = (
-                SpanRecorder() if (self.enabled and spans_enabled()) else NULL_SPANS
-            )
-        return self._spans
+        #: The span recorder job code marks phases on: the shared no-op
+        #: one until ``execute_job`` installs the attempt's recorder.
+        self.spans = NULL_SPANS
 
     @classmethod
     def disabled(cls) -> "Telemetry":
@@ -65,7 +79,7 @@ class Telemetry:
         return write_trace(path, self.tracer.events, fmt=fmt)
 
     def render_metrics(self) -> str:
-        """Human-readable dump of every counter/gauge/histogram."""
+        """Human-readable dump of every counter/histogram."""
         return self.registry.render()
 
     def __repr__(self) -> str:

@@ -1,4 +1,4 @@
-"""Metric instruments: counters, gauges and sim-time histograms.
+"""Metric instruments: counters and sim-time histograms.
 
 The registry is the numeric half of :mod:`repro.telemetry` (the event
 tracer is the other).  Instruments are keyed by dotted names following
@@ -43,27 +43,6 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"Counter({self.name!r}, value={self.value})"
-
-
-class Gauge:
-    """A metric that holds the last value it was set to."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        """Record the current level of the tracked quantity."""
-        self.value = float(value)
-
-    def reset(self) -> None:
-        """Zero the gauge."""
-        self.value = 0.0
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name!r}, value={self.value})"
 
 
 class Histogram:
@@ -225,13 +204,6 @@ class _NullCounter(Counter):
         """Discard the increment."""
 
 
-class _NullGauge(Gauge):
-    """Gauge that discards sets."""
-
-    def set(self, value: float) -> None:  # noqa: D102 - inherited contract
-        """Discard the value."""
-
-
 class _NullHistogram(Histogram):
     """Histogram that discards observations."""
 
@@ -245,14 +217,13 @@ class _NullHistogram(Histogram):
 #: Shared no-op instruments handed out by disabled registries.  They are
 #: stateless (no mutation ever lands), so one of each suffices globally.
 NULL_COUNTER = _NullCounter("null")
-NULL_GAUGE = _NullGauge("null")
 NULL_HISTOGRAM = _NullHistogram("null", max_samples=0)
 
 
 class Registry:
     """Named metric instruments for one machine/run.
 
-    ``counter``/``gauge``/``histogram`` get-or-create by name, so
+    ``counter``/``histogram`` get-or-create by name, so
     independent components referring to the same dotted name share one
     instrument — that sharing is what lets :class:`PollingStats` and
     ``repro status`` read a single source of truth.
@@ -262,7 +233,6 @@ class Registry:
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
@@ -270,13 +240,6 @@ class Registry:
         instrument = self._counters.get(name)
         if instrument is None:
             instrument = self._counters[name] = Counter(name)
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        """Get or create the gauge called ``name``."""
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            instrument = self._gauges[name] = Gauge(name)
         return instrument
 
     def histogram(self, name: str, *, max_samples: int = 100_000) -> Histogram:
@@ -295,11 +258,6 @@ class Registry:
         """Name → value snapshot of every counter (conservation audits)."""
         return {c.name: c.value for c in self.counters()}
 
-    def gauges(self) -> Iterator[Gauge]:
-        """All gauges, in name order."""
-        for name in sorted(self._gauges):
-            yield self._gauges[name]
-
     def histograms(self) -> Iterator[Histogram]:
         """All histograms, in name order."""
         for name in sorted(self._histograms):
@@ -309,7 +267,6 @@ class Registry:
         """A JSON-safe dump of every instrument's current state."""
         return {
             "counters": {c.name: c.value for c in self.counters()},
-            "gauges": {g.name: g.value for g in self.gauges()},
             "histograms": {
                 h.name: {
                     "count": h.count,
@@ -329,8 +286,6 @@ class Registry:
         lines = []
         for counter in self.counters():
             lines.append(f"{counter.name:40s} {counter.value}")
-        for gauge in self.gauges():
-            lines.append(f"{gauge.name:40s} {gauge.value:g}")
         for hist in self.histograms():
             line = f"{hist.name:40s} count={hist.count} mean={hist.mean:.3g}"
             if hist.count:
@@ -348,8 +303,7 @@ class Registry:
 
     def reset(self) -> None:
         """Reset every instrument (counters to 0, histograms emptied)."""
-        for instrument in (*self._counters.values(), *self._gauges.values(),
-                           *self._histograms.values()):
+        for instrument in (*self._counters.values(), *self._histograms.values()):
             instrument.reset()
 
 
@@ -361,10 +315,6 @@ class _NullRegistry(Registry):
     def counter(self, name: str) -> Counter:
         """Return the shared no-op counter."""
         return NULL_COUNTER
-
-    def gauge(self, name: str) -> Gauge:
-        """Return the shared no-op gauge."""
-        return NULL_GAUGE
 
     def histogram(self, name: str, *, max_samples: int = 100_000) -> Histogram:
         """Return the shared no-op histogram."""

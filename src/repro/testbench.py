@@ -94,12 +94,11 @@ class Machine:
             clock=simulator.clock(),
             shared_voltage_plane=shared_voltage_plane,
             telemetry=telemetry,
+            simulator=simulator,
         )
         fault_model = FaultModel(model)
         rng = np.random.default_rng(seed)
-        injector = FaultInjector(
-            fault_model, rng, telemetry=telemetry, clock=simulator.clock()
-        )
+        injector = FaultInjector(fault_model, rng, telemetry=telemetry, simulator=simulator)
         msr_driver = MSRDriver(processor, simulator=simulator, telemetry=telemetry)
         cpufreq = CPUFreqDriver(processor)
         machine = cls(
@@ -125,7 +124,7 @@ class Machine:
         return machine
 
     def install_invariants(self, checker: Optional[object] = None) -> object:
-        """Attach a runtime invariant checker to every layer's hook.
+        """Attach a runtime invariant checker to the machine's simulator.
 
         Returns the installed :class:`repro.verify.InvariantChecker`
         (also kept on :attr:`verifier`): ``checker``, or a fresh one when

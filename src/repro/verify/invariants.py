@@ -1,9 +1,10 @@
 """Runtime invariant checker for the simulated machine.
 
-:class:`InvariantChecker` installs itself on the observation hooks the
-substrate exposes (simulator event loop, per-core voltage regulators,
-the OCM write hook, the fault injector) and asserts, *while a run is in
-progress*, the properties the reproduction's claims rest on:
+:class:`InvariantChecker` is a :class:`~repro.kernel.sim.SimObserver`:
+attached to a machine's simulator it sees the event loop, every 0x150
+transaction and the regulator request it makes, and every fault window,
+and asserts, *while a run is in progress*, the properties the
+reproduction's claims rest on:
 
 ``sim-monotonic``
     The event queue never hands the clock a time in the past.
@@ -39,10 +40,9 @@ progress*, the properties the reproduction's claims rest on:
     executor (serial or process pool).
 
 The checker rides the simulator's observer tuple alongside any profiler
-or flight recorder, in any install order; the component probes are
-``None`` by default.  Each hot path pays one check when no checker is
-installed, so tier-1 timing results stay byte-identical with
-verification off.
+or flight recorder, in any install order.  With no observer attached
+each notification site iterates an empty tuple, so tier-1 timing results
+stay byte-identical with verification off.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class InvariantChecker(SimObserver):
     # -- lifecycle ---------------------------------------------------------------
 
     def install(self, machine: Any) -> "InvariantChecker":
-        """Attach to every observation hook ``machine`` exposes."""
+        """Attach to ``machine``'s simulator."""
         if self._machine is machine:
             return self
         if self._machine is not None:
@@ -105,27 +105,14 @@ class InvariantChecker(SimObserver):
         self._machine = machine
         self._last_time = machine.simulator.now
         machine.simulator.attach(self)
-        machine.processor.ocm_observer = self._on_ocm
-        for core in machine.processor.cores:
-            core.regulator.observer = self._on_regulator_transition
-        fault_model = machine.fault_model
-        machine.injector.observer = (
-            lambda conditions, fault_count, crashed, instruction: self._on_fault(
-                fault_model, conditions, fault_count, crashed, instruction
-            )
-        )
         return self
 
     def uninstall(self) -> None:
-        """Detach from the machine's hooks (no-op when not installed)."""
+        """Detach from the machine's simulator (no-op when not installed)."""
         machine = self._machine
         if machine is None:
             return
         machine.simulator.detach(self)
-        machine.processor.ocm_observer = None
-        for core in machine.processor.cores:
-            core.regulator.observer = None
-        machine.injector.observer = None
         self._machine = None
 
     # -- violation plumbing ------------------------------------------------------
@@ -182,7 +169,7 @@ class InvariantChecker(SimObserver):
 
     # -- OCM observer (ocm-roundtrip, ocm-busy-bit) ------------------------------
 
-    def _on_ocm(
+    def on_ocm(
         self,
         phase: str,
         core_index: int,
@@ -307,7 +294,7 @@ class InvariantChecker(SimObserver):
 
     # -- regulator observer (regulator-causality) --------------------------------
 
-    def _on_regulator_transition(
+    def on_regulator_request(
         self, regulator: Any, plane: Any, transition: Any, now: float
     ) -> None:
         self.checks += 1
@@ -382,15 +369,11 @@ class InvariantChecker(SimObserver):
         z = (vcrit - conditions.voltage_volts) / sigma_volts
         return 0.5 * (1.0 + math.erf(z / _SQRT2))
 
-    def _on_fault(
-        self,
-        fault_model: Any,
-        conditions: Any,
-        fault_count: int,
-        crashed: bool,
-        instruction: str,
+    def on_fault_window(
+        self, conditions: Any, fault_count: int, crashed: bool, instruction: str
     ) -> None:
         self.checks += 1
+        fault_model = self._machine.fault_model
         fraction = self._violated_fraction(fault_model, conditions)
         if fault_count > 0 and fraction < ONSET_FRACTION - _FRACTION_EPS:
             self._fail(

@@ -9,6 +9,7 @@ from repro.core.policy import ClampToBoundary, ClampToMaximalSafe, RestoreToZero
 from repro.core.polling_module import DEFAULT_PERIOD_S, PollingCountermeasure
 from repro.core.unsafe_states import UnsafeStateSet
 from repro.cpu import COMET_LAKE
+from repro.cpu.ocm import VoltagePlane
 from repro.testbench import Machine
 
 
@@ -149,11 +150,15 @@ class TestCostModel:
         module = PollingCountermeasure(machine, unsafe)
         assert module.duty_cycle() < 0.02
 
-    def test_turnaround_dominated_by_period_and_raise(self, machine, unsafe):
+    def test_turnaround_covers_the_period_and_both_settle_paths(self, machine, unsafe):
         module = PollingCountermeasure(machine, unsafe)
         turnaround = module.worst_case_turnaround_s()
-        assert turnaround > module.period_s
-        assert turnaround < module.period_s + COMET_LAKE.regulator_raise_latency_s + 1e-5
+        assert turnaround > module.period_s + COMET_LAKE.regulator_raise_latency_s
+        assert turnaround > COMET_LAKE.regulator_latency_s
+        assert turnaround < max(
+            module.period_s + COMET_LAKE.regulator_raise_latency_s,
+            COMET_LAKE.regulator_latency_s,
+        ) + 1e-5
 
     def test_pedantic_ocm_protocol_still_detects(self, machine, unsafe):
         module = loaded_module(machine, unsafe, fast_offset_read=False)
@@ -339,14 +344,37 @@ class TestReloadLifetimes:
 
 
 class TestJitteredTurnaroundBound:
-    """The Sec. 5 bound must cover the longest jittered poll interval."""
+    """The Sec. 5 bound must cover the longest jittered poll interval
+    and every remediation's settle latency, raise or lowering."""
 
-    def test_bound_unchanged_without_jitter(self, machine, unsafe):
-        module = PollingCountermeasure(machine, unsafe)
+    @pytest.mark.parametrize("period_s", [200e-6, 500e-6, 1e-3])
+    def test_bound_without_jitter(self, machine, unsafe, period_s):
+        module = PollingCountermeasure(machine, unsafe, period_s=period_s)
         accesses = 3 * machine.msr_driver.access_latency_s
-        assert module.worst_case_turnaround_s() == (
-            module.period_s + accesses + COMET_LAKE.regulator_raise_latency_s
+        assert module.worst_case_turnaround_s() == accesses + max(
+            period_s + COMET_LAKE.regulator_raise_latency_s,
+            COMET_LAKE.regulator_latency_s,
         )
+
+    def test_lowering_remediation_stays_under_the_bound(self, machine, unsafe):
+        # An attacker's deep write to an idle core is detected at the
+        # next 200 us poll, long before the slow lowering applies it.
+        # The clamped remediation then lowers the still-0 mV applied
+        # offset, so its sample is the slow lowering latency, not the
+        # raise latency.
+        module = loaded_module(machine, unsafe, period_s=200e-6)
+        machine.write_voltage_offset(-250)
+        machine.advance(2e-3)
+        turnarounds = module.stats.registry.histogram(
+            "countermeasure.turnaround_s"
+        ).values
+        assert len(turnarounds) == len(module.stats.remediations) == 1
+        regulator = machine.processor.core(0).regulator
+        assert regulator.transition(VoltagePlane.CORE).latency_s == (
+            COMET_LAKE.regulator_latency_s
+        )
+        assert turnarounds[0] > module.period_s + COMET_LAKE.regulator_raise_latency_s
+        assert max(turnarounds) <= module.worst_case_turnaround_s()
 
     def test_jittered_dwell_stays_under_the_bound(self, machine, unsafe):
         module = loaded_module(machine, unsafe, period_jitter=0.2)

@@ -14,6 +14,7 @@ from repro.faults.alu import BigIntALU, FaultableALU
 from repro.faults.imul import DEFAULT_ITERATIONS, ImulLoop
 from repro.faults.injector import FaultInjector
 from repro.faults.margin import FaultModel, OperatingConditions
+from repro.kernel.sim import SimObserver, Simulator
 from repro.telemetry import NULL_TRACER, Telemetry
 from repro.testbench import Machine
 from repro.faults.workloads import (
@@ -186,38 +187,47 @@ def _operating_points() -> dict:
 POINTS = _operating_points()
 
 
+class _FaultLog(SimObserver):
+    """Records every ``on_fault_window`` notification's arguments."""
+
+    def __init__(self) -> None:
+        self.calls = []
+
+    def on_fault_window(self, *args) -> None:
+        self.calls.append(args)
+
+
 def _run_modexp(
     modexp, seed, conditions, base, exponent, modulus, *, tracer, observer,
     fault_model=None,
 ):
     """One exponentiation on a fresh machine; everything it left behind.
 
-    ``observer`` is ``"none"``, ``"recorder"`` (a call log on the
-    injector) or ``"invariants"`` (the log in front of an installed
-    :class:`~repro.verify.InvariantChecker`).  A ``fault_model`` replaces
-    the machine with a bare injector over that model.
+    ``observer`` is ``"none"``, ``"recorder"`` (a fault-window log
+    attached to the simulator) or ``"invariants"`` (the log behind an
+    installed :class:`~repro.verify.InvariantChecker`).  A
+    ``fault_model`` replaces the machine with a bare injector over that
+    model on a simulator of its own.
     """
     telemetry = Telemetry()
     if not tracer:
         telemetry.tracer = NULL_TRACER
     if fault_model is None:
-        injector = Machine.build(
+        machine = Machine.build(
             COMET_LAKE, seed=seed, telemetry=telemetry, verify=observer == "invariants"
-        ).injector
-    else:
-        injector = FaultInjector(
-            fault_model, np.random.default_rng(seed), telemetry=telemetry
         )
-    calls = []
+        injector, simulator = machine.injector, machine.simulator
+    else:
+        simulator = Simulator()
+        injector = FaultInjector(
+            fault_model,
+            np.random.default_rng(seed),
+            telemetry=telemetry,
+            simulator=simulator,
+        )
+    log = _FaultLog()
     if observer != "none":
-        inner = injector.observer
-
-        def observe(*args):
-            calls.append(args)
-            if inner is not None:
-                inner(*args)
-
-        injector.observer = observe
+        simulator.attach(log)
     alu = FaultableALU(injector=injector, conditions_source=lambda: conditions)
     try:
         result = modexp(alu, base, exponent, modulus)
@@ -232,7 +242,7 @@ def _run_modexp(
         "stats": alu.stats,
         "counters": counters,
         "events": telemetry.tracer.events,
-        "observer": calls,
+        "observer": log.calls,
         "rng": injector.rng.bit_generator.state,
     }
 

@@ -39,7 +39,7 @@ from repro.telemetry import Telemetry
 from repro.telemetry.events import NULL_TRACER
 
 #: The ``JobResult`` fields that must not depend on the tracer.
-RESULT_FIELDS = ("payload", "counters", "histograms", "gauges", "spans")
+RESULT_FIELDS = ("payload", "counters", "histograms", "spans")
 
 COARSE = CharacterizationConfig(
     offset_start_mv=-10, offset_stop_mv=-250, offset_step_mv=10

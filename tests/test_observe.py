@@ -445,13 +445,6 @@ class TestRunManifest:
         session.run_jobs(jobs)  # second batch served from cache
         return session
 
-    def test_progress_gauges_track_jobs(self):
-        session = self._session_with_history()
-        counters = {g.name: g.value for g in session.telemetry.registry.gauges()}
-        assert counters["engine.progress.total"] == 4
-        assert counters["engine.progress.completed"] == 4
-        session.close()
-
     def test_manifest_shape_and_provenance(self):
         session = self._session_with_history()
         manifest = session.run_manifest()

@@ -32,7 +32,7 @@ from repro.engine import (
     SerialExecutor,
 )
 from repro.engine.jobs import CharacterizationRowJob, execute_job
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError
 from repro.observe import FleetTimeline
 from repro.observe.spans import (
     CAMPAIGN_SPAN_ID,
@@ -41,7 +41,6 @@ from repro.observe.spans import (
     SpanRecorder,
     derive_trace_id,
     job_span_id,
-    spans_enabled,
 )
 from repro.telemetry.registry import Registry
 
@@ -265,24 +264,27 @@ def test_recorder_export_is_deterministic():
     assert set(wall_a) == set(wall_b) == {r["span_id"] for r in spans_a}
 
 
-def test_spans_disabled_via_environment(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_SPANS", "0")
-    assert not spans_enabled()
+def test_repro_spans_variable_no_longer_disables_recording(monkeypatch, tmp_path):
+    # Span recording has no off switch: a leftover REPRO_SPANS=0 in the
+    # environment changes nothing.
     job = FuzzJob(codename="Comet Lake", seed=5, case_index=0, num_actions=3)
+    expected = execute_job(job).spans
+    monkeypatch.setenv("REPRO_SPANS", "0")
     result = execute_job(job)
-    assert result.spans == []
-    assert result.span_wall == {}
+    assert result.spans == expected
+    assert [record["kind"] for record in result.spans][0] == "job"
+    assert set(result.span_wall) == {record["span_id"] for record in result.spans}
     with EngineSession(executor=SerialExecutor()) as session:
         session.run_jobs([job], cache=False)
-        assert session.timeline is None
-        assert "spans" not in session.run_manifest()
-        with pytest.raises(ReproError):
-            session.export_spans(tmp_path / "never.json")
+        assert len(session.timeline) > 0
+        assert "spans" in session.run_manifest()
+        trace = session.export_spans(tmp_path / "spans.json")
+    assert json.loads(trace.read_text())["traceEvents"]
 
 
 @dataclass(frozen=True)
 class InstrumentedJob(JobSpec):
-    """Observes worker-side histograms/gauges with deterministic values."""
+    """Observes a worker-side histogram with deterministic values."""
 
     kind: ClassVar[str] = "instrumented-span"
 
@@ -297,28 +299,23 @@ class InstrumentedJob(JobSpec):
         stream = self.stream().child("values")
         for _ in range(5):
             histogram.observe(stream.rng().random())
-        telemetry.registry.gauge("test.depth").set(float(len(self.name)))
         return {"name": self.name}
 
 
-def test_worker_histograms_and_gauges_survive_the_process_boundary():
-    """Percentile columns are no longer serial-only (satellite fix)."""
+def test_worker_histograms_survive_the_process_boundary():
+    """Percentile columns are no longer serial-only."""
     jobs = [InstrumentedJob(name=name) for name in ("a", "bb", "ccc")]
 
-    def aggregates(executor):
+    def histograms(executor):
         with EngineSession(executor=executor) as session:
             session.run_jobs(jobs, cache=False)
             registry = session.telemetry.registry
-            return (
-                {h.name: h.marshal() for h in registry.histograms()},
-                {g.name: g.value for g in registry.gauges() if g.value},
-            )
+            return {h.name: h.marshal() for h in registry.histograms()}
 
-    serial_hists, serial_gauges = aggregates(SerialExecutor())
-    process_hists, process_gauges = aggregates(ParallelExecutor(2))
+    serial_hists = histograms(SerialExecutor())
+    process_hists = histograms(ParallelExecutor(2))
     assert serial_hists["test.latency"]["count"] == 15
     assert serial_hists == process_hists
-    assert serial_gauges["test.depth"] == process_gauges["test.depth"]
 
 
 def test_histogram_marshal_merge_matches_direct_observation():
@@ -350,7 +347,6 @@ def test_wall_registry_holds_only_per_kind_latency_histograms():
     with EngineSession(executor=SerialExecutor()) as session:
         session.run_jobs(jobs, cache=False)
         wall = session.wall_registry
-    assert list(wall.gauges()) == []
     assert list(wall.counters()) == []
     assert [h.name for h in wall.histograms()] == [
         "engine.wall.exec.fuzz",

@@ -40,13 +40,6 @@ class TestInstruments:
         counter.reset()
         assert counter.value == 0
 
-    def test_gauge_holds_last_value(self):
-        registry = Registry()
-        gauge = registry.gauge("level")
-        gauge.set(3.5)
-        gauge.set(-1.0)
-        assert gauge.value == -1.0
-
     def test_histogram_aggregates(self):
         hist = Histogram("lat")
         for value in (1.0, 3.0, 2.0):
@@ -100,9 +93,6 @@ class TestDisabledMode:
         hist = telemetry.registry.histogram("h")
         hist.observe(1.0)
         assert hist.count == 0
-        gauge = telemetry.registry.gauge("g")
-        gauge.set(5.0)
-        assert gauge.value == 0.0
 
     def test_null_tracer_records_nothing(self):
         telemetry = Telemetry.disabled()
@@ -415,12 +405,10 @@ class TestHistogramExactAggregates:
 
     def test_render_includes_percentile_columns(self):
         registry = Registry()
-        registry.gauge("engine.progress.completed").set(3)
         hist = registry.histogram("turnaround")
         for value in (1.0, 2.0, 3.0):
             hist.observe(value)
         rendered = registry.render()
-        assert "engine.progress.completed" in rendered
         for column in ("p50=", "p95=", "p99=", "stddev="):
             assert column in rendered
         assert "window truncated" not in rendered

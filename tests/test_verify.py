@@ -12,6 +12,7 @@ Two layers of confidence:
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -19,10 +20,12 @@ from repro.cpu import COMET_LAKE, PAPER_MODEL_TUPLE, SKY_LAKE
 from repro.cpu import ocm
 from repro.cpu.ocm import VoltagePlane
 from repro.cpu.voltage_regulator import VoltageRegulator
+from repro.core.polling_module import PollingCountermeasure
 from repro.engine import EngineSession, FuzzJob, SerialExecutor, make_executor
 from repro.errors import ConfigurationError, InvariantViolation, ReproError
+from repro.faults.alu import FaultableALU
 from repro.faults.margin import FaultModel
-from repro.kernel.sim import Simulator
+from repro.kernel.sim import SimObserver, Simulator
 from repro.testbench import Machine
 from repro.verify import (
     FuzzSchedule,
@@ -69,11 +72,6 @@ class TestEnvKnob:
         machine = Machine.build(COMET_LAKE, seed=3)
         assert machine.verifier is None
         assert machine.simulator.observers == ()
-        assert machine.processor.ocm_observer is None
-        assert machine.injector.observer is None
-        assert all(
-            core.regulator.observer is None for core in machine.processor.cores
-        )
 
 
 class TestCheckerLifecycle:
@@ -93,9 +91,8 @@ class TestCheckerLifecycle:
         machine = Machine.build(COMET_LAKE, seed=3, verify=False)
         checker = InvariantChecker().install(machine)
         checker.uninstall()
+        assert checker not in machine.simulator.observers
         assert machine.simulator.observers == ()
-        assert machine.processor.ocm_observer is None
-        assert machine.injector.observer is None
         checker.install(Machine.build(COMET_LAKE, seed=4, verify=False))
 
     def test_checked_machine_behaves_identically(self):
@@ -109,6 +106,102 @@ class TestCheckerLifecycle:
             machine.run_imul_window(0, iterations=10_000)
         assert plain.now == checked.now
         assert plain.conditions(0) == checked.conditions(0)
+
+
+class _CountingObserver(SimObserver):
+    """Counts every notification the checker also receives, by hook."""
+
+    def __init__(self) -> None:
+        self.calls = Counter()
+
+    def after_step(self, simulator, event_time) -> None:
+        self.calls["after_step"] += 1
+
+    def after_run_until(self, simulator) -> None:
+        self.calls["after_run_until"] += 1
+
+    def on_ocm(self, phase, core_index, value, command, response) -> None:
+        self.calls[f"ocm.{phase}"] += 1
+
+    def on_regulator_request(self, regulator, plane, transition, now) -> None:
+        self.calls["regulator"] += 1
+
+    def on_fault_window(self, conditions, fault_count, crashed, instruction) -> None:
+        self.calls["fault"] += 1
+
+
+def _protected_run(machine: Machine, unsafe) -> None:
+    """A fixed-seed protected run touching every notification site: the
+    attacker's and the module's 0x150 writes, imul windows, a bulk
+    exponentiation and single-instruction probes."""
+    machine.modules.insmod(PollingCountermeasure(machine, unsafe))
+    machine.set_frequency(2.0)
+    for offset in (-250, -120, -60):
+        machine.write_voltage_offset(offset)
+        machine.advance(2e-3)
+        machine.run_imul_window(0, iterations=200_000)
+    alu = FaultableALU(
+        injector=machine.injector, conditions_source=lambda: machine.conditions(0)
+    )
+    alu.modexp(5, (1 << 128) - 1, (1 << 128) - 159)
+    for value in range(5):
+        machine.injector.maybe_fault_value(machine.conditions(0), value)
+
+
+class TestObserverNotifications:
+    """The checker hears the machine through the simulator's observer
+    tuple alone, exactly as any other attached observer does."""
+
+    @pytest.mark.parametrize("shared_voltage_plane", [False, True])
+    def test_checker_and_counter_receive_every_notification(
+        self, comet_characterization, shared_voltage_plane
+    ):
+        machine = Machine.build(
+            COMET_LAKE, seed=17, verify=False, shared_voltage_plane=shared_voltage_plane
+        )
+        counter = _CountingObserver()
+        machine.simulator.attach(counter)
+        checker = machine.install_invariants()
+        _protected_run(machine, comet_characterization.unsafe_states)
+        calls = counter.calls
+        assert checker.checks == sum(calls.values())
+        assert not checker.violations
+        writes = calls["ocm.command"]
+        assert writes >= 3 and calls["ocm.response"] == writes
+        cores = COMET_LAKE.core_count if shared_voltage_plane else 1
+        assert calls["regulator"] == cores * writes
+        # 3 imul windows, the exponentiation's windows and 5 probes.
+        assert calls["fault"] > 3 + 5
+
+    def test_detached_checker_receives_nothing(self, comet_characterization):
+        machine = Machine.build(COMET_LAKE, seed=17, verify=False)
+        counter = _CountingObserver()
+        machine.simulator.attach(counter)
+        checker = machine.install_invariants()
+        checker.uninstall()
+        _protected_run(machine, comet_characterization.unsafe_states)
+        assert checker.checks == 0
+        assert {"ocm.command", "regulator", "fault", "after_step"} <= set(counter.calls)
+
+    @pytest.mark.parametrize("shared_voltage_plane", [False, True])
+    def test_protected_run_check_count_is_pinned(
+        self, comet_characterization, shared_voltage_plane
+    ):
+        # Every OCM transaction, regulator request, fault window and
+        # event-loop step of the fixed-seed run is checked exactly once,
+        # so losing any notification moves the count.
+        machine = Machine.build(
+            COMET_LAKE, seed=17, verify=False, shared_voltage_plane=shared_voltage_plane
+        )
+        checker = machine.install_invariants()
+        _protected_run(machine, comet_characterization.unsafe_states)
+        assert not checker.violations
+        assert checker.checks == PINNED_PROTECTED_RUN_CHECKS[shared_voltage_plane]
+
+
+#: ``InvariantChecker.checks`` after ``_protected_run`` on Comet Lake,
+#: seed 17, keyed by ``shared_voltage_plane``.
+PINNED_PROTECTED_RUN_CHECKS = {False: 299, True: 317}
 
 
 class TestCleanFuzzing:
