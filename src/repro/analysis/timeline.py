@@ -80,7 +80,7 @@ class VoltageTracer:
         )
         self.samples.append(sample)
         tracer = self.machine.telemetry.tracer
-        if tracer.enabled:
+        if tracer is not None:
             track = f"core{self.core_index}"
             tracer.counter_sample(
                 "voltage.applied_mv", "voltage", now, sample.applied_offset_mv,

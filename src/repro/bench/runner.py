@@ -116,7 +116,7 @@ class SpecOverheadRunner:
         share = stolen / (cores * self._interval_s)
         telemetry = self._machine.telemetry
         telemetry.registry.counter("bench.intervals").inc()
-        if telemetry.tracer.enabled:
+        if telemetry.tracer is not None:
             telemetry.tracer.complete(
                 "bench.interval", "bench", start, self._interval_s, track="bench",
                 benchmark=benchmark_name, stolen_share=share,

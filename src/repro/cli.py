@@ -1315,7 +1315,7 @@ def _cmd_trace(args) -> int:
     unsafe = _characterize(model, args.seed).unsafe_states
     if args.out and not args.export:
         args.export = "chrome"  # --out alone still means "give me a trace file"
-    telemetry = Telemetry() if args.export else Telemetry.disabled()
+    telemetry = Telemetry(max_events=None if args.export else 0)
     machine = Machine.build(
         model, seed=_cli_seed(args.seed, "trace", model.codename), telemetry=telemetry
     )
@@ -1807,14 +1807,11 @@ def _cmd_status(args) -> int:
     from repro.core.polling_module import PollingCountermeasure
     from repro.cpu.models import model_by_codename
     from repro.kernel import render_system_status
-    from repro.telemetry import Telemetry
     from repro.testbench import Machine
 
     model = model_by_codename(args.cpu)
     unsafe = _characterize(model, args.seed).unsafe_states
-    machine = Machine.build(
-        model, seed=_cli_seed(args.seed, "status", model.codename), telemetry=Telemetry()
-    )
+    machine = Machine.build(model, seed=_cli_seed(args.seed, "status", model.codename))
     machine.modules.insmod(PollingCountermeasure(machine, unsafe))
     machine.advance(5e-3)
     print(render_system_status(machine))
@@ -1951,8 +1948,9 @@ def _fuzz_replay(source: str, registry_dir: Optional[str]) -> int:
     ``source`` is a shrunk repro artifact, a flight dump, or a registry
     run id whose first recorded dump still on disk is replayed.  Exit 1
     when the violation reproduces, 0 when the replay runs clean, 2 when
-    there is nothing to replay.
+    there is nothing to replay or the dump is malformed.
     """
+    from repro.errors import ObserveError
     from repro.observe import is_flight_dump, load_flight_dump
     from repro.verify import FuzzSchedule, run_schedule
 
@@ -1986,7 +1984,11 @@ def _fuzz_replay(source: str, registry_dir: Optional[str]) -> int:
         print(f"replaying {path}\n")
 
     if is_flight_dump(path):
-        dump = load_flight_dump(path)
+        try:
+            dump = load_flight_dump(path)
+        except ObserveError as error:
+            print(f"{path}: {error}", file=sys.stderr)
+            return 2
         header = dump.header
         print(f"flight dump: reason={dump.reason} "
               f"sim_time={header.get('sim_time_s', 0.0):g}s "

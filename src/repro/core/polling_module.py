@@ -64,88 +64,46 @@ class RemediationEvent:
 
 
 class PollingStats:
-    """Counters for one module lifetime, backed by telemetry.
+    """Counts for one module lifetime.
 
-    The polls / core-checks / detections tallies live in
-    :class:`~repro.telemetry.Registry` counters
-    (``countermeasure.polls`` ...), so ``repro status`` dumps and test
-    assertions read one source of truth.  When the owning machine's
-    telemetry is disabled, the stats fall back to a private registry so
-    the counts remain exact either way.  The original attribute API
-    (``stats.polls`` etc.) is preserved as read-only properties.
+    ``polls``, ``core_checks`` and ``detections`` are plain ints, zeroed
+    with the remediation log at every (re)load, so they report the
+    current (or, after unload, the last) lifetime only.  Each
+    ``record_*`` also increments the machine-wide registry counter
+    (``countermeasure.polls`` ...), which keeps accumulating across
+    lifetimes for ``repro status``.
     """
 
-    def __init__(self, registry: Optional[Registry] = None) -> None:
-        if registry is None or not registry.enabled:
-            registry = Registry()
+    def __init__(self, registry: Registry) -> None:
         self.registry = registry
         self._polls = registry.counter("countermeasure.polls")
         self._core_checks = registry.counter("countermeasure.core_checks")
         self._detections = registry.counter("countermeasure.detections")
+        self.polls = 0
+        self.core_checks = 0
+        self.detections = 0
         self.remediations: List[RemediationEvent] = []
-        # The registry counters are shared across module lifetimes (that
-        # sharing is the telemetry contract), so per-lifetime reporting
-        # subtracts a baseline snapshotted at construction and re-taken
-        # on every (re)load — without it a reloaded module starts its
-        # life claiming the previous lifetime's polls and detections.
-        self._polls_base = self._polls.value
-        self._core_checks_base = self._core_checks.value
-        self._detections_base = self._detections.value
-        self._frozen: Optional[tuple] = None
 
     def begin_lifetime(self) -> None:
-        """Re-baseline the shared counters at a module (re)load.
-
-        The registry totals keep accumulating (``repro status`` sees the
-        machine-wide truth); the ``polls``/``core_checks``/``detections``
-        properties and the remediation log report this lifetime only.
-        """
-        self._polls_base = self._polls.value
-        self._core_checks_base = self._core_checks.value
-        self._detections_base = self._detections.value
-        self._frozen = None
+        """Zero the per-lifetime counts at a module (re)load."""
+        self.polls = 0
+        self.core_checks = 0
+        self.detections = 0
         self.remediations.clear()
-
-    def end_lifetime(self) -> None:
-        """Freeze the per-lifetime readings at module unload.
-
-        The shared counters keep counting for whoever polls next; without
-        the freeze an unloaded module's lifetime view would silently grow
-        with a successor's activity.
-        """
-        self._frozen = (self.polls, self.core_checks, self.detections)
-
-    @property
-    def polls(self) -> int:
-        """Poll-loop iterations since load (``countermeasure.polls``)."""
-        if self._frozen is not None:
-            return self._frozen[0]
-        return self._polls.value - self._polls_base
-
-    @property
-    def core_checks(self) -> int:
-        """Per-core checks since load (``countermeasure.core_checks``)."""
-        if self._frozen is not None:
-            return self._frozen[1]
-        return self._core_checks.value - self._core_checks_base
-
-    @property
-    def detections(self) -> int:
-        """Unsafe-state detections since load (``countermeasure.detections``)."""
-        if self._frozen is not None:
-            return self._frozen[2]
-        return self._detections.value - self._detections_base
 
     def record_poll(self) -> None:
         """Count one poll-loop iteration."""
+        self.polls += 1
         self._polls.inc()
 
     def record_core_check(self) -> None:
         """Count one per-core MSR inspection."""
+        self.core_checks += 1
         self._core_checks.inc()
 
     def record_detection(self) -> None:
         """Count one unsafe-state detection."""
+        self.detections += 1
         self._detections.inc()
 
 
@@ -226,14 +184,7 @@ class PollingCountermeasure(KernelModule):
         self._memo_revision = unsafe_states.revision
         self.stats = PollingStats(machine.telemetry.registry)
         self._tracer = machine.telemetry.tracer
-        self._trace_on = self._tracer.enabled
         self._turnaround = self.stats.registry.histogram(TURNAROUND_HISTOGRAM)
-        # Like the stats counters, the turnaround histogram is shared
-        # across lifetimes; track a per-lifetime sample baseline so a
-        # reloaded module does not double-count the previous lifetime's
-        # samples in its own reporting.
-        self._turnaround_base = self._turnaround.count
-        self._turnaround_frozen: Optional[int] = None
 
     @property
     def period_s(self) -> float:
@@ -274,8 +225,6 @@ class PollingCountermeasure(KernelModule):
         self._disarm()
         self._last_check.clear()
         self.stats.begin_lifetime()
-        self._turnaround_base = self._turnaround.count
-        self._turnaround_frozen = None
         if self._period_jitter > 0.0:
             self._arm_jittered()
         else:
@@ -292,8 +241,6 @@ class PollingCountermeasure(KernelModule):
     def on_unload(self) -> None:
         """Stop the polling kthread."""
         self._disarm()
-        self._turnaround_frozen = self.turnaround_samples()
-        self.stats.end_lifetime()
         logger.info(
             "plug_your_volt unloaded: polls=%d detections=%d",
             self.stats.polls,
@@ -314,12 +261,10 @@ class PollingCountermeasure(KernelModule):
     def turnaround_samples(self) -> int:
         """Turnaround-histogram samples recorded this lifetime.
 
-        Frozen at unload, like the stats counters: the shared histogram
-        keeps accumulating for later lifetimes.
+        One per remediation, so the count of this lifetime's remediation
+        log; the shared histogram keeps accumulating across lifetimes.
         """
-        if self._turnaround_frozen is not None:
-            return self._turnaround_frozen
-        return self._turnaround.count - self._turnaround_base
+        return len(self.stats.remediations)
 
     def _arm_jittered(self) -> None:
         """Schedule the next jittered poll interval."""
@@ -343,7 +288,7 @@ class PollingCountermeasure(KernelModule):
             self._memo_revision = self._unsafe_states.revision
         for core in self._machine.processor.cores:
             self._check_core(core.index)
-        if self._trace_on:
+        if self._tracer is not None:
             self._tracer.complete(
                 "countermeasure.poll", "countermeasure", now,
                 self.cpu_time_per_poll_s(), track="countermeasure",
@@ -375,7 +320,7 @@ class PollingCountermeasure(KernelModule):
             return  # line 6: not in (margin-widened) unsafe set
         now = self._machine.now
         self.stats.record_detection()
-        if self._trace_on:
+        if self._tracer is not None:
             self._tracer.instant(
                 "countermeasure.detection", "countermeasure", now,
                 track="countermeasure", core=core_index,
@@ -394,7 +339,7 @@ class PollingCountermeasure(KernelModule):
         settle_delta = max(0.0, regulator.settle_time(VoltagePlane.CORE) - now)
         turnaround = ioctl_chain + settle_delta
         self._turnaround.observe(turnaround)
-        if self._trace_on:
+        if self._tracer is not None:
             self._tracer.complete(
                 "countermeasure.remediation", "countermeasure", now, turnaround,
                 track="countermeasure", core=core_index,

@@ -35,7 +35,7 @@ from repro.cpu.msr import (
     MSR_VOLTAGE_OFFSET_LIMIT,
     MSRFile,
 )
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import Telemetry
 from repro.units import ratio_to_ghz
 
 if TYPE_CHECKING:
@@ -70,10 +70,10 @@ class SimulatedProcessor:
         self.model = model
         self._clock = clock
         self._simulator = simulator
-        telemetry = telemetry or NULL_TELEMETRY
+        if telemetry is None:
+            telemetry = Telemetry(max_events=0)
         self.telemetry = telemetry
         self._tracer = telemetry.tracer
-        self._trace_on = telemetry.tracer.enabled
         self._pstate_counter = telemetry.registry.counter("pstate.transitions")
         self._ocm_counter = telemetry.registry.counter("ocm.transactions")
         #: Real client parts expose one package-wide core-voltage plane:
@@ -156,7 +156,7 @@ class SimulatedProcessor:
             # broken decode is attributed to the protocol, not to whatever
             # error the bogus offset triggers downstream.
             observer.on_ocm("command", core_index, value, command, None)
-        if self._trace_on:
+        if self._tracer is not None:
             name = "ocm.write" if command.is_write else "ocm.read_request"
             self._tracer.instant(
                 name, "ocm", self.now, track=f"core{core_index}",
@@ -212,7 +212,7 @@ class SimulatedProcessor:
         previous = core.frequency_ghz
         core.set_frequency(frequency, self.now)
         self._pstate_counter.inc()
-        if self._trace_on:
+        if self._tracer is not None:
             self._tracer.instant(
                 "pstate.transition", "pstate", self.now, track=f"core{core_index}",
                 from_ghz=previous, to_ghz=frequency,

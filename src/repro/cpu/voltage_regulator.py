@@ -27,7 +27,7 @@ from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.cpu.ocm import VoltagePlane
-from repro.telemetry import NULL_TRACER, Tracer
+from repro.telemetry import Tracer
 
 
 @dataclass
@@ -83,9 +83,6 @@ class VoltageRegulator:
             self.raise_latency_s = self.latency_s / 8.0
         if self.raise_latency_s < 0:
             raise ConfigurationError("raise latency must be non-negative")
-        if self.tracer is None:
-            self.tracer = NULL_TRACER
-        self._trace_on = self.tracer.enabled
 
     def latency_for(self, old_offset_mv: float, new_offset_mv: float) -> float:
         """Settle latency for a transition, by direction."""
@@ -104,8 +101,7 @@ class VoltageRegulator:
             new_offset_mv=offset_mv,
         )
         self._transitions[plane] = transition
-        if self._trace_on:
-            assert self.tracer is not None
+        if self.tracer is not None:
             self.tracer.complete(
                 "regulator.ramp",
                 "regulator",

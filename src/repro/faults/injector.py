@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, MachineCheckError
 from repro.faults.margin import FaultModel, OperatingConditions
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import Telemetry
 
 if TYPE_CHECKING:
     from repro.kernel.sim import SimObserver, Simulator
@@ -72,8 +72,9 @@ class FaultInjector:
         Cap on the number of concrete :class:`FaultEvent` records kept per
         window (the *count* is always exact).
     telemetry:
-        Optional observability hook; fault windows, injections and
-        crashes are then counted and emitted as ``fault`` trace events.
+        Observability hook (default: a fresh untraced one); fault
+        windows, injections and crashes are counted, and emitted as
+        ``fault`` trace events when it has a tracer.
     simulator:
         The event simulator whose clock stamps fault events and whose
         attached observers see every window and single-instruction
@@ -95,9 +96,9 @@ class FaultInjector:
         self._fault_model = fault_model
         self._rng = rng
         self._max_recorded_events = max_recorded_events
-        telemetry = telemetry or NULL_TELEMETRY
+        if telemetry is None:
+            telemetry = Telemetry(max_events=0)
         self._tracer = telemetry.tracer
-        self._trace_on = telemetry.tracer.enabled
         self._clock = simulator.clock() if simulator is not None else (lambda: 0.0)
         self._simulator = simulator
         self._windows_counter = telemetry.registry.counter("faults.windows")
@@ -126,7 +127,7 @@ class FaultInjector:
         exactly like characterization-window crashes do.
         """
         self._crashes_counter.inc()
-        if self._trace_on:
+        if self._tracer is not None:
             self._tracer.instant(
                 "fault.crash", "fault", self._clock(), track="faults",
                 frequency_ghz=conditions.frequency_ghz,
@@ -187,7 +188,7 @@ class FaultInjector:
             fault_count = int(self._rng.binomial(ops, probability))
         if fault_count:
             self._injected_counter.inc(fault_count)
-            if self._trace_on:
+            if self._tracer is not None:
                 self._tracer.instant(
                     "fault.injection", "fault", self._clock(), track="faults",
                     ops=ops,
@@ -302,7 +303,7 @@ class FaultInjector:
         self._injected_counter.inc()
         for observer in self._observers():
             observer.on_fault_window(conditions, 1, False, instruction)
-        if self._trace_on:
+        if self._tracer is not None:
             self._tracer.instant(
                 "fault.injection", "fault", self._clock(), track="faults",
                 ops=1,

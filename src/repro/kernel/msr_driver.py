@@ -9,10 +9,10 @@ simulator, in addition to forwarding to the architectural ``rdmsr`` /
 
 Accounting: the driver tallies accesses and total time spent, which the
 SPEC overhead harness uses to charge the polling module's CPU-time theft
-against benchmark throughput (Table 2).  When a
-:class:`~repro.telemetry.Telemetry` is bound, every access additionally
-emits an ``msr.read``/``msr.write`` span whose duration is the ioctl
-latency, and increments the ``msr.reads``/``msr.writes`` counters.
+against benchmark throughput (Table 2).  Every access also increments
+the ``msr.reads``/``msr.writes`` counters of the bound
+:class:`~repro.telemetry.Telemetry`, and when it has a tracer emits an
+``msr.read``/``msr.write`` span whose duration is the ioctl latency.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional
 
 from repro.cpu.processor import SimulatedProcessor
 from repro.kernel.sim import Simulator
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import Telemetry
 
 
 @dataclass
@@ -57,7 +57,8 @@ class MSRDriver:
     latency_s:
         Per-call latency; defaults to the CPU model's fused value.
     telemetry:
-        Optional observability hook; disabled (no-op) by default.
+        Observability hook; defaults to a fresh untraced
+        ``Telemetry(max_events=0)`` of the driver's own.
     """
 
     processor: SimulatedProcessor
@@ -69,9 +70,10 @@ class MSRDriver:
     def __post_init__(self) -> None:
         if self.latency_s is None:
             self.latency_s = self.processor.model.msr_ioctl_latency_s
-        telemetry = self.telemetry or NULL_TELEMETRY
+        if self.telemetry is None:
+            self.telemetry = Telemetry(max_events=0)
+        telemetry = self.telemetry
         self._tracer = telemetry.tracer
-        self._trace_on = telemetry.tracer.enabled
         self._reads_counter = telemetry.registry.counter("msr.reads")
         self._writes_counter = telemetry.registry.counter("msr.writes")
 
@@ -93,7 +95,7 @@ class MSRDriver:
         stats.busy_seconds += latency
         self._reads_counter.inc()
         value = self.processor.rdmsr(core_index, address)
-        if self._trace_on:
+        if self._tracer is not None:
             self._tracer.complete(
                 "msr.read",
                 "msr",
@@ -115,7 +117,7 @@ class MSRDriver:
         stored = self.processor.wrmsr(core_index, address, value)
         if not stored:
             self.stats.ignored_writes += 1
-        if self._trace_on:
+        if self._tracer is not None:
             self._tracer.complete(
                 "msr.write",
                 "msr",

@@ -22,7 +22,7 @@ from time import perf_counter
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import Telemetry
 
 
 @dataclass(order=True)
@@ -114,7 +114,7 @@ class Task:
             self.done = True
             self.result = stop.value
             sim = self._simulator
-            if sim._trace_on:
+            if sim._tracer is not None:
                 sim._tracer.instant("task.done", "sim", sim.now, track="sim", task=self.name)
             return
         except BaseException as error:  # noqa: BLE001 - surfaced via .error
@@ -194,9 +194,9 @@ class Simulator:
         self._heap: List[_QueueEntry] = []
         self._sequence = itertools.count()
         self.processed_events = 0
-        telemetry = telemetry or NULL_TELEMETRY
+        if telemetry is None:
+            telemetry = Telemetry(max_events=0)
         self._tracer = telemetry.tracer
-        self._trace_on = telemetry.tracer.enabled
         self._scheduled_counter = telemetry.registry.counter("sim.events_scheduled")
         self._processed_counter = telemetry.registry.counter("sim.events_processed")
         self._spawned_counter = telemetry.registry.counter("sim.tasks_spawned")
@@ -268,7 +268,7 @@ class Simulator:
         task = Task(self, body, name)
         self.schedule(0.0, task._step)
         self._spawned_counter.inc()
-        if self._trace_on:
+        if self._tracer is not None:
             self._tracer.instant("task.spawn", "sim", self._now, track="sim", task=name)
         return task
 

@@ -28,6 +28,13 @@ artifact byte for byte.
 For bounded memory on long runs pair the recorder with
 ``Telemetry(max_events=FLIGHT_CAPACITY)`` — a tracer that itself only
 retains the most recent events — instead of a full unbounded tracer.
+A machine without a tracer (``Telemetry(max_events=0)``, the default)
+has an empty ring, so its dumps are header-only.
+
+Dumps are written to a temporary sibling and renamed into place, so a
+process killed mid-dump leaves no truncated artifact under the dump's
+name; :func:`load_flight_dump` raises :class:`~repro.errors.ObserveError`
+for an unreadable file or a malformed line.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.errors import ObserveError
+from repro.errors import ConfigurationError, ObserveError
 from repro.kernel.sim import SimObserver
 from repro.telemetry.export import event_from_dict, event_to_dict
 from repro.telemetry.events import TraceEvent
@@ -85,24 +92,42 @@ class FlightDump:
 
 
 def load_flight_dump(source: Union[str, Path]) -> FlightDump:
-    """Parse a dump from JSONL text or a file path."""
-    if isinstance(source, Path) or (
-        isinstance(source, str) and "\n" not in source and os.path.exists(source)
-    ):
-        text = Path(source).read_text()
+    """Parse a dump from JSONL text or a file path.
+
+    A string holding a newline, or starting with ``{``, is dump text;
+    any other string is a path.  A file that cannot be read, a header
+    that is not a flight-recorder header and an event line that is not a
+    trace event (a dump cut short mid-line) all raise
+    :class:`~repro.errors.ObserveError`.
+    """
+    if isinstance(source, str) and ("\n" in source or source.lstrip()[:1] in ("", "{")):
+        text = source
     else:
-        text = str(source)
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as error:
+            raise ObserveError(f"cannot read flight dump {source}: {error}") from error
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ObserveError("flight dump is empty")
-    header = json.loads(lines[0])
+    try:
+        header = json.loads(lines[0])
+    except ValueError as error:
+        raise ObserveError(f"flight dump header is not JSON: {error}") from error
     if not isinstance(header, dict) or header.get("kind") != DUMP_KIND:
         raise ObserveError("not a flight-recorder dump (missing header)")
     if header.get("schema") != FLIGHT_SCHEMA_VERSION:
         raise ObserveError(
             f"flight dump schema {header.get('schema')!r} != {FLIGHT_SCHEMA_VERSION}"
         )
-    events = [event_from_dict(json.loads(line)) for line in lines[1:]]
+    events = []
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            events.append(event_from_dict(json.loads(line)))
+        except (ValueError, KeyError, TypeError, AttributeError, ConfigurationError) as error:
+            raise ObserveError(
+                f"flight dump line {number} is not a trace event: {error}"
+            ) from error
     return FlightDump(header=header, events=events)
 
 
@@ -163,10 +188,10 @@ class FlightRecorder(SimObserver):
 
     def tail_events(self) -> List[TraceEvent]:
         """The last ``capacity`` trace events the machine recorded."""
-        if self.machine is None:
+        tracer = self.machine.telemetry.tracer if self.machine is not None else None
+        if tracer is None:
             return []
-        events = self.machine.telemetry.tracer.events
-        return list(events[-self.capacity:])
+        return list(tracer.events[-self.capacity:])
 
     # -- failure hooks -----------------------------------------------------------
 
@@ -277,9 +302,16 @@ def _dump_text(
 
 
 def _write_dump(directory: Path, name: str, text: str) -> Path:
+    """Write ``text`` to ``directory/name`` atomically.
+
+    The text lands in a ``*.tmp.<pid>`` sibling first and is renamed into
+    place, so a process killed mid-dump leaves no truncated dump behind.
+    """
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / name
-    path.write_text(text)
+    partial = path.with_name(f"{name}.tmp.{os.getpid()}")
+    partial.write_text(text, encoding="utf-8")
+    partial.replace(path)
     return path
 
 
@@ -345,7 +377,8 @@ def dump_job_failure(
     directory = Path(dump_dir) if dump_dir is not None else flight_dir_from_env()
     if directory is None:
         return None
-    events = list(telemetry.tracer.events)[-capacity:]
+    tracer = telemetry.tracer
+    events = list(tracer.events)[-capacity:] if tracer is not None else []
     fingerprint = job.fingerprint()
     text = _dump_text(
         "unhandled-exception",

@@ -2,21 +2,20 @@
 
 The subsystem has three parts:
 
-* :mod:`repro.telemetry.registry` — counters and sim-time histograms
-  with a no-op fast path when disabled;
+* :mod:`repro.telemetry.registry` — counters and sim-time histograms;
 * :mod:`repro.telemetry.events` — a typed event tracer (spans, instants,
   counter samples) stamped with :meth:`Simulator.now`;
 * :mod:`repro.telemetry.export` — deterministic JSONL and Chrome
   ``trace_event`` serializers, so a whole prevention run opens in
   Perfetto or ``chrome://tracing``.
 
-:class:`Telemetry` bundles a registry and a tracer; pass one to
-``Machine.build(..., telemetry=Telemetry())`` to instrument a run.  See
-``docs/observability.md`` for the event taxonomy.
+:class:`Telemetry` bundles a registry and an optional tracer.  Every
+machine counts into its own registry; pass
+``Machine.build(..., telemetry=Telemetry())`` to trace a run as well.
+See ``docs/observability.md`` for the event taxonomy.
 """
 
 from repro.telemetry.events import (
-    NULL_TRACER,
     PHASE_COMPLETE,
     PHASE_COUNTER,
     PHASE_INSTANT,
@@ -32,29 +31,17 @@ from repro.telemetry.export import (
     to_jsonl,
     write_trace,
 )
-from repro.telemetry.hub import NULL_SPANS, NULL_TELEMETRY, Telemetry
-from repro.telemetry.registry import (
-    NULL_COUNTER,
-    NULL_HISTOGRAM,
-    NULL_REGISTRY,
-    Counter,
-    Histogram,
-    Registry,
-)
+from repro.telemetry.hub import NULL_SPANS, Telemetry
+from repro.telemetry.registry import Counter, Histogram, Registry
 
 __all__ = [
     "Telemetry",
-    "NULL_TELEMETRY",
     "Registry",
     "Counter",
     "Histogram",
-    "NULL_REGISTRY",
-    "NULL_COUNTER",
-    "NULL_HISTOGRAM",
     "NULL_SPANS",
     "Tracer",
     "TraceEvent",
-    "NULL_TRACER",
     "PHASE_COMPLETE",
     "PHASE_INSTANT",
     "PHASE_COUNTER",

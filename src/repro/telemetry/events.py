@@ -78,9 +78,10 @@ def _freeze_args(args: Dict[str, Any]) -> Tuple[Tuple[str, Any], ...]:
 class Tracer:
     """Appending recorder of :class:`TraceEvent` objects.
 
-    Instrumented components bind the tracer once at construction and
-    guard hot-path emission with the ``enabled`` flag, so a disabled
-    tracer costs one attribute test per potential event.
+    Instrumented components bind the tracer once at construction; an
+    untraced :class:`~repro.telemetry.Telemetry` holds ``None`` instead,
+    and each emitter tests ``tracer is not None`` before building an
+    event, so an untraced run costs one identity test per potential event.
 
     ``max_events`` bounds the recorder to a ring of the most recent
     events (the flight-recorder mode of :mod:`repro.observe`): recording
@@ -88,8 +89,6 @@ class Tracer:
     price of forgetting the oldest events.  The default ``None`` keeps
     everything, which is what trace exports want.
     """
-
-    enabled = True
 
     def __init__(self, *, max_events: Optional[int] = None) -> None:
         self.max_events = max_events
@@ -167,22 +166,3 @@ class Tracer:
     def clear(self) -> None:
         """Drop all recorded events."""
         self._events.clear()
-
-
-class _NullTracer(Tracer):
-    """Tracer that records nothing (disabled-telemetry fast path)."""
-
-    enabled = False
-
-    def instant(self, name, category, time_s, *, track="main", **args):  # noqa: D102
-        """Discard the event."""
-
-    def complete(self, name, category, time_s, duration_s, *, track="main", **args):  # noqa: D102
-        """Discard the event."""
-
-    def counter_sample(self, name, category, time_s, value, *, track="main"):  # noqa: D102
-        """Discard the sample."""
-
-
-#: Shared disabled tracer (stateless, safe to share across machines).
-NULL_TRACER = _NullTracer()

@@ -4,14 +4,16 @@ A :class:`~repro.testbench.Machine` owns exactly one ``Telemetry``; every
 instrumented component (the event simulator, the MSR driver, the
 processor's OCM/P-state hooks, the per-core voltage regulators, the
 fault injector, the polling module, the bench runner) receives it at
-construction and binds its instruments once.  The default is the shared
-:data:`NULL_TELEMETRY`, whose registry hands out no-op instruments and
-whose tracer drops events — the disabled fast path the sub-percent
-overhead budget of Table 2 requires.
+construction and binds its instruments once.  Every ``Telemetry`` holds
+a real :class:`~repro.telemetry.Registry`; its tracer is a
+:class:`~repro.telemetry.Tracer`, or ``None`` for ``max_events=0``.  A
+component built without one makes a fresh ``Telemetry(max_events=0)``
+of its own: exact counters, no events — the shape an engine job runs
+under when no flight directory is set.
 
-Timestamps always come from the simulation clock, so enabling telemetry
-never perturbs the simulated timeline: two runs of the same seeded
-scenario, one instrumented and one not, see identical physics.
+Timestamps always come from the simulation clock, so tracing never
+perturbs the simulated timeline: two runs of the same seeded scenario,
+one traced and one not, see identical physics.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.telemetry.events import NULL_TRACER, Tracer
+from repro.telemetry.events import Tracer
 from repro.telemetry.export import write_trace
-from repro.telemetry.registry import NULL_REGISTRY, Registry
+from repro.telemetry.registry import Registry
 
 
 class _NullPhase:
@@ -56,37 +58,31 @@ NULL_SPANS = _NullSpanRecorder()
 
 
 class Telemetry:
-    """Bundled metric registry and event tracer for one machine/run."""
+    """Bundled metric registry and event tracer for one machine/run.
 
-    def __init__(self, *, enabled: bool = True, max_events: Optional[int] = None) -> None:
-        self.enabled = enabled
-        self.registry: Registry = Registry() if enabled else NULL_REGISTRY
-        # A ring of zero events records nothing, so it gets the null
-        # tracer: components then skip building events altogether.
-        traced = enabled and max_events != 0
-        self.tracer: Tracer = Tracer(max_events=max_events) if traced else NULL_TRACER
+    ``max_events`` sizes the tracer: ``None`` keeps every event, ``N``
+    keeps a ring of the last ``N``, and ``0`` means no tracer at all
+    (``tracer is None``), so components skip building events.
+    """
+
+    def __init__(self, *, max_events: Optional[int] = None) -> None:
+        self.registry = Registry()
+        self.tracer: Optional[Tracer] = (
+            Tracer(max_events=max_events) if max_events != 0 else None
+        )
         #: The span recorder job code marks phases on: the shared no-op
         #: one until ``execute_job`` installs the attempt's recorder.
         self.spans = NULL_SPANS
 
-    @classmethod
-    def disabled(cls) -> "Telemetry":
-        """The shared disabled instance (no-op instruments, no state)."""
-        return NULL_TELEMETRY
-
     def export(self, path: Union[str, Path], *, fmt: str = "chrome") -> Path:
         """Write the recorded trace to ``path`` (``chrome`` or ``jsonl``)."""
-        return write_trace(path, self.tracer.events, fmt=fmt)
+        events = self.tracer.events if self.tracer is not None else ()
+        return write_trace(path, events, fmt=fmt)
 
     def render_metrics(self) -> str:
         """Human-readable dump of every counter/histogram."""
         return self.registry.render()
 
     def __repr__(self) -> str:
-        state = "enabled" if self.enabled else "disabled"
-        return f"Telemetry({state}, events={len(self.tracer.events)})"
-
-
-#: The process-wide disabled telemetry.  Its instruments never mutate, so
-#: sharing it across machines cannot leak state between runs.
-NULL_TELEMETRY = Telemetry(enabled=False)
+        events = len(self.tracer) if self.tracer is not None else None
+        return f"Telemetry(events={events})"

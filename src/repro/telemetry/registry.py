@@ -5,10 +5,9 @@ tracer is the other).  Instruments are keyed by dotted names following
 the module-path convention (``countermeasure.polls``,
 ``msr.reads``, ...) and are handed out once, at *instrument time*: a
 component asks the registry for its counter during construction and then
-increments a plain attribute on the hot path.  A disabled registry hands
-out shared no-op instruments instead, so the disabled fast path costs a
-single no-op method call and no branching logic spreads through the
-instrumented code.
+increments a plain attribute on the hot path.  Every machine owns a real
+registry (a default machine builds its own), so counts are always exact
+and never leak between machines.
 
 All histogram observations are *simulated-time* quantities (seconds on
 the :class:`~repro.kernel.sim.Simulator` clock) or other deterministic
@@ -197,39 +196,14 @@ class Histogram:
         return f"Histogram({self.name!r}, count={self.count}, mean={self.mean:.3g})"
 
 
-class _NullCounter(Counter):
-    """Counter that discards increments (disabled-telemetry fast path)."""
-
-    def inc(self, amount: int = 1) -> None:  # noqa: D102 - inherited contract
-        """Discard the increment."""
-
-
-class _NullHistogram(Histogram):
-    """Histogram that discards observations."""
-
-    def observe(self, value: float) -> None:  # noqa: D102 - inherited contract
-        """Discard the observation."""
-
-    def merge(self, snapshot: Dict[str, object]) -> None:  # noqa: D102
-        """Discard the snapshot."""
-
-
-#: Shared no-op instruments handed out by disabled registries.  They are
-#: stateless (no mutation ever lands), so one of each suffices globally.
-NULL_COUNTER = _NullCounter("null")
-NULL_HISTOGRAM = _NullHistogram("null", max_samples=0)
-
-
 class Registry:
     """Named metric instruments for one machine/run.
 
     ``counter``/``histogram`` get-or-create by name, so
     independent components referring to the same dotted name share one
-    instrument — that sharing is what lets :class:`PollingStats` and
-    ``repro status`` read a single source of truth.
+    instrument — that sharing is what lets the polling module, the MSR
+    driver and ``repro status`` read a single source of truth.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
@@ -305,21 +279,3 @@ class Registry:
         """Reset every instrument (counters to 0, histograms emptied)."""
         for instrument in (*self._counters.values(), *self._histograms.values()):
             instrument.reset()
-
-
-class _NullRegistry(Registry):
-    """Registry that hands out shared no-op instruments."""
-
-    enabled = False
-
-    def counter(self, name: str) -> Counter:
-        """Return the shared no-op counter."""
-        return NULL_COUNTER
-
-    def histogram(self, name: str, *, max_samples: int = 100_000) -> Histogram:
-        """Return the shared no-op histogram."""
-        return NULL_HISTOGRAM
-
-
-#: Shared disabled registry (stateless, safe to share across machines).
-NULL_REGISTRY = _NullRegistry()

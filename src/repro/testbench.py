@@ -33,7 +33,7 @@ from repro.kernel.cpufreq import CPUFreqDriver, CPUPower
 from repro.kernel.module import ModuleRegistry
 from repro.kernel.msr_driver import MSRDriver
 from repro.kernel.sim import Simulator
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import Telemetry
 
 
 @dataclass
@@ -50,7 +50,7 @@ class Machine:
     cpupower: CPUPower
     modules: ModuleRegistry
     rng: np.random.Generator
-    telemetry: Telemetry = field(default_factory=Telemetry.disabled)
+    telemetry: Telemetry = field(default_factory=lambda: Telemetry(max_events=0))
     crash_count: int = field(default=0)
     #: The runtime invariant checker installed on this machine, if any
     #: (see :meth:`install_invariants` and the ``REPRO_VERIFY`` knob).
@@ -75,19 +75,21 @@ class Machine:
         client-part topology where one 0x150 write moves every core's
         voltage (enabling cross-core attack scenarios).
 
-        ``telemetry`` is the single observability hook: pass an enabled
-        :class:`~repro.telemetry.Telemetry` and every layer (simulator,
-        MSR driver, OCM/P-state hooks, regulators, fault injector, the
-        polling module once loaded) records metrics and trace events on
-        the simulated timeline.  Defaults to the shared disabled
-        instance, whose instruments are no-ops.
+        ``telemetry`` is the single observability hook: every layer
+        (simulator, MSR driver, OCM/P-state hooks, regulators, fault
+        injector, the polling module once loaded) counts into its
+        registry and, when it has a tracer, records trace events on the
+        simulated timeline.  Defaults to a fresh untraced
+        ``Telemetry(max_events=0)``: the machine's own counters, no
+        events.
 
         ``verify`` installs a :class:`repro.verify.InvariantChecker` on
         the assembled machine; the default ``None`` consults the
         ``REPRO_VERIFY`` environment knob (off unless set), so existing
         callers pay nothing.
         """
-        telemetry = telemetry or NULL_TELEMETRY
+        if telemetry is None:
+            telemetry = Telemetry(max_events=0)
         simulator = Simulator(telemetry=telemetry)
         processor = SimulatedProcessor(
             model,

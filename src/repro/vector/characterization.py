@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.core.unsafe_states import CellResult
 from repro.faults.margin import FaultModel
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry import Telemetry
 from repro.vector.kernels import effective_voltage_grid, fault_grid
 from repro.vector.profile import record_kernel_site
 
@@ -74,9 +74,9 @@ def run_row_batch(
     if fault_model is None:
         fault_model = FaultModel(framework.model)
         framework._vector_fault_model = fault_model
-    telemetry = telemetry or NULL_TELEMETRY
+    if telemetry is None:
+        telemetry = Telemetry(max_events=0)
     tracer = telemetry.tracer
-    trace_on = tracer.enabled
     windows_counter = telemetry.registry.counter("faults.windows")
     injected_counter = telemetry.registry.counter("faults.injected")
     crashes_counter = telemetry.registry.counter("faults.crashes")
@@ -129,7 +129,7 @@ def run_row_batch(
             # framework records a crash cell and (by default) ends the row.
             windows += 1
             crashes += 1
-            if trace_on:
+            if tracer is not None:
                 tracer.instant(
                     "fault.crash", "fault", 0.0, track="faults",
                     frequency_ghz=frequency_ghz,
@@ -150,7 +150,7 @@ def run_row_batch(
                 count = int(rng.binomial(iterations, p))
             if count:
                 injected += count
-                if trace_on:
+                if tracer is not None:
                     tracer.instant(
                         "fault.injection", "fault", 0.0, track="faults",
                         ops=iterations,

@@ -245,21 +245,24 @@ class TestDetectionMargin:
 class TestReloadLifetimes:
     """Load -> unload -> load must start a fresh lifetime.
 
-    The stats counters and the turnaround histogram live in the machine's
-    shared telemetry registry (that sharing is the telemetry contract),
-    so without per-lifetime baselines a reloaded module starts life
-    claiming every poll, detection and turnaround sample of the previous
-    lifetime — and a load that races an unload would leave two kthreads
-    double-polling.
+    The ``countermeasure.*`` counters and the turnaround histogram live
+    in the machine's registry and keep accumulating across lifetimes
+    (that sharing is the telemetry contract); the module's per-lifetime
+    counts are zeroed at every load, so a reloaded module never claims
+    the previous lifetime's polls, detections or turnaround samples —
+    and a load that races an unload must not leave two kthreads
+    double-polling.  Every case runs on a traced machine and on a
+    default one, which counts into a registry of its own just the same.
     """
 
-    def _telemetry_machine(self):
+    @pytest.fixture(params=["traced", "default"])
+    def machine(self, request):
         from repro.telemetry import Telemetry
 
-        return Machine.build(COMET_LAKE, seed=17, telemetry=Telemetry())
+        telemetry = Telemetry() if request.param == "traced" else None
+        return Machine.build(COMET_LAKE, seed=17, telemetry=telemetry)
 
-    def test_reloaded_module_starts_at_zero(self, unsafe):
-        machine = self._telemetry_machine()
+    def test_reloaded_module_starts_at_zero(self, machine, unsafe):
         first = loaded_module(machine, unsafe)
         machine.advance(5e-3)
         assert first.stats.polls > 0
@@ -275,8 +278,7 @@ class TestReloadLifetimes:
         total = machine.telemetry.registry.counter("countermeasure.polls").value
         assert total == first.stats.polls + second.stats.polls
 
-    def test_same_instance_reload_rebaselines(self, unsafe):
-        machine = self._telemetry_machine()
+    def test_same_instance_reload_rebaselines(self, machine, unsafe):
         module = loaded_module(machine, unsafe)
         machine.advance(5e-3)
         machine.modules.rmmod(module.name)
@@ -288,8 +290,7 @@ class TestReloadLifetimes:
         machine.advance(2e-3)
         assert 0 < module.stats.polls < first_lifetime
 
-    def test_reload_does_not_double_poll(self, unsafe):
-        machine = self._telemetry_machine()
+    def test_reload_does_not_double_poll(self, machine, unsafe):
         module = loaded_module(machine, unsafe)
         machine.advance(5e-3)
         machine.modules.rmmod(module.name)
@@ -300,10 +301,9 @@ class TestReloadLifetimes:
         # One kthread's cadence, not two: ~10 polls in 5 ms at 500 us.
         assert delta == pytest.approx(10, abs=1)
 
-    def test_racing_load_does_not_double_poll(self, unsafe):
+    def test_racing_load_does_not_double_poll(self, machine, unsafe):
         # A load racing an unload calls on_load with a kthread already
         # armed; the defensive disarm must keep a single cadence.
-        machine = self._telemetry_machine()
         module = loaded_module(machine, unsafe)
         module.on_load()  # the race: second load without an unload
         before = machine.telemetry.registry.counter("countermeasure.polls").value
@@ -311,8 +311,7 @@ class TestReloadLifetimes:
         delta = machine.telemetry.registry.counter("countermeasure.polls").value - before
         assert delta == pytest.approx(10, abs=1)
 
-    def test_turnaround_samples_not_double_counted(self, unsafe):
-        machine = self._telemetry_machine()
+    def test_turnaround_samples_not_double_counted(self, machine, unsafe):
         module = loaded_module(machine, unsafe)
         machine.set_frequency(2.0)
         boundary = unsafe.boundary_mv(2.0)
@@ -331,8 +330,7 @@ class TestReloadLifetimes:
         # The shared histogram keeps the machine-wide sample count.
         assert histogram.count == first_samples
 
-    def test_unload_cancels_recurring_event(self, unsafe):
-        machine = self._telemetry_machine()
+    def test_unload_cancels_recurring_event(self, machine, unsafe):
         module = loaded_module(machine, unsafe)
         machine.advance(1e-3)
         machine.modules.rmmod(module.name)

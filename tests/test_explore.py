@@ -48,7 +48,7 @@ from repro.explore import (
     run_explore,
     trace_victim,
 )
-from repro.telemetry import NULL_TELEMETRY
+from repro.telemetry import Telemetry
 
 KEY = RSAKey.generate(128, seed=42)
 MESSAGE = 0xDEADBEEF
@@ -222,7 +222,7 @@ class TestPruningSoundness:
             protect=False,
             seed=PLAN.seed,
         )
-        for record in job.run(NULL_TELEMETRY):
+        for record in job.run(Telemetry(max_events=0)):
             assert record["status"] == "safe"
 
     def test_pruning_stats_account_for_everything(self, open_map):
@@ -347,7 +347,7 @@ class TestJobSpecs:
         job = ExploreInjectionJob(
             key_bits=128, key_seed=42, message=MESSAGE, reps=((0, "flip:0"),)
         )
-        first = job.run(NULL_TELEMETRY)
-        second = job.run(NULL_TELEMETRY)
+        first = job.run(Telemetry(max_events=0))
+        second = job.run(Telemetry(max_events=0))
         assert first == second
         assert first[0]["verdict"] == "exploitable"

@@ -15,7 +15,7 @@ from repro.faults.imul import DEFAULT_ITERATIONS, ImulLoop
 from repro.faults.injector import FaultInjector
 from repro.faults.margin import FaultModel, OperatingConditions
 from repro.kernel.sim import SimObserver, Simulator
-from repro.telemetry import NULL_TRACER, Telemetry
+from repro.telemetry import Telemetry
 from repro.testbench import Machine
 from repro.faults.workloads import (
     IMUL_LOOP,
@@ -209,9 +209,7 @@ def _run_modexp(
     ``fault_model`` replaces the machine with a bare injector over that
     model on a simulator of its own.
     """
-    telemetry = Telemetry()
-    if not tracer:
-        telemetry.tracer = NULL_TRACER
+    telemetry = Telemetry(max_events=None if tracer else 0)
     if fault_model is None:
         machine = Machine.build(
             COMET_LAKE, seed=seed, telemetry=telemetry, verify=observer == "invariants"
@@ -241,7 +239,7 @@ def _run_modexp(
         "result": result,
         "stats": alu.stats,
         "counters": counters,
-        "events": telemetry.tracer.events,
+        "events": telemetry.tracer.events if tracer else (),
         "observer": log.calls,
         "rng": injector.rng.bit_generator.state,
     }

@@ -36,7 +36,6 @@ from repro.observe.flight import (
     load_flight_dump,
 )
 from repro.telemetry import Telemetry
-from repro.telemetry.events import NULL_TRACER
 
 #: The ``JobResult`` fields that must not depend on the tracer.
 RESULT_FIELDS = ("payload", "counters", "histograms", "spans")
@@ -129,13 +128,12 @@ def test_results_identical_with_and_without_flight_dir(
     job = jobs[name]
     monkeypatch.delenv(FLIGHT_DIR_ENV, raising=False)
     untraced = execute_job(job)
-    assert made[-1].tracer is NULL_TRACER
-    assert made[-1].registry.enabled
+    assert made[-1].tracer is None
 
     monkeypatch.setenv(FLIGHT_DIR_ENV, str(tmp_path))
     traced = execute_job(job)
     tracer = made[-1].tracer
-    assert tracer is not NULL_TRACER
+    assert tracer is not None
     assert tracer.max_events == FLIGHT_CAPACITY
     assert len(tracer) <= FLIGHT_CAPACITY
 
@@ -176,7 +174,7 @@ class _ChattyBoomJob(JobSpec):
         return ("chatty-boom",)
 
     def run(self, telemetry: Any) -> Any:
-        if telemetry.tracer.enabled:
+        if telemetry.tracer is not None:
             _emit(telemetry.tracer)
         raise RuntimeError("worker exploded after a long trace")
 

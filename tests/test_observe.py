@@ -353,6 +353,55 @@ class TestFlightRecorder:
         assert not is_flight_dump(path)
         assert not is_flight_dump(tmp_path / "missing.jsonl")
 
+    def test_loader_rejects_a_truncated_event_line(self, tmp_path):
+        machine = _traced_machine()
+        recorder = FlightRecorder(machine, capacity=8)
+        machine.write_voltage_offset(-50)
+        machine.advance(2e-3)
+        text = recorder.make_dump("manual")
+        cut = text[: text.rindex("\n", 0, len(text) - 1) + 20]
+        with pytest.raises(ObserveError, match="line"):
+            load_flight_dump(cut)
+        path = tmp_path / "cut.jsonl"
+        path.write_text(cut)
+        assert is_flight_dump(path)
+        with pytest.raises(ObserveError, match="line"):
+            load_flight_dump(path)
+
+    def test_loader_rejects_a_missing_file(self, tmp_path):
+        missing = tmp_path / "missing.jsonl"
+        with pytest.raises(ObserveError, match="cannot read"):
+            load_flight_dump(missing)
+        with pytest.raises(ObserveError, match="cannot read"):
+            load_flight_dump(str(missing))
+
+    def test_dumps_are_renamed_into_place(self, tmp_path, monkeypatch):
+        # A writer killed before the rename leaves only the temp file:
+        # no reader ever sees a half-written dump under the real name.
+        def killed(self, target):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(type(tmp_path), "replace", killed)
+        recorder = FlightRecorder(_traced_machine(), dump_dir=tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            recorder.record("manual")
+        names = [entry.name for entry in tmp_path.iterdir()]
+        assert len(names) == 1 and ".tmp." in names[0]
+        assert not list(tmp_path.glob("*.jsonl"))
+
+        monkeypatch.undo()
+        path = FlightRecorder(_traced_machine(), dump_dir=tmp_path).record("manual")
+        assert load_flight_dump(path).reason == "manual"
+        assert sorted(tmp_path.glob("*.jsonl")) == [path]
+
+    def test_recorder_on_an_untraced_machine_dumps_the_header(self):
+        machine = Machine.build(COMET_LAKE, seed=3)
+        recorder = FlightRecorder(machine)
+        machine.advance(1e-3)
+        dump = load_flight_dump(recorder.make_dump("manual"))
+        assert dump.events == []
+        assert dump.header["machine"]["seed"] == 3
+
 
 @dataclass(frozen=True)
 class _BoomJob(JobSpec):
@@ -366,7 +415,8 @@ class _BoomJob(JobSpec):
         return ("boom",)
 
     def run(self, telemetry: Any) -> Any:
-        telemetry.tracer.instant("boom.pre", "test", 1e-3, track="sim", step=1)
+        if telemetry.tracer is not None:
+            telemetry.tracer.instant("boom.pre", "test", 1e-3, track="sim", step=1)
         raise RuntimeError("worker exploded")
 
 
@@ -390,6 +440,15 @@ class TestJobFailureDumps:
         assert dump_job_failure(_BoomJob(), Telemetry(), RuntimeError("x")) is None
         with pytest.raises(RuntimeError):
             execute_job(_BoomJob())
+
+    def test_untraced_telemetry_gives_a_header_only_dump(self, tmp_path):
+        path = dump_job_failure(
+            _BoomJob(), Telemetry(max_events=0), RuntimeError("x"), dump_dir=tmp_path
+        )
+        dump = load_flight_dump(path)
+        assert dump.header["events"] == 0
+        assert dump.events == []
+        assert dump.header["sim_time_s"] == 0.0
 
     def test_successful_jobs_leave_no_dump(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
@@ -572,6 +631,23 @@ class TestCLI:
         assert code == 1
         assert "recorded violation" in out
         assert "replay reproduced" in out
+
+    def test_fuzz_replay_rejects_a_truncated_dump(self, capsys, tmp_path):
+        machine = _traced_machine()
+        recorder = FlightRecorder(machine, dump_dir=tmp_path, record_crashes=True)
+        machine.write_voltage_offset(-50)
+        machine.advance(2e-3)
+        machine.reboot()
+        path = recorder.dump_paths[0]
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        from repro.cli import main
+
+        code = main(["fuzz", "--replay", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "is not a trace event" in err
+        assert "Traceback" not in err
 
     def test_fuzz_replay_without_schedule(self, capsys, tmp_path):
         machine = _traced_machine()

@@ -1,7 +1,8 @@
 """The observability layer: metrics, tracing, exporters, determinism.
 
 Covers the contract the rest of the stack builds on: counter/histogram
-semantics, the disabled-mode no-op fast path, JSONL round-trips, the
+semantics, the default untraced telemetry every machine counts into,
+JSONL round-trips, the
 Chrome ``trace_event`` export shape, byte-identical traces across
 identical seeded runs, and the machine-level ``telemetry=`` hook
 threading events out of every instrumented layer.
@@ -17,7 +18,6 @@ from repro.core import PollingCountermeasure
 from repro.cpu import COMET_LAKE
 from repro.errors import ConfigurationError
 from repro.telemetry import (
-    NULL_TELEMETRY,
     Counter,
     Histogram,
     Registry,
@@ -84,47 +84,55 @@ class TestInstruments:
         assert "polls" in registry.render()
 
 
-class TestDisabledMode:
-    def test_null_telemetry_instruments_are_noops(self):
-        telemetry = Telemetry.disabled()
-        counter = telemetry.registry.counter("anything")
-        counter.inc(100)
-        assert counter.value == 0
-        hist = telemetry.registry.histogram("h")
-        hist.observe(1.0)
-        assert hist.count == 0
+def _protected_default_machine(seed: int):
+    """A default-telemetry machine running the polling module for 2 ms."""
+    from repro.core.characterization import CharacterizationFramework
+    from repro.testbench import Machine
 
-    def test_null_tracer_records_nothing(self):
-        telemetry = Telemetry.disabled()
-        telemetry.tracer.instant("x", "cat", 0.0)
-        telemetry.tracer.complete("y", "cat", 0.0, 1.0)
-        telemetry.tracer.counter_sample("z", "cat", 0.0, 1.0)
-        assert len(telemetry.tracer.events) == 0
-        assert telemetry.tracer.enabled is False
+    unsafe = CharacterizationFramework(COMET_LAKE, seed=5).run().unsafe_states
+    machine = Machine.build(COMET_LAKE, seed=seed)
+    machine.modules.insmod(PollingCountermeasure(machine, unsafe))
+    machine.advance(2e-3)
+    return machine
 
-    def test_disabled_is_shared_singleton(self):
-        assert Telemetry.disabled() is NULL_TELEMETRY
 
-    def test_zero_event_ring_is_the_null_tracer(self):
-        from repro.telemetry.events import NULL_TRACER
+class TestDefaultTelemetry:
+    def test_default_machine_counts_in_its_own_registry(self):
+        machine = _protected_default_machine(1)
+        counts = machine.telemetry.registry.counter_values()
+        assert counts["msr.reads"] > 0
+        assert counts["countermeasure.polls"] > 0
+        assert machine.telemetry.tracer is None
 
+    def test_default_machines_do_not_share_a_registry(self):
+        from repro.testbench import Machine
+
+        busy = _protected_default_machine(1)
+        idle = Machine.build(COMET_LAKE, seed=1)
+        assert idle.telemetry is not busy.telemetry
+        assert idle.telemetry.registry is not busy.telemetry.registry
+        assert busy.telemetry.registry.counter("msr.reads").value > 0
+        assert idle.telemetry.registry.counter("msr.reads").value == 0
+
+    def test_zero_event_ring_has_no_tracer(self):
         telemetry = Telemetry(max_events=0)
-        assert telemetry.tracer is NULL_TRACER
-        assert telemetry.registry.enabled is True
+        assert telemetry.tracer is None
         counter = telemetry.registry.counter("anything")
         counter.inc(3)
         assert counter.value == 3
-        telemetry.tracer.instant("x", "cat", 0.0)
-        assert len(telemetry.tracer.events) == 0
 
-    def test_machine_default_is_disabled(self):
-        from repro.testbench import Machine
+    def test_standalone_components_build_their_own_telemetry(self):
+        from repro.cpu.msr import IA32_PERF_STATUS
+        from repro.cpu.processor import SimulatedProcessor
+        from repro.kernel.msr_driver import MSRDriver
 
-        machine = Machine.build(COMET_LAKE, seed=1)
-        assert machine.telemetry.enabled is False
-        machine.write_voltage_offset(-50)
-        machine.advance(2e-3)
-        assert len(machine.telemetry.tracer.events) == 0
+        processor = SimulatedProcessor(COMET_LAKE, clock=lambda: 0.0)
+        first, second = MSRDriver(processor), MSRDriver(processor)
+        first.read(0, IA32_PERF_STATUS)
+        assert first.telemetry.registry.counter("msr.reads").value == 1
+        assert second.telemetry.registry.counter("msr.reads").value == 0
+        assert first.telemetry.tracer is None
+        assert processor.telemetry.registry is not first.telemetry.registry
 
 
 class TestTracer:
@@ -274,22 +282,33 @@ class TestPollingStatsBackwardCompat:
     def test_standalone_stats_still_count(self):
         from repro.core.polling_module import PollingStats
 
-        stats = PollingStats()
+        registry = Registry()
+        stats = PollingStats(registry)
         stats.record_poll()
         stats.record_core_check()
         stats.record_detection()
         assert (stats.polls, stats.core_checks, stats.detections) == (1, 1, 1)
+        assert registry.counter_values() == {
+            "countermeasure.core_checks": 1,
+            "countermeasure.detections": 1,
+            "countermeasure.polls": 1,
+        }
 
     def test_disabled_machine_stats_use_private_registry(self):
         from repro.core.characterization import CharacterizationFramework
         from repro.testbench import Machine
 
         unsafe = CharacterizationFramework(COMET_LAKE, seed=5).run().unsafe_states
-        machine = Machine.build(COMET_LAKE, seed=3)  # telemetry disabled
+        machine = Machine.build(COMET_LAKE, seed=3)  # default telemetry
         module = PollingCountermeasure(machine, unsafe)
         machine.modules.insmod(module)
         machine.advance(2e-3)
-        assert module.stats.polls > 0  # counts survive disabled telemetry
+        assert module.stats.polls > 0
+        # The default machine's own registry holds the same counts.
+        assert module.stats.registry is machine.telemetry.registry
+        counts = machine.telemetry.registry.counter_values()
+        assert counts["countermeasure.polls"] == module.stats.polls
+        assert counts["countermeasure.core_checks"] == module.stats.core_checks
 
 
 class TestCLI:
