@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.errors import AttackError, ConfigurationError
 from repro.faults.alu import FaultableALU
 
@@ -167,6 +169,45 @@ def _encrypt_with_schedule(
     return bytes(state)
 
 
+def _round_entry_states(
+    round_keys: Sequence[bytes], plaintext: bytes
+) -> Tuple[Tuple[int, ...], ...]:
+    """The fault-free states entering rounds 1..10 of one encryption.
+
+    Entry ``r - 1`` is the state :func:`_encrypt_with_schedule` xors a
+    ``fault_round=r`` fault into.
+    """
+    if len(plaintext) != 16:
+        raise ConfigurationError("AES block must be 16 bytes")
+    state = _add_round_key(plaintext, round_keys[0])
+    states = [tuple(state)]
+    for round_index in range(1, 10):
+        state = _add_round_key(_mix_columns(_sub_shift(state)), round_keys[round_index])
+        states.append(tuple(state))
+    return tuple(states)
+
+
+def _encrypt_from_round(
+    round_keys: Sequence[bytes],
+    entry_states: Sequence[Sequence[int]],
+    fault_round: int,
+    fault: Tuple[int, int],
+) -> bytes:
+    """:func:`_encrypt_with_schedule` with a fault, replayed from the
+    golden state entering ``fault_round`` (``entry_states`` as
+    :func:`_round_entry_states` returns them).
+
+    The rounds before ``fault_round`` never see the fault, so their
+    output is the golden entry state: only rounds ``fault_round``..10
+    run, on the same primitives, and the ciphertext is identical.
+    """
+    state = list(entry_states[fault_round - 1])
+    state[fault[0]] ^= fault[1]
+    for round_index in range(fault_round, 10):
+        state = _add_round_key(_mix_columns(_sub_shift(state)), round_keys[round_index])
+    return bytes(_add_round_key(_sub_shift(state), round_keys[10]))
+
+
 # -- the enclave-side faultable implementation ---------------------------------
 
 
@@ -231,11 +272,21 @@ def diff_group(correct: bytes, faulty: bytes) -> Optional[int]:
     return None
 
 
-#: Per fault row ``r`` (the byte a round-9 fault hits within its column),
-#: the product tables ``MC[j][r]·delta`` for output bytes ``j`` = 0..3.
-_MC_COLUMN_TABLES = tuple(
-    tuple(_MUL_BY[MC[j][fault_row]] for j in range(4)) for fault_row in range(4)
+#: ``_MC_TARGETS[r, j, delta - 1]`` is ``MC[j][r]·delta``: the S-box input
+#: difference output byte ``j`` of a group shows when a round-9 fault of
+#: ``delta`` hits row ``r`` of its column.
+_MC_TARGETS = np.array(
+    [
+        [[_MUL_BY[MC[j][fault_row]][delta] for delta in range(1, 256)] for j in range(4)]
+        for fault_row in range(4)
+    ],
+    dtype=np.intp,
 )
+_INV_SBOX_TABLE = np.frombuffer(INV_SBOX, dtype=np.uint8)
+_KEY_GUESSES = np.arange(256, dtype=np.uint8)
+#: Row / output-byte index arrays that broadcast against the tables.
+_BYTE_ROWS = np.arange(4)[:, None]
+_BYTE_AXIS = np.arange(4)[None, :, None]
 
 
 @dataclass
@@ -248,7 +299,11 @@ class DFAState:
         """Fold one correct/faulty pair in; returns the group hit or None.
 
         Pairs hitting an already-solved group are recognised but skipped
-        (no information left to extract).
+        (no information left to extract).  The (delta, row) enumeration
+        runs over numpy tables of all 256 key guesses per output byte: a
+        key guess survives for byte ``j`` when the S-box input difference
+        it implies is ``MC[j][row]·delta`` for some (delta, row) that all
+        four bytes of the group can explain.
         """
         group_index = diff_group(correct, faulty)
         if group_index is None:
@@ -256,29 +311,20 @@ class DFAState:
         if group_index in self.solved_groups():
             return group_index
         group = CIPHERTEXT_GROUPS[group_index]
-        # Precompute, per output byte, the map from S-box input difference
-        # to the key candidates producing it — turns the (delta, row)
-        # enumeration into O(1) lookups.
-        diff_to_keys: List[Dict[int, Set[int]]] = []
-        for j in range(4):
-            c = correct[group[j]]
-            f = faulty[group[j]]
-            table: Dict[int, Set[int]] = {}
-            for k in range(256):
-                table.setdefault(INV_SBOX[c ^ k] ^ INV_SBOX[f ^ k], set()).add(k)
-            diff_to_keys.append(table)
-        pair_sets: List[Set[int]] = [set(), set(), set(), set()]
-        for delta in range(1, 256):
-            for coefficients in _MC_COLUMN_TABLES:
-                per_byte = []
-                for j in range(4):
-                    matches = diff_to_keys[j].get(coefficients[j][delta])
-                    if not matches:
-                        break
-                    per_byte.append(matches)
-                else:
-                    for j in range(4):
-                        pair_sets[j] |= per_byte[j]
+        c = np.array([correct[i] for i in group], dtype=np.uint8)[:, None]
+        f = np.array([faulty[i] for i in group], dtype=np.uint8)[:, None]
+        # diffs[j, k]: S-box input difference of byte j under key guess k.
+        diffs = (
+            _INV_SBOX_TABLE[c ^ _KEY_GUESSES] ^ _INV_SBOX_TABLE[f ^ _KEY_GUESSES]
+        ).astype(np.intp)
+        produced = np.zeros((4, 256), dtype=bool)
+        produced[_BYTE_ROWS, diffs] = True
+        # (row, delta) pairs whose differences every byte can produce.
+        explained = produced[_BYTE_AXIS, _MC_TARGETS].all(axis=1)
+        wanted = np.zeros((4, 256), dtype=bool)
+        wanted[_BYTE_ROWS, _MC_TARGETS.transpose(1, 0, 2)[:, explained]] = True
+        survivors = np.take_along_axis(wanted, diffs, axis=1)
+        pair_sets = [set(np.flatnonzero(row).tolist()) for row in survivors]
         existing = self.candidates.get(group_index)
         if existing is None:
             self.candidates[group_index] = pair_sets

@@ -17,6 +17,15 @@ the faulty encryption concretely.  The distribution of (number of
 encryptions, fault round, fault byte) is identical to the naive loop;
 under a deployed countermeasure the per-encryption probability is zero
 and the budget simply drains — exactly as the naive loop would behave.
+
+Simulation note — golden-run replay: every encryption is of the same
+plaintext under the same key, so the campaign computes the fault-free
+states entering rounds 1..10 once, and a faulty encryption runs only
+from its fault round on (:func:`~repro.attacks.aes._encrypt_from_round`).
+The rounds before the fault cannot see it, so the ciphertext is exactly
+what the full encryption produces.  The surviving pairs go to
+:class:`~repro.attacks.aes.DFAState`, whose candidate filter runs over
+numpy tables of all 256 key guesses per byte.
 """
 
 from __future__ import annotations
@@ -26,7 +35,8 @@ from typing import Optional
 
 from repro.attacks.aes import (
     DFAState,
-    _encrypt_with_schedule,
+    _encrypt_from_round,
+    _round_entry_states,
     encrypt_block,
     expand_key,
 )
@@ -116,6 +126,7 @@ class AESDFAAttack(DVFSAttack):
             offset -= config.depth_bonus_mv
 
         correct = encrypt_block(self._key, self._plaintext)
+        golden = _round_entry_states(self._round_keys, self._plaintext)
         dfa = DFAState()
         settle = machine.model.regulator_latency_s * 1.2
         machine.cpupower.frequency_set(config.frequency_ghz, core_index=config.core_index)
@@ -152,11 +163,8 @@ class AESDFAAttack(DVFSAttack):
                 fault_round = int(rng.integers(1, ROUNDS + 1))
                 fault_index = int(rng.integers(0, 16))
                 delta = int(rng.integers(1, 256))
-                faulty = _encrypt_with_schedule(
-                    self._round_keys,
-                    self._plaintext,
-                    fault_round=fault_round,
-                    fault=(fault_index, delta),
+                faulty = _encrypt_from_round(
+                    self._round_keys, golden, fault_round, (fault_index, delta)
                 )
                 outcome.faults_observed += 1
                 dfa.absorb(correct, faulty)

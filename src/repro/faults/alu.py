@@ -15,14 +15,22 @@ multiplication is ~64 limb products, any one of which may flip a bit.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, List, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
 from repro.faults.margin import OperatingConditions
 
 _MASK64 = (1 << 64) - 1
+
+#: Distinct fault-free exponentiation plans :meth:`FaultableALU.modexp`
+#: keeps per process.
+PLAN_MEMO_SIZE = 8
 
 
 @dataclass
@@ -88,12 +96,18 @@ class FaultableALU(BigIntALU):
     ``modexp`` reads them once per exponentiation: the simulated clock
     only moves when the machine advances, which never happens inside an
     ``ecall``, so one operating point holds for the whole
-    exponentiation.  At that point it plans the square-and-multiply with
-    plain ints, draws every multiply's fault window in one
+    exponentiation.  The fault-free ("golden") plan of the
+    square-and-multiply — its intermediate states and per-multiply trial
+    counts — depends only on ``(exponent, modulus, base % modulus)``, so
+    it is computed once per process and shared (:func:`_golden_plan`, a
+    bounded LRU): a victim that signs one message attempt after attempt
+    plans each CRT half once.  ``modexp`` draws every multiply's fault
+    window in one
     :meth:`~repro.faults.injector.FaultInjector.run_clean_windows` call,
     and steps op by op (through :meth:`bigmul`'s window) only where a
-    fault or crash lands — consuming the seeded stream, counters and
-    trace exactly as :meth:`BigIntALU.modexp`, the op-by-op oracle, does.
+    fault or crash lands, planning afresh from the faulted intermediate —
+    consuming the seeded stream, counters and trace exactly as
+    :meth:`BigIntALU.modexp`, the op-by-op oracle, does.
 
     Parameters
     ----------
@@ -164,38 +178,39 @@ class FaultableALU(BigIntALU):
     def modexp(self, base: int, exponent: int, modulus: int) -> int:
         """:meth:`BigIntALU.modexp` with bulk-drawn fault windows.
 
-        Plans the exact operands of every remaining ``modmul``, lets the
-        injector run the clean prefix of their windows in one draw, then
-        executes the first eventful multiply through :meth:`bigmul`'s
-        window (a fault, or the crash that raises
-        :class:`~repro.errors.MachineCheckError`) and plans again from
-        the faulted intermediate.
+        Takes the fault-free plan of the whole exponentiation from a
+        per-process memo (:func:`_golden_plan`), lets the injector run the
+        clean prefix of its windows in one draw, then executes the first
+        eventful multiply through :meth:`bigmul`'s window (a fault, or the
+        crash that raises :class:`~repro.errors.MachineCheckError`) and
+        plans again, uncached, from the faulted intermediate.
         """
         if modulus <= 0:
             raise ConfigurationError("modulus must be positive")
         if exponent < 0:
             raise ConfigurationError("exponent must be non-negative")
-        result = 1 % modulus
-        acc = base % modulus
-        squares = _square_schedule(exponent)
-        if not squares:
-            return result
+        if not exponent:
+            return 1 % modulus
+        squares, plan = _golden_plan(exponent, modulus, base % modulus)
         conditions = self._conditions()
         op = 0
-        while op < len(squares):
-            states, trials = _plan(squares, op, result, acc, modulus)
-            clean = self.injector.run_clean_windows(conditions, trials, instruction="imul")
-            self.stats.imul_count += sum(trials[:clean])
-            result, acc = states[clean]
+        while True:
+            clean = self.injector.run_clean_windows(
+                conditions, plan.trials, instruction="imul"
+            )
+            self.stats.imul_count += plan.spent[clean]
+            result, acc = plan.states[clean]
             op += clean
             if op == len(squares):
-                break
+                return result
             if squares[op]:
                 acc = self._bigmul_at(acc, acc, conditions) % modulus
             else:
                 result = self._bigmul_at(result, acc, conditions) % modulus
             op += 1
-        return result
+            if op == len(squares):
+                return result
+            plan = _plan(squares, op, result, acc, modulus)
 
 
 def _limbs(value: int) -> int:
@@ -220,14 +235,27 @@ def _square_schedule(exponent: int) -> Tuple[bool, ...]:
     return tuple(schedule)
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """A fault-free run of a square-and-multiply schedule's tail.
+
+    ``states[k]`` is the ``(result, acc)`` state before the tail's op
+    ``k`` (the last entry is the final state), ``trials[k]`` that op's
+    fault-trial count as the read-only int64 array
+    :meth:`~repro.faults.injector.FaultInjector.run_clean_windows` draws
+    over, and ``spent[k]`` the trials of the first ``k`` ops as a Python
+    int.
+    """
+
+    states: Tuple[Tuple[int, int], ...]
+    trials: np.ndarray
+    spent: Tuple[int, ...]
+
+
 def _plan(
     squares: Tuple[bool, ...], start: int, result: int, acc: int, modulus: int
-) -> Tuple[List[Tuple[int, int]], List[int]]:
-    """Fault-free run of ``squares[start:]`` from state ``(result, acc)``.
-
-    Returns the ``(result, acc)`` state before every op plus the final
-    one, and every op's fault-trial count (limb products of its operands).
-    """
+) -> _Plan:
+    """Fault-free run of ``squares[start:]`` from state ``(result, acc)``."""
     states = [(result, acc)]
     trials = []
     for square in squares[start:]:
@@ -239,4 +267,20 @@ def _plan(
             trials.append(_limbs(result) * _limbs(acc))
             result = result * acc % modulus
         states.append((result, acc))
-    return states, trials
+    array = np.array(trials, dtype=np.int64)
+    array.flags.writeable = False
+    return _Plan(tuple(states), array, tuple(itertools.accumulate(trials, initial=0)))
+
+
+@functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
+def _golden_plan(exponent: int, modulus: int, acc: int) -> Tuple[Tuple[bool, ...], _Plan]:
+    """The schedule and fault-free plan of ``acc ** exponent % modulus``.
+
+    Memoized per process (a bounded LRU, :data:`PLAN_MEMO_SIZE` plans)
+    on ``(exponent, modulus, base % modulus)``, everything the fault-free
+    run depends on: an RSA-CRT victim signs one message with one key
+    attempt after attempt, so its two exponentiations are planned once.
+    The plan is immutable, so sharing it is safe.
+    """
+    squares = _square_schedule(exponent)
+    return squares, _plan(squares, 0, 1 % modulus, acc, modulus)

@@ -91,23 +91,28 @@ class ImulLoop:
         outcome: WindowOutcome = injector.run_window(
             conditions, count, instruction=self.instruction
         )
-        rng = np.random.default_rng(abs(hash((count, conditions.offset_mv))) % (2**32))
         faults = []
-        for event in outcome.events:
-            lhs = int(rng.integers(0, 1 << 62)) | 1
-            rhs = int(rng.integers(0, 1 << 62)) | 1
-            expected = (lhs * rhs) & _MASK64
-            observed = expected ^ (1 << event.flipped_bit)
-            faults.append(
-                ImulFault(
-                    iteration=event.op_index,
-                    lhs=lhs,
-                    rhs=rhs,
-                    expected=expected,
-                    observed=observed,
-                    flipped_bit=event.flipped_bit,
-                )
+        if outcome.events:
+            # Operands only matter where a fault landed; most windows
+            # have none and never seed the operand generator.
+            rng = np.random.default_rng(
+                abs(hash((count, conditions.offset_mv))) % (2**32)
             )
+            for event in outcome.events:
+                lhs = int(rng.integers(0, 1 << 62)) | 1
+                rhs = int(rng.integers(0, 1 << 62)) | 1
+                expected = (lhs * rhs) & _MASK64
+                observed = expected ^ (1 << event.flipped_bit)
+                faults.append(
+                    ImulFault(
+                        iteration=event.op_index,
+                        lhs=lhs,
+                        rhs=rhs,
+                        expected=expected,
+                        observed=observed,
+                        flipped_bit=event.flipped_bit,
+                    )
+                )
         return ImulRunReport(
             iterations=count,
             fault_count=outcome.fault_count,

@@ -15,7 +15,9 @@ from repro.attacks.aes import (
     _MUL3,
     DFAState,
     FaultableAES,
+    _encrypt_from_round,
     _encrypt_with_schedule,
+    _round_entry_states,
     diff_group,
     encrypt_block,
     expand_key,
@@ -88,6 +90,140 @@ def _reference_pair_sets(correct, faulty, group):
                 for j in range(4):
                     pair_sets[j] |= per_byte[j]
     return pair_sets
+
+
+def _reference_absorb(candidates, correct, faulty):
+    """:meth:`DFAState.absorb` as a plain loop over :func:`_reference_pair_sets`:
+    the same early returns (no group, solved group) and intersection."""
+    group_index = diff_group(correct, faulty)
+    if group_index is None:
+        return None
+    existing = candidates.get(group_index)
+    if existing is not None and all(len(s) == 1 for s in existing):
+        return group_index
+    pair_sets = _reference_pair_sets(
+        correct, faulty, CIPHERTEXT_GROUPS[group_index]
+    )
+    if existing is None:
+        candidates[group_index] = pair_sets
+    else:
+        for j in range(4):
+            existing[j] &= pair_sets[j]
+    return group_index
+
+
+#: The attack's fixed plaintext.
+ATTACK_PT = bytes(range(16))
+
+#: Round-entry states of FIPS-197 Appendix B (key SP800_KEY, plaintext
+#: 3243f6a8...): its "start of round" rows for rounds 1, 2, 3 and 10.
+APPENDIX_B_PT = bytes.fromhex("3243f6a8885a308d313198a2e0370734")
+APPENDIX_B_CT = bytes.fromhex("3925841d02dc09fbdc118597196a0b32")
+APPENDIX_B_STARTS = {
+    1: "193de3bea0f4e22b9ac68d2ae9f84808",
+    2: "a49c7ff2689f352b6b5bea43026a5049",
+    3: "aa8f5f0361dde3ef82d24ad26832469a",
+    10: "eb40f21e592e38848ba113e71bc342d2",
+}
+
+
+class TestGoldenStateReplay:
+    """``_encrypt_from_round`` (the AES-DFA campaign's faulty encryption)
+    against the full ``_encrypt_with_schedule``."""
+
+    @pytest.mark.parametrize("fault_round", range(1, 11))
+    @pytest.mark.parametrize(
+        "key, plaintext",
+        [(SP800_KEY, ATTACK_PT), (FIPS_KEY, FIPS_PT)],
+        ids=["attack-plaintext", "fips-197"],
+    )
+    def test_replay_matches_full_encryption(self, key, plaintext, fault_round):
+        round_keys = expand_key(key)
+        golden = _round_entry_states(round_keys, plaintext)
+        rng = np.random.default_rng(fault_round)
+        for index in range(16):
+            deltas = {0x01, 0x80, 0xFF, *(int(d) for d in rng.integers(1, 256, 4))}
+            for delta in sorted(deltas):
+                fault = (index, delta)
+                assert _encrypt_from_round(
+                    round_keys, golden, fault_round, fault
+                ) == _encrypt_with_schedule(
+                    round_keys, plaintext, fault_round=fault_round, fault=fault
+                )
+
+    def test_fips197_round_states_and_ciphertext(self):
+        round_keys = expand_key(SP800_KEY)
+        golden = _round_entry_states(round_keys, APPENDIX_B_PT)
+        assert len(golden) == 10
+        for fault_round, start in APPENDIX_B_STARTS.items():
+            assert bytes(golden[fault_round - 1]).hex() == start
+        # A zero delta is no fault: the replay is the clean encryption.
+        for fault_round in range(1, 11):
+            assert _encrypt_from_round(
+                round_keys, golden, fault_round, (0, 0)
+            ) == APPENDIX_B_CT
+        fips_keys = expand_key(FIPS_KEY)
+        assert _encrypt_from_round(
+            fips_keys, _round_entry_states(fips_keys, FIPS_PT), 10, (5, 0)
+        ) == FIPS_CT
+
+    def test_golden_states_are_immutable(self):
+        golden = _round_entry_states(expand_key(FIPS_KEY), FIPS_PT)
+        before = [tuple(state) for state in golden]
+        _encrypt_from_round(expand_key(FIPS_KEY), golden, 1, (0, 0xFF))
+        assert all(isinstance(state, tuple) for state in golden)
+        assert list(golden) == before
+
+    def test_rejects_wrong_block_size(self):
+        with pytest.raises(ConfigurationError):
+            _round_entry_states(expand_key(FIPS_KEY), b"short")
+
+
+class TestVectorizedAbsorb:
+    """``DFAState.absorb`` against the loop reference, pair by pair."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_absorb_matches_loop_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        key = bytes(int(b) for b in rng.integers(0, 256, 16))
+        plaintext = bytes(int(b) for b in rng.integers(0, 256, 16))
+        round_keys = expand_key(key)
+        golden = _round_entry_states(round_keys, plaintext)
+        correct = encrypt_block(key, plaintext)
+        dfa = DFAState()
+        reference = {}
+        skipped = 0
+        # Round-8 and round-10 faults fail the pattern filter; round-9
+        # ones narrow a group until it is solved, and the pairs after
+        # that take the solved-group early return.
+        for _ in range(400):
+            fault_round = int(rng.choice([8, 9, 9, 9, 10]))
+            fault = (int(rng.integers(0, 16)), int(rng.integers(1, 256)))
+            faulty = _encrypt_from_round(round_keys, golden, fault_round, fault)
+            solved = dfa.solved_groups()
+            hit = dfa.absorb(correct, faulty)
+            assert hit == _reference_absorb(reference, correct, faulty)
+            assert dfa.candidates == reference
+            assert (hit is None) == (fault_round != 9)
+            skipped += hit in solved
+            if dfa.complete and skipped >= 8:
+                break
+        assert dfa.complete and skipped >= 8
+        assert dfa.recover_master_key() == key
+
+    def test_solved_group_is_skipped(self):
+        round_keys = expand_key(SP800_KEY)
+        correct = encrypt_block(SP800_KEY, FIPS_PT)
+        dfa = DFAState()
+        # Singletons that are not the key: a pair folded into them would
+        # empty them, so they survive only if the pair is skipped.
+        solved = [{round_keys[10][i] ^ 1} for i in CIPHERTEXT_GROUPS[0]]
+        dfa.candidates[0] = [set(s) for s in solved]
+        faulty = _encrypt_with_schedule(
+            round_keys, FIPS_PT, fault_round=9, fault=(0, 0x42)
+        )
+        assert dfa.absorb(correct, faulty) == 0
+        assert dfa.candidates[0] == solved
 
 
 class TestTableDrivenRounds:

@@ -7,6 +7,9 @@ in the integration tests.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import hashlib
+import json
 import signal
 
 import pytest
@@ -326,3 +329,32 @@ class TestAttackSurfaceScan:
             machine, frequencies_ghz=[1.8, 3.4], offsets_mv=[-60, -90]
         ).run()
         assert machine.conditions(0).frequency_ghz == pytest.approx(before)
+
+
+#: sha256 of the 20 ``prevention_jobs(seed=11)`` outcomes (canonical JSON
+#: of each ``AttackOutcome``, bytes as hex), pinned from victims that
+#: recomputed their fault-free run on every attempt: replaying from the
+#: golden run must not move a draw or a byte.
+PREVENTION_OUTCOMES_SHA256 = (
+    "8f115f584e82388e7fbcadcaf6b82fb34a0cf4e39286059271e6aa3cc898b78f"
+)
+
+
+class TestPreventionMatrixPinned:
+    def test_outcomes_match_the_pinned_digest(self):
+        from repro.engine import EngineSession, ResultCache, SerialExecutor
+        from repro.experiments import prevention_jobs
+
+        jobs = prevention_jobs(seed=11)
+        session = EngineSession(
+            executor=SerialExecutor(), cache=ResultCache(), registry=None
+        )
+        outcomes = session.run_jobs(jobs, cache=False)
+        assert len(outcomes) == 20
+        assert {job.attack for job in jobs} >= {"plundervolt", "aes-dfa", "v0ltpwn"}
+        text = json.dumps(
+            [dataclasses.asdict(outcome) for outcome in outcomes],
+            sort_keys=True,
+            default=bytes.hex,
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == PREVENTION_OUTCOMES_SHA256

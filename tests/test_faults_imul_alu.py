@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError, MachineCheckError
 from repro.cpu.models import COMET_LAKE
 from repro.explore.victim import modexp_op_count
-from repro.faults.alu import BigIntALU, FaultableALU
+from repro.attacks.rsa_crt import RSAKey
+from repro.faults.alu import PLAN_MEMO_SIZE, BigIntALU, FaultableALU, _golden_plan
 from repro.faults.imul import DEFAULT_ITERATIONS, ImulLoop
 from repro.faults.injector import FaultInjector
 from repro.faults.margin import FaultModel, OperatingConditions
@@ -68,6 +69,18 @@ class TestImulLoop:
             assert fault.observed != fault.expected
             assert fault.expected == (fault.lhs * fault.rhs) & _MASK64
             assert bin(fault.observed ^ fault.expected).count("1") == 1
+
+    def test_every_recorded_fault_carries_seeded_operands(self, injector, fault_model):
+        vcrit = fault_model.critical_voltage(2.0)
+        conditions = OperatingConditions(2.0, vcrit, -999)
+        report = ImulLoop(1_000_000).run(injector, conditions)
+        assert len(report.faults) == min(report.fault_count, 16) > 0
+        # Operands are drawn from a generator seeded by the window's
+        # length and offset, two per recorded fault, in event order.
+        rng = np.random.default_rng(abs(hash((1_000_000, -999))) % (2**32))
+        for fault in report.faults:
+            assert fault.lhs == int(rng.integers(0, 1 << 62)) | 1
+            assert fault.rhs == int(rng.integers(0, 1 << 62)) | 1
 
 
 class TestWorkloadCatalog:
@@ -344,6 +357,75 @@ class TestBulkModexpIdentity:
         assert len(calls) == 1
         assert alu.modexp(5, 0, 7) == 1
         assert len(calls) == 1  # no multiply, no operating point read
+
+
+def _run_sequence(modexp, seed, conditions, calls, **kwargs):
+    """:func:`_run_modexp` over several exponentiations on one ALU."""
+    return _run_modexp(
+        lambda alu, *_: [modexp(alu, *call) for call in calls],
+        seed, conditions, None, None, None, **kwargs,
+    )
+
+
+#: The CRT halves the RSA-CRT victim of the prevention matrix signs with.
+VICTIM_KEY = RSAKey.generate(512, seed=42)
+VICTIM_MESSAGE = 0xDEADBEEF
+VICTIM_HALVES = (
+    (VICTIM_MESSAGE % VICTIM_KEY.p, VICTIM_KEY.dp, VICTIM_KEY.p),
+    (VICTIM_MESSAGE % VICTIM_KEY.q, VICTIM_KEY.dq, VICTIM_KEY.q),
+)
+
+
+class TestGoldenPlanMemo:
+    """``FaultableALU.modexp`` on a warm plan memo against the op-by-op
+    ``BigIntALU.modexp``: results, stats, counters, trace, observer calls
+    and generator state."""
+
+    @pytest.mark.parametrize("seed", [0, 2, 17])
+    def test_warm_memo_matches_op_by_op(self, seed):
+        _golden_plan.cache_clear()
+        calls = VICTIM_HALVES * 4
+        kwargs = dict(tracer=True, observer="invariants")
+        bulk = _run_sequence(FaultableALU.modexp, seed, POINTS["faulting"], calls, **kwargs)
+        # Two plans, planned once each; every later signature reuses them.
+        info = _golden_plan.cache_info()
+        assert (info.misses, info.hits) == (2, len(calls) - 2)
+        oracle = _run_sequence(BigIntALU.modexp, seed, POINTS["faulting"], calls, **kwargs)
+        # The seed faults some exponentiation part-way, so the bulk path
+        # re-planned from a faulted intermediate on the warm memo.
+        assert oracle["stats"].fault_count >= 1
+        assert any(result != pow(*call) for result, call in zip(oracle["result"], calls))
+        assert bulk == oracle
+
+    def test_memo_key_covers_modulus_and_base_residue(self):
+        # Same exponent and base under two moduli, and a base that is only
+        # congruent: each must run its own plan (or share one exactly
+        # when the residue matches).
+        _golden_plan.cache_clear()
+        (base, exponent, modulus), (_, _, other) = VICTIM_HALVES
+        calls = [
+            (base, exponent, modulus),
+            (base, exponent, other),
+            (base + modulus, exponent, modulus),
+            (base + 1, exponent, modulus),
+            (base, exponent, other),
+        ]
+        kwargs = dict(tracer=True, observer="recorder", fault_model=_FixedRateModel(1e-4))
+        bulk = _run_sequence(FaultableALU.modexp, 3, POINTS["faulting"], calls, **kwargs)
+        assert _golden_plan.cache_info().misses == 3
+        oracle = _run_sequence(BigIntALU.modexp, 3, POINTS["faulting"], calls, **kwargs)
+        assert oracle["stats"].fault_count >= 1
+        assert bulk == oracle
+
+    def test_memo_is_bounded_and_plans_are_read_only(self):
+        assert _golden_plan.cache_info().maxsize == PLAN_MEMO_SIZE
+        squares, plan = _golden_plan(VICTIM_KEY.dp, VICTIM_KEY.p, 7)
+        assert len(plan.states) == len(squares) + 1 == len(plan.spent)
+        assert len(plan.trials) == len(squares)
+        assert plan.spent[-1] == int(plan.trials.sum())
+        assert all(type(spent) is int for spent in plan.spent)
+        with pytest.raises(ValueError):
+            plan.trials[0] = 0
 
 
 class TestBulkWindowGuards:

@@ -15,6 +15,7 @@ result can only be the late result of an attempt past its deadline.
 
 from __future__ import annotations
 
+import os
 from typing import List, NamedTuple, Tuple
 
 import pytest
@@ -173,17 +174,27 @@ class _ExecutorDriver:
                 return 99
             return script.count(event)
 
+        # A broken pool charges every job in flight an attempt, so the
+        # dying job waits until the bystander has landed: the scenario
+        # then charges only the job it scripts.
+        landed = os.path.join(self.scratch, "other.landed")
         job = ScriptedJob(
             name="job",
             scratch=self.scratch,
             exit_times=times("die"),
             fail_times=times("error"),
+            exit_after=landed,
         )
         other = ScriptedJob(name="other", scratch=self.scratch, value=10)
+
+        def progress(_done, result) -> None:
+            if result.fingerprint == other.fingerprint():
+                open(landed, "w").close()
+
         with self.executor(
             RetryPolicy(max_attempts=scenario.budget, backoff_s=0.0)
         ) as executor:
-            results = executor.run_jobs([job, other])
+            results = executor.run_jobs([job, other], progress=progress)
         assert results[1].payload == {"name": "other", "value": 10}
         return self._outcome(executor, job, results[0])
 

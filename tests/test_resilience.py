@@ -65,6 +65,10 @@ class ScriptedJob(JobSpec):
     exit_times: int = 0
     sleep_first_s: float = 0.0
     value: int = 0
+    #: A path a dying attempt waits for before it exits (the test writes
+    #: it once a bystander has landed, so the bystander is never in
+    #: flight when the pool breaks).
+    exit_after: str = ""
 
     def seed_path(self) -> Tuple[str, ...]:
         return ("scripted", self.name)
@@ -82,6 +86,11 @@ class ScriptedJob(JobSpec):
         if execution == 1 and self.sleep_first_s:
             time.sleep(self.sleep_first_s)
         if execution <= self.exit_times:
+            deadline = time.monotonic() + 30.0
+            while self.exit_after and not os.path.exists(self.exit_after):
+                if time.monotonic() > deadline:
+                    break  # let the scenario fail rather than hang
+                time.sleep(0.005)
             os._exit(1)
         if execution <= self.fail_times:
             raise RuntimeError(f"scripted failure #{execution}")
