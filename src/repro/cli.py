@@ -24,13 +24,20 @@ Exposes the reproduction's main flows without writing Python::
     python -m repro campaign --workers 2 --spans trace.json
     python -m repro spans <run-id> --export trace.json
 
-Every heavy flow goes through the campaign engine (:mod:`repro.engine`):
-characterization sweeps are cached per content hash, and ``repro
-campaign`` can shard the Sec. 4.3 attack matrix across a process pool
+Each paper artifact has one implementation, and its verb calls it:
+Figs. 2-4 are ``characterize --map``, the Sec. 4.3 matrix and its cells
+are ``campaign`` and ``attack`` (:func:`repro.experiments.prevention_jobs`
+and :func:`~repro.experiments.attack_job`), Table 2 is ``spec``
+(:func:`~repro.experiments.table2_overhead`) and Sec. 5 is ``maximal``.
+Every heavy flow goes through the campaign engine (:mod:`repro.engine`),
+so it is cached per content hash and recorded in the run registry;
+``repro campaign`` can shard the matrix across a process pool
 (``--executor process --workers N``, or the ``REPRO_EXECUTOR`` /
-``REPRO_WORKERS`` environment variables).  All per-command randomness is
-drawn from named seed streams under ``--seed`` rather than ad-hoc
-``seed + N`` offsets.
+``REPRO_WORKERS`` environment variables).  Without ``--seed``, ``attack``,
+``campaign``, ``spec`` and ``maximal`` run their library functions'
+default seeds and every other verb runs seed 5; a given ``--seed`` is
+passed on as is.  The CLI's own machines draw their seeds from named
+streams under it rather than ad-hoc ``seed + N`` offsets.
 """
 
 from __future__ import annotations
@@ -55,11 +62,111 @@ def _characterize(model, seed: int):
     return get_session().characterize(model, seed=seed)
 
 
-def _cli_seed(root: int, command: str, codename: str) -> int:
-    """Machine seed for one CLI command, drawn from a named stream."""
-    from repro.engine import seed_stream
+#: The seed of every verb that does not call a library function with a
+#: default seed of its own.
+_DEFAULT_SEED = 5
 
-    return seed_stream(root, "cli", command, codename).integer()
+#: Verbs whose default seed is that of the library functions they call.
+_LIBRARY_SEEDED = frozenset({"attack", "campaign", "spec", "maximal"})
+
+
+def _seed_kwargs(args) -> dict:
+    """``seed=`` for a library call: ``--seed`` when given, else nothing."""
+    return {} if args.seed is None else {"seed": args.seed}
+
+
+def _protected_machine(args, command: str, **build):
+    """Characterize ``--cpu``, build the command's machine and load the
+    polling module; returns the machine and the unsafe set it guards.
+
+    The machine seed is drawn from the named stream
+    ``("cli", command, codename)`` under ``--seed``.
+    """
+    from repro.core.polling_module import PollingCountermeasure
+    from repro.cpu.models import model_by_codename
+    from repro.engine import seed_stream
+    from repro.testbench import Machine
+
+    model = model_by_codename(args.cpu)
+    unsafe = _characterize(model, args.seed).unsafe_states
+    seed = seed_stream(args.seed, "cli", command, model.codename).integer()
+    machine = Machine.build(model, seed=seed, **build)
+    machine.modules.insmod(PollingCountermeasure(machine, unsafe))
+    return machine, unsafe
+
+
+def _executor(args):
+    """The executor ``--executor``/``--workers`` (or campaign's
+    ``--remote``) select, or ``None`` when none is given.
+
+    Each is supervised by the environment's retry policy
+    (``REPRO_JOB_RETRIES`` / ``REPRO_JOB_TIMEOUT`` / ``REPRO_RETRY_BACKOFF``).
+    """
+    from repro.engine import RetryPolicy, make_executor
+
+    policy = RetryPolicy.from_env()
+    remote = getattr(args, "remote", None)
+    if remote is not None or args.executor == "remote":
+        from repro.serve import RemoteExecutor
+
+        url = remote or os.environ.get("REPRO_COORDINATOR")
+        if not url:
+            print(f"{args.command}: --executor remote needs --remote URL "
+                  "(or REPRO_COORDINATOR)", file=sys.stderr)
+            raise SystemExit(2)
+        return RemoteExecutor(url, policy=policy, max_wait_s=args.remote_wait)
+    if args.executor is None and args.workers is None:
+        return None
+    return make_executor(
+        args.executor or "process", workers=args.workers, policy=policy
+    )
+
+
+def _session(args):
+    """The default engine session, or a fresh one on the selected executor."""
+    from repro.engine import EngineSession, get_session, set_session
+
+    executor = _executor(args)
+    if executor is None:
+        return get_session()
+    return set_session(EngineSession(executor=executor))
+
+
+def _fuzz_jobs(args, *, characterize: bool):
+    """The selected CPUs and ``--budget`` fuzz cases split across them.
+
+    The first ``budget % len(cpus)`` CPUs take one case more.  With
+    ``characterize`` each case carries its CPU's unsafe set, so its
+    schedule can load the polling module.
+    """
+    from repro.cpu.models import PAPER_MODEL_TUPLE, model_by_codename
+    from repro.engine import FuzzJob
+
+    models = (
+        [model_by_codename(args.cpu)] if args.cpu else list(PAPER_MODEL_TUPLE)
+    )
+    jobs = []
+    for index, model in enumerate(models):
+        unsafe_json = None
+        if characterize:
+            unsafe_json = _json.dumps(
+                _characterize(model, args.seed).unsafe_states.to_dict(),
+                sort_keys=True,
+            )
+        count = args.budget // len(models) + (
+            1 if index < args.budget % len(models) else 0
+        )
+        jobs.extend(
+            FuzzJob(
+                codename=model.codename,
+                seed=args.seed,
+                case_index=case,
+                num_actions=args.actions,
+                unsafe_json=unsafe_json,
+            )
+            for case in range(count)
+        )
+    return models, jobs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,7 +174,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Plug Your Volt (DAC 2024) reproduction toolkit",
     )
-    parser.add_argument("--seed", type=int, default=5, help="deterministic seed")
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="deterministic seed (default 5; attack, campaign, spec and "
+        "maximal default to their library functions' seeds)",
+    )
     parser.add_argument(
         "--log-level",
         choices=("debug", "info", "warning", "error", "critical"),
@@ -234,12 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cpu", default=None, help="restrict to one CPU codename (default: all three)"
     )
     fuzz.add_argument(
-        "--seed",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="deterministic seed (same as the global --seed)",
-    )
-    fuzz.add_argument(
         "--budget", type=int, default=200,
         help="total fuzz cases, split across the selected CPUs",
     )
@@ -292,12 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--cpu", default=None, help="restrict to one CPU codename (default: all three)"
-    )
-    chaos.add_argument(
-        "--seed",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="deterministic seed (same as the global --seed)",
     )
     chaos.add_argument(
         "--budget", type=int, default=60,
@@ -366,7 +467,20 @@ def _build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--cpu", default="Comet Lake", help="CPU codename")
     spec.add_argument("--csv", metavar="PATH", help="export rows as CSV")
 
-    sub.add_parser("maximal", help="print each CPU's maximal safe state (Sec. 5)")
+    maximal = sub.add_parser(
+        "maximal",
+        help="print each CPU's maximal safe state and the adaptive attack "
+        "vs deployment depth (Sec. 5)",
+    )
+
+    # These verbs also take --seed after their name (repro fuzz --seed 0).
+    for verb in (attack, campaign, fuzz, chaos, spec, maximal):
+        verb.add_argument(
+            "--seed",
+            type=int,
+            default=argparse.SUPPRESS,
+            help="deterministic seed (same as the global --seed)",
+        )
 
     trace = sub.add_parser(
         "trace", help="watch the countermeasure intercept one attack write"
@@ -400,24 +514,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     reproduce = sub.add_parser(
         "reproduce",
-        help="regenerate a paper artifact, or re-execute a recorded "
-        "registry run and assert byte-identity of every result",
+        help="re-execute a recorded registry run and assert byte-identity "
+        "of every result",
     )
     reproduce.add_argument(
         "run_id",
-        nargs="?",
         metavar="RUN_ID",
-        default=None,
         help="registry run id (or unique prefix): re-execute every "
         "recorded job under the recorded environment and fail with a "
         "per-job diff unless every payload reproduces byte-for-byte",
     )
-    reproduce.add_argument(
-        "--experiment",
-        choices=("fig2", "fig3", "fig4", "table2", "prevention", "maximal"),
-        default=None,
-    )
-    reproduce.add_argument("--out", metavar="PATH", help="also write the artifact here")
     reproduce.add_argument(
         "--registry",
         metavar="DIR",
@@ -759,73 +865,24 @@ def _cmd_characterize(args) -> int:
 
 
 def _cmd_attack(args) -> int:
+    from repro import experiments
     from repro.analysis.report import render_table
-    from repro.attacks import (
-        ImulCampaign,
-        PlundervoltAttack,
-        PlundervoltConfig,
-        RSACRTSigner,
-        RSAKey,
-        V0ltpwnAttack,
-        V0ltpwnConfig,
-        VectorChecksumPayload,
-        VoltJockeyAttack,
-        VoltJockeyConfig,
-    )
-    from repro.core.polling_module import PollingCountermeasure
     from repro.cpu.models import model_by_codename
-    from repro.sgx import EnclaveHost
-    from repro.testbench import Machine
+    from repro.engine import Quarantined, get_session
 
-    model = model_by_codename(args.cpu)
-    machine = Machine.build(model, seed=_cli_seed(args.seed, "attack", model.codename))
+    job = experiments.attack_job(
+        model_by_codename(args.cpu),
+        args.attack,
+        protected=args.protect,
+        **_seed_kwargs(args),
+    )
     if args.protect:
-        unsafe = _characterize(model, args.seed).unsafe_states
-        machine.modules.insmod(PollingCountermeasure(machine, unsafe))
         print("polling countermeasure deployed")
-
-    base = model.frequency_table.base_ghz
-    if args.attack == "imul":
-        campaign = ImulCampaign(
-            machine,
-            frequency_ghz=base,
-            offsets_mv=tuple(range(-60, -301, -10)),
-            iterations_per_point=500_000,
-        )
-        outcome = campaign.mount()
-    elif args.attack == "plundervolt":
-        host = EnclaveHost(machine)
-        enclave = host.create_enclave("rsa")
-        outcome = PlundervoltAttack(
-            machine,
-            enclave,
-            RSACRTSigner(RSAKey.generate(512, seed=args.seed)),
-            message=0xDEADBEEF,
-            config=PlundervoltConfig(frequency_ghz=base),
-        ).mount()
-    elif args.attack == "v0ltpwn":
-        host = EnclaveHost(machine)
-        enclave = host.create_enclave("vec")
-        outcome = V0ltpwnAttack(
-            machine,
-            enclave,
-            VectorChecksumPayload(ops=500_000),
-            V0ltpwnConfig(frequency_ghz=base),
-        ).mount()
-    elif args.attack == "aes-dfa":
-        from repro.attacks import AESDFAAttack, AESDFAConfig
-
-        key = bytes(range(16))
-        outcome = AESDFAAttack(
-            machine, key, AESDFAConfig(frequency_ghz=base)
-        ).mount()
-    else:
-        low = model.frequency_table.min_ghz
-        high = model.frequency_table.max_ghz
-        outcome = VoltJockeyAttack(
-            machine, VoltJockeyConfig(low_frequency_ghz=low, high_frequency_ghz=high)
-        ).mount()
-
+    outcome = get_session().run_job(job)
+    if isinstance(outcome, Quarantined):
+        print(f"attack: the cell failed {outcome.attempts} attempt(s): "
+              f"{outcome.error_type}: {outcome.error_message}", file=sys.stderr)
+        return 2
     print(render_table(
         ["attack", "succeeded", "faults", "attempts", "crashes", "writes blocked"],
         [(
@@ -865,24 +922,8 @@ def _cmd_explore(args) -> int:
             return 0
         return 0 if coverage_holds(open_map, protected_map) else 1
 
-    from repro.engine import (
-        EngineSession,
-        RetryPolicy,
-        get_session,
-        make_executor,
-        set_session,
-    )
-
     model = model_by_codename(args.cpu)
-    if args.executor is not None or args.workers is not None:
-        executor = make_executor(
-            args.executor or "process",
-            workers=args.workers,
-            policy=RetryPolicy.from_env(),
-        )
-        session = set_session(EngineSession(executor=executor))
-    else:
-        session = get_session()
+    session = _session(args)
     table = model.frequency_table
     frequencies = (
         tuple(float(raw) for raw in args.frequencies.split(","))
@@ -953,37 +994,12 @@ def _cmd_campaign(args) -> int:
     from repro.analysis.export import write_text
     from repro.analysis.report import render_table
     from repro.cpu.models import model_by_codename
-    from repro.engine import (
-        EngineSession,
-        Quarantined,
-        RetryPolicy,
-        get_session,
-        make_executor,
-        set_session,
+    from repro.engine import Quarantined
+
+    session = _session(args)
+    jobs = experiments.prevention_jobs(
+        include_aes=not args.no_aes, **_seed_kwargs(args)
     )
-
-    if args.remote is not None or args.executor == "remote":
-        from repro.serve import RemoteExecutor
-
-        url = args.remote or os.environ.get("REPRO_COORDINATOR")
-        if not url:
-            print("campaign: --executor remote needs --remote URL "
-                  "(or REPRO_COORDINATOR)", file=sys.stderr)
-            return 2
-        executor = RemoteExecutor(
-            url, policy=RetryPolicy.from_env(), max_wait_s=args.remote_wait
-        )
-        session = set_session(EngineSession(executor=executor))
-    elif args.executor is not None or args.workers is not None:
-        executor = make_executor(
-            args.executor or "process",
-            workers=args.workers,
-            policy=RetryPolicy.from_env(),
-        )
-        session = set_session(EngineSession(executor=executor))
-    else:
-        session = get_session()
-    jobs = experiments.prevention_jobs(seed=args.seed, include_aes=not args.no_aes)
     if args.cpu:
         codename = model_by_codename(args.cpu).codename
         jobs = [job for job in jobs if job.codename == codename]
@@ -1074,40 +1090,12 @@ def _cmd_fuzz(args) -> int:
 
     from repro.analysis.export import write_text
     from repro.analysis.report import render_table
-    from repro.cpu.models import PAPER_MODEL_TUPLE, model_by_codename
-    from repro.engine import EngineSession, FuzzJob, executor_from_env, make_executor
+    from repro.engine import EngineSession, executor_from_env
     from repro.verify import InvariantChecker, run_schedule, shrink_schedule
 
-    models = (
-        [model_by_codename(args.cpu)] if args.cpu else list(PAPER_MODEL_TUPLE)
-    )
-    unsafe_by_model = {}
-    for model in models:
-        if args.no_module:
-            unsafe_by_model[model.codename] = None
-        else:
-            result = _characterize(model, args.seed)
-            unsafe_by_model[model.codename] = _json.dumps(
-                result.unsafe_states.to_dict(), sort_keys=True
-            )
-    jobs = []
-    for index, model in enumerate(models):
-        count = args.budget // len(models) + (
-            1 if index < args.budget % len(models) else 0
-        )
-        jobs.extend(
-            FuzzJob(
-                codename=model.codename,
-                seed=args.seed,
-                case_index=case,
-                num_actions=args.actions,
-                unsafe_json=unsafe_by_model[model.codename],
-            )
-            for case in range(count)
-        )
-    if args.executor is not None or args.workers is not None:
-        executor = make_executor(args.executor or "process", workers=args.workers)
-    else:
+    models, jobs = _fuzz_jobs(args, characterize=not args.no_module)
+    executor = _executor(args)
+    if executor is None:
         executor = executor_from_env()
     # Fuzz cases always re-execute (cache=False): the byte-identity
     # guarantee is about recomputation, not about replaying cached runs.
@@ -1160,34 +1148,16 @@ def _cmd_chaos(args) -> int:
 
     from repro.analysis.export import write_text
     from repro.analysis.report import render_table
-    from repro.cpu.models import PAPER_MODEL_TUPLE, model_by_codename
     from repro.engine import (
         ChaosPolicy,
         EngineSession,
-        FuzzJob,
         ParallelExecutor,
         Quarantined,
         ResultCache,
         RetryPolicy,
     )
 
-    models = (
-        [model_by_codename(args.cpu)] if args.cpu else list(PAPER_MODEL_TUPLE)
-    )
-    jobs = []
-    for index, model in enumerate(models):
-        count = args.budget // len(models) + (
-            1 if index < args.budget % len(models) else 0
-        )
-        jobs.extend(
-            FuzzJob(
-                codename=model.codename,
-                seed=args.seed,
-                case_index=case,
-                num_actions=args.actions,
-            )
-            for case in range(count)
-        )
+    models, jobs = _fuzz_jobs(args, characterize=False)
     chaos = None
     if not args.off:
         chaos = ChaosPolicy(
@@ -1255,19 +1225,13 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_spec(args) -> int:
+    from repro import experiments
     from repro.analysis.export import overhead_to_csv, write_text
     from repro.analysis.report import render_table
-    from repro.bench.runner import SpecOverheadRunner
-    from repro.core.polling_module import PollingCountermeasure
     from repro.cpu.models import model_by_codename
-    from repro.testbench import Machine
 
     model = model_by_codename(args.cpu)
-    unsafe = _characterize(model, args.seed).unsafe_states
-    machine = Machine.build(model, seed=_cli_seed(args.seed, "spec", model.codename))
-    module = PollingCountermeasure(machine, unsafe)
-    machine.modules.insmod(module)
-    report = SpecOverheadRunner(machine, module).run()
+    report = experiments.table2_overhead(model=model, **_seed_kwargs(args))
     rows = [
         (
             row.name,
@@ -1292,35 +1256,35 @@ def _cmd_spec(args) -> int:
 
 
 def _cmd_maximal(args) -> int:
+    from repro import experiments
     from repro.analysis.report import render_table
-    from repro.cpu.models import PAPER_MODELS, model_by_codename
+    from repro.cpu.models import PAPER_MODEL_TUPLE
 
     rows = []
-    for codename in PAPER_MODELS:
-        model = model_by_codename(codename)
-        result = _characterize(model, args.seed)
-        rows.append((codename, f"{result.maximal_safe_offset_mv():.0f} mV"))
+    for model in PAPER_MODEL_TUPLE:
+        result = experiments.characterization(model, **_seed_kwargs(args))
+        rows.append((model.codename, f"{result.maximal_safe_offset_mv():.0f} mV"))
     print(render_table(["CPU", "maximal safe state"], rows, title="Sec. 5"))
+    print()
+    print(render_table(
+        ["deployment", "window faults", "writes blocked"],
+        [
+            (d.deployment, d.outcome.faults_observed, d.outcome.writes_blocked)
+            for d in experiments.maximal_safe_deployments(**_seed_kwargs(args))
+        ],
+        title="Adaptive attack vs deployment depth (Sec. 5)",
+    ))
     return 0
 
 
 def _cmd_trace(args) -> int:
     from repro.analysis.timeline import VoltageTracer
-    from repro.core.polling_module import PollingCountermeasure
-    from repro.cpu.models import model_by_codename
     from repro.telemetry import Telemetry
-    from repro.testbench import Machine
 
-    model = model_by_codename(args.cpu)
-    unsafe = _characterize(model, args.seed).unsafe_states
     if args.out and not args.export:
         args.export = "chrome"  # --out alone still means "give me a trace file"
     telemetry = Telemetry(max_events=None if args.export else 0)
-    machine = Machine.build(
-        model, seed=_cli_seed(args.seed, "trace", model.codename), telemetry=telemetry
-    )
-    module = PollingCountermeasure(machine, unsafe)
-    machine.modules.insmod(module)
+    machine, _ = _protected_machine(args, "trace", telemetry=telemetry)
     tracer = VoltageTracer(machine, sample_period_s=100e-6)
     tracer.start()
     machine.write_voltage_offset(args.offset)
@@ -1370,15 +1334,9 @@ def _cmd_energy(args) -> int:
 
 def _cmd_verify(args) -> int:
     from repro.analysis.report import render_table
-    from repro.core.polling_module import PollingCountermeasure
     from repro.core.verification import verify_deployment
-    from repro.cpu.models import model_by_codename
-    from repro.testbench import Machine
 
-    model = model_by_codename(args.cpu)
-    unsafe = _characterize(model, args.seed).unsafe_states
-    machine = Machine.build(model, seed=_cli_seed(args.seed, "verify", model.codename))
-    machine.modules.insmod(PollingCountermeasure(machine, unsafe))
+    machine, unsafe = _protected_machine(args, "verify")
     report = verify_deployment(machine, unsafe, samples=args.samples)
     print(render_table(
         ["freq (GHz)", "offset (mV)", "faults", "crashed", "detected"],
@@ -1642,85 +1600,20 @@ def _cmd_trajectory(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    from repro import experiments
     from repro.analysis.export import write_text
-    from repro.analysis.report import (
-        render_boundary_series,
-        render_characterization_map,
-        render_table,
-    )
-    from repro.cpu import COMET_LAKE, KABY_LAKE_R, SKY_LAKE
+    from repro.registry import reproduce_run
 
-    if args.run_id is not None:
-        from repro.registry import reproduce_run
-
-        registry = _open_registry(args.registry)
-        if registry is None:
-            return 2
-        report = reproduce_run(registry, args.run_id)
-        print(report.render())
-        if args.json:
-            path = write_text(
-                args.json, _json.dumps(report.as_dict(), indent=2, sort_keys=True)
-            )
-            print(f"reproduction report written to {path}")
-        return 0 if report.ok else 1
-    if args.experiment is None:
-        raise SystemExit(
-            "reproduce: pass a registry RUN_ID or --experiment NAME"
+    registry = _open_registry(args.registry)
+    if registry is None:
+        return 2
+    report = reproduce_run(registry, args.run_id)
+    print(report.render())
+    if args.json:
+        path = write_text(
+            args.json, _json.dumps(report.as_dict(), indent=2, sort_keys=True)
         )
-
-    if args.experiment in ("fig2", "fig3", "fig4"):
-        model = {"fig2": SKY_LAKE, "fig3": KABY_LAKE_R, "fig4": COMET_LAKE}[
-            args.experiment
-        ]
-        result = experiments.characterization(model, seed=args.seed)
-        text = (
-            render_characterization_map(result)
-            + "\n\n"
-            + render_boundary_series(result)
-        )
-    elif args.experiment == "table2":
-        report = experiments.table2_overhead()
-        text = render_table(
-            ["benchmark", "base slowdown", "peak slowdown"],
-            [
-                (r.name, f"{r.base_slowdown * 100:+.2f}%", f"{r.peak_slowdown * 100:+.2f}%")
-                for r in report.rows
-            ],
-            title=f"Table 2 — mean base overhead {report.mean_base_overhead * 100:.2f}%",
-        )
-    elif args.experiment == "prevention":
-        matrix = experiments.prevention_matrix()
-        text = render_table(
-            ["CPU", "defense", "attack", "faults", "succeeded"],
-            [
-                (
-                    c.codename,
-                    "polling" if c.protected else "none",
-                    c.outcome.attack,
-                    c.outcome.faults_observed,
-                    "yes" if c.outcome.succeeded else "no",
-                )
-                for c in matrix.cells
-            ],
-            title="Prevention matrix (Sec. 4.3)",
-        )
-    else:
-        deployments = experiments.maximal_safe_deployments()
-        text = render_table(
-            ["deployment", "window faults", "writes blocked"],
-            [
-                (d.deployment, d.outcome.faults_observed, d.outcome.writes_blocked)
-                for d in deployments
-            ],
-            title="Adaptive attack vs deployment depth (Sec. 5)",
-        )
-    print(text)
-    if args.out:
-        path = write_text(args.out, text)
-        print(f"\nartifact written to {path}")
-    return 0
+        print(f"reproduction report written to {path}")
+    return 0 if report.ok else 1
 
 
 def _cmd_status(args) -> int:
@@ -1804,15 +1697,9 @@ def _cmd_status(args) -> int:
                     ))
         return 0
 
-    from repro.core.polling_module import PollingCountermeasure
-    from repro.cpu.models import model_by_codename
     from repro.kernel import render_system_status
-    from repro.testbench import Machine
 
-    model = model_by_codename(args.cpu)
-    unsafe = _characterize(model, args.seed).unsafe_states
-    machine = Machine.build(model, seed=_cli_seed(args.seed, "status", model.codename))
-    machine.modules.insmod(PollingCountermeasure(machine, unsafe))
+    machine, _ = _protected_machine(args, "status")
     machine.advance(5e-3)
     print(render_system_status(machine))
     print("\ntelemetry counters\n------------------")
@@ -1824,17 +1711,10 @@ def _cmd_profile(args) -> int:
     from repro.analysis.export import write_text
     from repro.analysis.report import render_table
     from repro.attacks import ImulCampaign
-    from repro.core.polling_module import PollingCountermeasure
-    from repro.cpu.models import model_by_codename
     from repro.observe import SimProfiler
-    from repro.testbench import Machine
 
-    model = model_by_codename(args.cpu)
-    unsafe = _characterize(model, args.seed).unsafe_states
-    machine = Machine.build(
-        model, seed=_cli_seed(args.seed, "profile", model.codename)
-    )
-    machine.modules.insmod(PollingCountermeasure(machine, unsafe))
+    machine, _ = _protected_machine(args, "profile")
+    model = machine.model
     profiler = SimProfiler().install(machine)
     campaign = ImulCampaign(
         machine,
@@ -2062,6 +1942,8 @@ _REGISTRY_COMMANDS = frozenset({"reproduce", "runs", "diff", "trajectory", "span
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
+    if args.seed is None and args.command not in _LIBRARY_SEEDED:
+        args.seed = _DEFAULT_SEED
     _configure_logging(args.log_level)
     handler = _COMMANDS.get(args.command)
     if handler is None:

@@ -117,12 +117,15 @@ def protected_machine(
     return machine, module
 
 
-def table2_overhead(*, seed: int = 3) -> OverheadReport:
-    """Table 2: SPEC2017 overhead of the polling module on Comet Lake."""
+def table2_overhead(
+    *, model: CPUModel = COMET_LAKE, seed: int = 3
+) -> OverheadReport:
+    """Table 2: SPEC2017 overhead of the polling module (Comet Lake in
+    the paper)."""
     job = OverheadJob(
-        codename=COMET_LAKE.codename,
+        codename=model.codename,
         seed=seed,
-        unsafe_json=_unsafe_json(characterization(COMET_LAKE)),
+        unsafe_json=_unsafe_json(characterization(model)),
     )
     return get_session().run_job(job)
 
@@ -157,6 +160,45 @@ class PreventionMatrix:
         return sum(c.outcome.faults_observed for c in self.outcomes(protected=True))
 
 
+def _attack_jobs(
+    model: CPUModel, attacks, protections, seed: int
+) -> List[AttackCampaignJob]:
+    """The campaign cells of one CPU, defense state outermost.
+
+    Every cell attacks at the base frequency.  The imul sweep straddles
+    the characterized boundary there, and a protected cell's polling
+    module guards the characterized unsafe set.
+    """
+    result = characterization(model)
+    base = model.frequency_table.base_ghz
+    boundary = int(result.unsafe_states.boundary_mv(base))
+    offsets = (
+        boundary + 20, boundary - 5, boundary - 10,
+        boundary - 15, boundary - 20, -300,
+    )
+    unsafe_json = _unsafe_json(result)
+    return [
+        AttackCampaignJob(
+            codename=model.codename,
+            attack=attack,
+            protected=protected,
+            seed=seed,
+            unsafe_json=unsafe_json if protected else None,
+            offsets_mv=offsets if attack == "imul" else None,
+            frequency_ghz=base,
+        )
+        for protected in protections
+        for attack in attacks
+    ]
+
+
+def attack_job(
+    model: CPUModel, attack: str, *, protected: bool, seed: int = 11
+) -> AttackCampaignJob:
+    """One (CPU, defense state, attack) cell of the Sec. 4.3 campaign."""
+    return _attack_jobs(model, (attack,), (protected,), seed)[0]
+
+
 def prevention_jobs(
     *, seed: int = 11, include_aes: bool = True
 ) -> List[AttackCampaignJob]:
@@ -169,30 +211,10 @@ def prevention_jobs(
     """
     jobs: List[AttackCampaignJob] = []
     for model in PAPER_MODEL_TUPLE:
-        result = characterization(model)
-        base = model.frequency_table.base_ghz
-        boundary = int(result.unsafe_states.boundary_mv(base))
-        offsets = (
-            boundary + 20, boundary - 5, boundary - 10,
-            boundary - 15, boundary - 20, -300,
-        )
-        unsafe_json = _unsafe_json(result)
         attacks = list(PREVENTION_ATTACKS)
         if include_aes and model.codename == "Comet Lake":
             attacks.append("aes-dfa")
-        for protected in (False, True):
-            for attack in attacks:
-                jobs.append(
-                    AttackCampaignJob(
-                        codename=model.codename,
-                        attack=attack,
-                        protected=protected,
-                        seed=seed,
-                        unsafe_json=unsafe_json if protected else None,
-                        offsets_mv=offsets if attack == "imul" else None,
-                        frequency_ghz=base,
-                    )
-                )
+        jobs.extend(_attack_jobs(model, attacks, (False, True), seed))
     return jobs
 
 

@@ -45,6 +45,16 @@ HEAVY_MODULES = (
     "repro.testbench",
 )
 
+#: Packages the Fig. 2 launch ``repro characterize --cpu "Sky Lake"`` must
+#: not load.
+ATTACK_STACK_MODULES = (
+    "repro.attacks",
+    "repro.sgx",
+    "repro.explore",
+    "repro.serve",
+    "repro.experiments",
+)
+
 #: HTTP and TLS modules: only the coordinator and the remote client use
 #: them, so only those load them.
 HTTP_MODULES = ("http.server", "http.client", "ssl", "urllib.request")
@@ -95,6 +105,20 @@ class TestImportGraph:
         loaded = set(completed.stderr.splitlines())
         assert loaded & set(HTTP_MODULES) == set()
 
+    def test_characterize_loads_no_attack_stack(self, fresh_python):
+        # The Fig. 2 path characterizes only: no attacks, enclaves,
+        # explorer, coordinator or experiment API (CI's import-guard
+        # checks the same launch with -X importtime).
+        completed = fresh_python(
+            REPORT_MODULES
+            + "import os\nos.environ['REPRO_REGISTRY'] = '0'\n"
+            "from repro.cli import main\n"
+            "sys.exit(main(['characterize', '--cpu', 'Sky Lake']))\n"
+        )
+        assert "maximal safe state" in completed.stdout
+        loaded = set(completed.stderr.splitlines())
+        assert loaded & set(ATTACK_STACK_MODULES) == set()
+
     def test_coordinator_loads_http(self, fresh_python):
         # Control for the cases above: the probe does see HTTP modules
         # where they belong.
@@ -105,9 +129,10 @@ class TestImportGraph:
 
 class TestRetiredSurfaces:
     """The live-monitoring commands and options, the sweep-path flags,
-    the ``observe replay`` duplicate of ``fuzz --replay`` and the
-    campaign's private checkpoint and report files are gone from the
-    parser."""
+    the ``observe replay`` duplicate of ``fuzz --replay``, the
+    campaign's private checkpoint and report files and the
+    ``reproduce --experiment`` copies of the artifact verbs are gone
+    from the parser."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -124,6 +149,7 @@ class TestRetiredSurfaces:
             ["campaign", "--checkpoint", "d"],
             ["campaign", "--resume", "d"],
             ["campaign", "--report", "r.json"],
+            ["reproduce", "--experiment", "fig2"],
         ],
         ids=[
             "top",
@@ -138,6 +164,7 @@ class TestRetiredSurfaces:
             "campaign-checkpoint",
             "campaign-resume",
             "campaign-report",
+            "reproduce-experiment",
         ],
     )
     def test_rejected_as_usage_error(self, argv, capsys):
@@ -183,35 +210,105 @@ class TestCharacterize:
 
 
 class TestAttack:
-    def test_undefended_attack_exits_nonzero(self, capsys):
-        # Exit code 1 signals "the attack succeeded" (useful in scripts).
-        code = main(["attack", "--cpu", "Comet Lake", "--attack", "imul"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "imul-campaign" in out
+    """``repro attack`` runs the matching Sec. 4.3 campaign cell."""
 
-    def test_protected_attack_exits_zero(self, capsys):
-        code = main(["attack", "--cpu", "Comet Lake", "--attack", "imul", "--protect"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "polling countermeasure deployed" in out
+    @pytest.mark.parametrize("protected", [False, True], ids=["open", "protected"])
+    @pytest.mark.parametrize("attack", ["imul", "plundervolt", "v0ltpwn"])
+    def test_equals_the_prevention_cell(self, attack, protected, capsys):
+        from repro.cpu import COMET_LAKE
+        from repro.engine import get_session
+        from repro.experiments import attack_job, prevention_jobs
+
+        (cell,) = [
+            job
+            for job in prevention_jobs()
+            if job.codename == "Comet Lake"
+            and job.attack == attack
+            and job.protected == protected
+        ]
+        assert attack_job(COMET_LAKE, attack, protected=protected) == cell
+        argv = ["attack", "--cpu", "Comet Lake", "--attack", attack]
+        code = main(argv + (["--protect"] if protected else []))
+        lines = capsys.readouterr().out.splitlines()
+        outcome = get_session().run_job(cell)
+        # Exit code 1 signals "the attack succeeded" (useful in scripts).
+        assert code == (1 if outcome.succeeded else 0)
+        assert outcome.succeeded is not protected
+        if protected:
+            assert lines.pop(0) == "polling countermeasure deployed"
+        assert lines[2].split() == [
+            outcome.attack,
+            "yes" if outcome.succeeded else "no",
+            str(outcome.faults_observed),
+            str(outcome.attempts),
+            str(outcome.crashes),
+            str(outcome.writes_blocked),
+        ]
+        assert lines[3:] == [f"note: {note}" for note in outcome.notes]
+
+
+class TestCampaignMatrix:
+    def test_json_cells_equal_the_prevention_matrix(self, tmp_path, capsys):
+        from repro.experiments import prevention_matrix
+
+        path = tmp_path / "matrix.json"
+        assert main(["campaign", "--json", str(path)]) == 0
+        capsys.readouterr()
+        expected = [
+            {
+                "codename": cell.codename,
+                "protected": cell.protected,
+                "attack": cell.outcome.attack,
+                "faults_observed": cell.outcome.faults_observed,
+                "crashes": cell.outcome.crashes,
+                "succeeded": cell.outcome.succeeded,
+            }
+            for cell in prevention_matrix().cells
+        ]
+        assert json.loads(path.read_text())["cells"] == expected
 
 
 class TestMaximal:
-    def test_prints_three_rows(self, capsys):
+    def test_prints_both_tables(self, capsys):
+        from repro.experiments import maximal_safe_deployments
+
         assert main(["maximal"]) == 0
         out = capsys.readouterr().out
-        assert out.count("mV") == 3
+        per_cpu, deployments = out.split("\n\n")
+        assert per_cpu.startswith("Sec. 5")
+        assert per_cpu.count("mV") == 3
+        assert deployments.startswith("Adaptive attack vs deployment depth")
+        rows = deployments.splitlines()[3:]
+        assert [row.split()[-2:] for row in rows] == [
+            [str(d.outcome.faults_observed), str(d.outcome.writes_blocked)]
+            for d in maximal_safe_deployments()
+        ]
 
 
 class TestSpec:
-    def test_spec_with_csv(self, tmp_path, capsys):
+    def test_mean_equals_table2_overhead(self, tmp_path, capsys):
+        from repro.experiments import table2_overhead
+
         csv_path = tmp_path / "table2.csv"
         assert main(["spec", "--csv", str(csv_path)]) == 0
         out = capsys.readouterr().out
-        assert "mean base overhead" in out
-        assert csv_path.exists()
+        report = table2_overhead()
+        assert (
+            f"mean base overhead: {report.mean_base_overhead * 100:.2f}%" in out
+        )
         assert len(csv_path.read_text().splitlines()) == 24  # header + 23
+
+    def test_other_cpu_and_seed(self, capsys):
+        from repro.cpu import SKY_LAKE
+        from repro.experiments import table2_overhead
+
+        assert main(["spec", "--cpu", "Sky Lake", "--seed", "4"]) == 0
+        out = capsys.readouterr().out
+        report = table2_overhead(model=SKY_LAKE, seed=4)
+        assert "SPEC2017 polling overhead — Sky Lake" in out
+        assert (
+            f"mean base overhead: {report.mean_base_overhead * 100:.2f}%" in out
+        )
 
 
 class TestTrace:
@@ -239,21 +336,46 @@ class TestVerify:
         assert "PASS" in out
 
 
-class TestReproduce:
-    def test_reproduce_maximal(self, capsys):
-        assert main(["reproduce", "--experiment", "maximal"]) == 0
-        out = capsys.readouterr().out
-        assert "deployment depth" in out
+class TestArtifactVerbs:
+    """The artifacts ``reproduce --experiment`` used to print, through
+    the verbs that own them."""
 
-    def test_reproduce_fig2_with_artifact(self, tmp_path, capsys):
-        out_path = tmp_path / "fig2.txt"
-        assert main(["reproduce", "--experiment", "fig2", "--out", str(out_path)]) == 0
-        assert "Sky Lake" in out_path.read_text()
+    def test_maximal_prints_deployment_depth(self, capsys):
+        assert main(["maximal"]) == 0
+        assert "deployment depth" in capsys.readouterr().out
 
-    def test_reproduce_table2(self, capsys):
-        assert main(["reproduce", "--experiment", "table2"]) == 0
-        out = capsys.readouterr().out
-        assert "mean base overhead" in out
+    def test_fig2_with_artifact(self, tmp_path, capsys):
+        csv_path = tmp_path / "fig2.csv"
+        argv = ["characterize", "--cpu", "Sky Lake", "--map", "--csv", str(csv_path)]
+        assert main(argv) == 0
+        assert "safe '.'" in capsys.readouterr().out
+        assert csv_path.read_text().startswith("frequency_ghz,")
+
+    def test_table2(self, capsys):
+        assert main(["spec"]) == 0
+        assert "mean base overhead" in capsys.readouterr().out
+
+
+class TestExecutorPolicy:
+    def test_fuzz_executor_honours_the_retry_environment(
+        self, monkeypatch, capsys
+    ):
+        from repro.engine import EngineSession
+
+        monkeypatch.setenv("REPRO_JOB_RETRIES", "7")
+        attempts = []
+        run_jobs = EngineSession.run_jobs
+
+        def spy(self, jobs, **kwargs):
+            attempts.append(self.executor.policy.max_attempts)
+            return run_jobs(self, jobs, **kwargs)
+
+        monkeypatch.setattr(EngineSession, "run_jobs", spy)
+        argv = ["fuzz", "--cpu", "Sky Lake", "--budget", "1", "--actions", "2",
+                "--no-module", "--executor", "serial"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert attempts == [7]
 
 
 class TestStatus:
