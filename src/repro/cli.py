@@ -998,11 +998,10 @@ def _cmd_campaign(args) -> int:
 
     session = _session(args)
     jobs = experiments.prevention_jobs(
-        include_aes=not args.no_aes, **_seed_kwargs(args)
+        include_aes=not args.no_aes,
+        codename=model_by_codename(args.cpu).codename if args.cpu else None,
+        **_seed_kwargs(args),
     )
-    if args.cpu:
-        codename = model_by_codename(args.cpu).codename
-        jobs = [job for job in jobs if job.codename == codename]
     outcomes = session.run_jobs(jobs)
     rows = []
     quarantined = 0

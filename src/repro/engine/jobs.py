@@ -286,7 +286,8 @@ class AttackCampaignJob(JobSpec):
     payload_ops: int = 500_000
     rsa_key_seed: int = 42
     aes_key_hex: str = "2b7e151628aed2a6abf7158809cf4f3c"
-    #: VoltJockey cross-frequency parameters (ignored by the others).
+    #: VoltJockey cross-frequency parameters (ignored by the others); no
+    #: offset means the attacker finds one by reconnaissance.
     voltjockey_offset_mv: Optional[int] = None
     voltjockey_repetitions: int = 3
 
@@ -395,7 +396,7 @@ class AttackCampaignJob(JobSpec):
                 VoltJockeyConfig(
                     table.min_ghz,
                     table.max_ghz,
-                    offset_mv=self.voltjockey_offset_mv or -200,
+                    offset_mv=self.voltjockey_offset_mv,
                     repetitions=self.voltjockey_repetitions,
                 ),
             )

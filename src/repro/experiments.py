@@ -200,17 +200,20 @@ def attack_job(
 
 
 def prevention_jobs(
-    *, seed: int = 11, include_aes: bool = True
+    *, seed: int = 11, include_aes: bool = True, codename: Optional[str] = None
 ) -> List[AttackCampaignJob]:
     """The Sec. 4.3 campaign expressed as engine job specs.
 
     One self-contained job per (CPU, defense state, attack): the
     characterized unsafe set travels inside protected specs, so the jobs
     can be sharded across worker processes (``repro campaign --workers``)
-    and still reproduce the serial matrix byte for byte.
+    and still reproduce the serial matrix byte for byte.  ``codename``
+    keeps one CPU's cells and characterizes only that CPU.
     """
     jobs: List[AttackCampaignJob] = []
     for model in PAPER_MODEL_TUPLE:
+        if codename is not None and model.codename != codename:
+            continue
         attacks = list(PREVENTION_ATTACKS)
         if include_aes and model.codename == "Comet Lake":
             attacks.append("aes-dfa")

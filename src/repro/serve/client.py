@@ -210,16 +210,21 @@ class RemoteExecutor(Executor):
 
         Each entry becomes an ``attempt`` span in the fleet timeline via
         :attr:`failed_attempts`; lease expiries count as requeues (the
-        fleet analogue of a pool respawn), everything else as retries.
+        fleet analogue of a pool respawn), every other failure that was
+        tried again as a retry.  As on the local executors and the
+        coordinator, the failure that quarantined the job is no retry.
         """
-        for failure in entry.get("failures", []):
+        failures = entry.get("failures", [])
+        quarantined = entry.get("status") == "quarantined"
+        retried = len(failures) - 1 if quarantined else len(failures)
+        for index, failure in enumerate(failures):
             error_type = str(failure.get("error_type", "Error"))
             self._record_failed_attempt(
                 job, int(failure.get("attempt", 0)), error_type
             )
             if error_type == LEASE_EXPIRED:
                 self.stats.requeues += 1
-            else:
+            elif index < retried:
                 self.stats.retries += 1
 
     def _land(

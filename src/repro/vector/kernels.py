@@ -1,44 +1,33 @@
-"""Bit-exact numpy grid kernels over the timing and fault physics.
+"""Bit-exact numpy grid kernels over the fault physics.
 
 Every kernel here evaluates one of the scalar model functions —
-:meth:`repro.timing.delay_model.DelayModel.raw_delay` / ``scale``,
-:class:`repro.timing.safety.TimingBudget` and the safe/critical/crash
-predicates, :meth:`repro.faults.margin.FaultModel.violated_fraction` /
-``fault_probability`` / ``is_crash`` — over arrays of operating points in
-one call, with **bit-identical** results.  The scalar implementations are
-the oracle; the vector path is an execution strategy, never an
-approximation (see ``docs/faithfulness.md``).
+:meth:`repro.cpu.vf_curve.VFCurve.effective_voltage` and
+:meth:`repro.faults.margin.FaultModel.violated_fraction` /
+``fault_probability`` / ``is_crash`` — over an array of offsets or
+voltages at one frequency, with **bit-identical** results.  The scalar
+implementations are the oracle; the vector path is an execution
+strategy, never an approximation (see ``docs/faithfulness.md``).
 
-Two deliberate implementation choices make bitwise equality hold:
+The timing physics (Eq. 1-3) is not vectorized: each kernel takes the
+per-frequency critical voltage from the scalar, cached
+:meth:`FaultModel.critical_voltage`, so :mod:`repro.timing` stays the one
+implementation of the delay model and the timing budget.  What remains
+per cell is elementwise add/sub/mul/div and the clamping
+``minimum``/``maximum``, which *are* bit-identical in numpy, plus the
+standard-normal CDF: numpy has no ``erf``, so :func:`phi_grid` applies
+``math.erf`` element by element exactly as
+:func:`repro.faults.margin._phi` does.
 
-* **No numpy ``pow``.**  numpy's SIMD ``float64 ** float64`` is *not*
-  bit-identical to CPython's libm-backed ``**`` (measured: ~8 % of values
-  differ in the last ulp on this grid's voltage range).  Exponentiation
-  therefore goes through :func:`pow_elementwise`, which applies CPython
-  float ``**`` element by element — numpy arrays in and out, libm-exact
-  semantics inside.  Elementwise add/sub/mul/div and the clamping
-  ``minimum``/``maximum`` *are* bit-identical in numpy and are used
-  directly.
-* **No numpy ``erf``.**  numpy has none; the standard-normal CDF of
-  :func:`repro.faults.margin._phi` is applied via ``math.erf`` element by
-  element in :func:`phi_grid`.
-
-The scalar model signals impossible operating points by raising
-``ConfigurationError`` (sub-threshold supply in ``raw_delay``, exhausted
-timing budget in ``budget_for``, unreachable scale in
-``voltage_for_scale``).  A grid cannot raise per point, so every kernel
-returns a :class:`MaskedGrid`: invalid points carry ``NaN`` values and
-``valid=False``, and the safety grid folds them into ``unsafe=True`` —
-a gate that does not switch is the *most* unsafe operating point, not an
-error (see the boundary-semantics tests in
-``tests/test_vector_kernels.py``).
+Production runs two entry points: :func:`fault_grid` (with
+:func:`effective_voltage_grid`) in the Algo 2 row evaluator, and
+:func:`explore_feasibility_grid` in the explorer's tier-1 prune.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -49,32 +38,11 @@ from repro.faults.margin import (
     ONSET_FRACTION,
     FaultModel,
 )
-from repro.timing.constants import ProcessCharacteristics
-from repro.timing.delay_model import DelayModel
-from repro.timing.path import CriticalPath
-from repro.timing.safety import budget_for
 
 ArrayLike = Union[float, int, np.ndarray, list, tuple]
 
 
 # -- elementwise-exact primitives ------------------------------------------------
-
-
-def pow_elementwise(base: ArrayLike, exponent: float) -> np.ndarray:
-    """CPython float ``**`` applied per element (bit-identical to scalar).
-
-    Callers must pass strictly positive bases (the scalar model raises
-    before exponentiating a non-positive overdrive; grid code masks those
-    points out first).
-    """
-    array = np.asarray(base, dtype=np.float64)
-    flat = array.ravel()
-    out = np.fromiter(
-        (value ** exponent for value in flat.tolist()),
-        dtype=np.float64,
-        count=flat.size,
-    )
-    return out.reshape(array.shape)
 
 
 def phi_grid(z: ArrayLike) -> np.ndarray:
@@ -91,45 +59,6 @@ def phi_grid(z: ArrayLike) -> np.ndarray:
 
 
 # -- result containers -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MaskedGrid:
-    """A grid of values with an explicit validity mask.
-
-    ``values`` holds ``NaN`` wherever ``valid`` is false — the batch-path
-    encoding of the scalar path's per-point ``ConfigurationError``.
-    """
-
-    values: np.ndarray
-    valid: np.ndarray
-
-
-@dataclass(frozen=True)
-class BudgetGrid:
-    """Eq. 1 right-hand sides for a grid of frequencies."""
-
-    slack_budget_ps: np.ndarray
-    t_clk_ps: np.ndarray
-    valid: np.ndarray
-
-
-@dataclass(frozen=True)
-class SafetyGrid:
-    """Eq. 2/3 verdicts for a grid of (frequency, voltage[, T]) points.
-
-    Sub-threshold (and otherwise impossible) points carry
-    ``path_delay_ps=NaN``, ``valid=False`` and are classified
-    ``unsafe=True`` — matching the physics: a supply at or below the
-    threshold voltage cannot latch correct data.
-    """
-
-    path_delay_ps: np.ndarray
-    slack_budget_ps: np.ndarray
-    slack_ps: np.ndarray
-    safe: np.ndarray
-    unsafe: np.ndarray
-    valid: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -155,287 +84,6 @@ class FeasibilityGrid:
     fault_probability: np.ndarray
     crash: np.ndarray
     safe: np.ndarray
-
-
-# -- timing kernels (delay model / critical path) --------------------------------
-
-
-def _broadcast(
-    *arrays: ArrayLike,
-) -> tuple:
-    """Broadcast inputs to float64 arrays of a common shape."""
-    return np.broadcast_arrays(
-        *(np.asarray(a, dtype=np.float64) for a in arrays)
-    )
-
-
-def raw_delay_grid(
-    process: ProcessCharacteristics,
-    voltage_volts: ArrayLike,
-    temperature_c: Optional[ArrayLike] = None,
-) -> MaskedGrid:
-    """``DelayModel.raw_delay`` over (V[, T]) arrays.
-
-    Scalar semantics: ``d(V, T) = (T/T_ref)^mu * V / (V - Vth(T))^alpha``,
-    raising ``ConfigurationError`` when the overdrive ``V - Vth(T)`` is
-    non-positive.  Here those points come back as ``NaN`` with
-    ``valid=False`` instead.
-    """
-    if temperature_c is None:
-        temperature_c = process.reference_temperature_c
-    voltage, temperature = _broadcast(voltage_volts, temperature_c)
-    shape = voltage.shape
-    voltage = voltage.ravel()
-    temperature = temperature.ravel()
-    vth = process.vth_volts + process.vth_temp_coeff_v_per_c * (
-        temperature - process.reference_temperature_c
-    )
-    overdrive = voltage - vth
-    valid = overdrive > 0.0
-    values = np.full(voltage.shape, np.nan)
-    if valid.any():
-        kelvin_ratio = (temperature[valid] + 273.15) / (
-            process.reference_temperature_c + 273.15
-        )
-        mobility = pow_elementwise(kelvin_ratio, process.mobility_temp_exponent)
-        values[valid] = (
-            mobility
-            * voltage[valid]
-            / pow_elementwise(overdrive[valid], process.alpha)
-        )
-    return MaskedGrid(values=values.reshape(shape), valid=valid.reshape(shape))
-
-
-def scale_grid(
-    process: ProcessCharacteristics,
-    voltage_volts: ArrayLike,
-    temperature_c: Optional[ArrayLike] = None,
-) -> MaskedGrid:
-    """``DelayModel.scale`` over (V[, T]) arrays (reference-normalised)."""
-    reference = DelayModel(process).raw_delay(process.reference_voltage_volts)
-    raw = raw_delay_grid(process, voltage_volts, temperature_c)
-    return MaskedGrid(values=raw.values / reference, valid=raw.valid)
-
-
-def path_delay_grid(
-    path: CriticalPath,
-    voltage_volts: ArrayLike,
-    temperature_c: Optional[ArrayLike] = None,
-) -> MaskedGrid:
-    """``CriticalPath.delay_at`` (ps) over (V[, T]) arrays."""
-    scaled = scale_grid(path.process, voltage_volts, temperature_c)
-    return MaskedGrid(
-        values=path.nominal_delay_ps * scaled.values, valid=scaled.valid
-    )
-
-
-def timing_budget_grid(
-    process: ProcessCharacteristics, frequency_ghz: ArrayLike
-) -> BudgetGrid:
-    """``budget_for`` over a frequency array.
-
-    Frequencies whose budget is non-positive (the scalar
-    ``ConfigurationError``) come back invalid.  Budgets are evaluated
-    through the scalar function itself — the frequency axis is short, and
-    reusing the exact code path is what guarantees identity.
-    """
-    array = np.asarray(frequency_ghz, dtype=np.float64)
-    shape = array.shape
-    flat = array.ravel()
-    slack = np.full(flat.shape, np.nan)
-    t_clk = np.full(flat.shape, np.nan)
-    valid = np.zeros(flat.shape, dtype=bool)
-    for index, frequency in enumerate(flat.tolist()):
-        try:
-            budget = budget_for(frequency, process)
-        except ConfigurationError:
-            continue
-        slack[index] = budget.slack_budget_ps
-        t_clk[index] = budget.t_clk_ps
-        valid[index] = True
-    return BudgetGrid(
-        slack_budget_ps=slack.reshape(shape),
-        t_clk_ps=t_clk.reshape(shape),
-        valid=valid.reshape(shape),
-    )
-
-
-def safety_grid(
-    path: CriticalPath,
-    frequency_ghz: ArrayLike,
-    voltage_volts: ArrayLike,
-    temperature_c: Optional[ArrayLike] = None,
-) -> SafetyGrid:
-    """Eq. 1-3 over broadcast (f, V[, T]) arrays.
-
-    Matches ``SafetyAnalyzer.operating_point``/``is_safe`` pointwise on
-    valid points; invalid points (sub-threshold voltage, exhausted
-    budget) are ``unsafe=True`` with ``NaN`` delay and slack.
-    """
-    if temperature_c is None:
-        temperature_c = path.process.reference_temperature_c
-    frequency, voltage, temperature = _broadcast(
-        frequency_ghz, voltage_volts, temperature_c
-    )
-    budget = timing_budget_grid(path.process, frequency)
-    delay = path_delay_grid(path, voltage, temperature)
-    valid = budget.valid & delay.valid
-    slack = budget.slack_budget_ps - delay.values
-    safe = valid & (slack >= 0.0)
-    return SafetyGrid(
-        path_delay_ps=delay.values,
-        slack_budget_ps=budget.slack_budget_ps,
-        slack_ps=slack,
-        safe=safe,
-        unsafe=~safe,
-        valid=valid,
-    )
-
-
-# -- inverse kernels (critical / crash voltage) ----------------------------------
-
-
-def _scale_exact(
-    process: ProcessCharacteristics,
-    voltage: np.ndarray,
-    vth: np.ndarray,
-    mobility: np.ndarray,
-    reference: float,
-) -> np.ndarray:
-    """``DelayModel.scale`` for in-bracket bisection lanes (overdrive > 0)."""
-    overdrive = voltage - vth
-    return (
-        mobility * voltage / pow_elementwise(overdrive, process.alpha)
-    ) / reference
-
-
-def voltage_for_scale_grid(
-    process: ProcessCharacteristics,
-    target_scale: ArrayLike,
-    temperature_c: Optional[ArrayLike] = None,
-    *,
-    v_lo: Optional[float] = None,
-    v_hi: float = 2.5,
-    tolerance: float = 1e-9,
-) -> MaskedGrid:
-    """``DelayModel.voltage_for_scale`` over target/temperature arrays.
-
-    Runs one bisection per lane, but every lane follows the scalar
-    bisection's trajectory *exactly*: the same ``0.5 * (lo + hi)``
-    midpoints, the same ``scale(mid) > target`` branch, the same
-    ``hi - lo > tolerance`` stop — so the converged voltage is
-    bit-identical to the scalar solver's.  Lanes the scalar would reject
-    (non-positive target, scale unreachable below ``v_hi``, bracket below
-    threshold) are masked invalid.
-    """
-    if temperature_c is None:
-        temperature_c = process.reference_temperature_c
-    targets, temperature = _broadcast(target_scale, temperature_c)
-    shape = targets.shape
-    targets = targets.ravel()
-    temperature = temperature.ravel()
-    vth = process.vth_volts + process.vth_temp_coeff_v_per_c * (
-        temperature - process.reference_temperature_c
-    )
-    # Per-lane constants of scale(): the mobility factor depends only on
-    # the lane temperature and the reference denominator only on the
-    # process — both are recomputed per call in the scalar model but are
-    # pure, so hoisting them preserves every evaluated value.
-    kelvin_ratio = (temperature + 273.15) / (
-        process.reference_temperature_c + 273.15
-    )
-    mobility = pow_elementwise(kelvin_ratio, process.mobility_temp_exponent)
-    reference = DelayModel(process).raw_delay(process.reference_voltage_volts)
-
-    lo = vth + 1e-6 if v_lo is None else np.full(targets.shape, float(v_lo))
-    hi = np.full(targets.shape, float(v_hi))
-    valid = (targets > 0.0) & (lo > vth) & (hi > vth)
-    if valid.any():
-        unreachable = np.zeros(targets.shape, dtype=bool)
-        unreachable[valid] = (
-            _scale_exact(
-                process, hi[valid], vth[valid], mobility[valid], reference
-            )
-            > targets[valid]
-        )
-        valid &= ~unreachable
-    active = valid & (hi - lo > tolerance)
-    while active.any():
-        mid = 0.5 * (lo + hi)
-        go_lo = (
-            _scale_exact(
-                process, mid[active], vth[active], mobility[active], reference
-            )
-            > targets[active]
-        )
-        lo[active] = np.where(go_lo, mid[active], lo[active])
-        hi[active] = np.where(go_lo, hi[active], mid[active])
-        active = valid & (hi - lo > tolerance)
-    values = 0.5 * (lo + hi)
-    values[~valid] = np.nan
-    return MaskedGrid(values=values.reshape(shape), valid=valid.reshape(shape))
-
-
-def voltage_for_delay_grid(
-    path: CriticalPath,
-    delay_ps: ArrayLike,
-    temperature_c: Optional[ArrayLike] = None,
-) -> MaskedGrid:
-    """``CriticalPath.voltage_for_delay`` over delay/temperature arrays.
-
-    Unphysically small delays (scalar ``ConfigurationError``) and ``NaN``
-    inputs are masked invalid.
-    """
-    delays = np.asarray(delay_ps, dtype=np.float64)
-    physical = ~(delays < path.nominal_delay_ps * 1e-6)  # NaN stays True...
-    grid = voltage_for_scale_grid(
-        path.process, delays / path.nominal_delay_ps, temperature_c
-    )
-    # ... but a NaN target fails the `target > 0` gate inside the scale
-    # solver, so combining the two masks rejects exactly what the scalar
-    # path raises on.
-    valid = grid.valid & physical
-    values = np.where(valid, grid.values, np.nan)
-    return MaskedGrid(values=values, valid=valid)
-
-
-def critical_voltage_grid(
-    path: CriticalPath,
-    frequency_ghz: ArrayLike,
-    temperature_c: Optional[ArrayLike] = None,
-) -> MaskedGrid:
-    """``SafetyAnalyzer.critical_voltage`` over frequency[, T] arrays."""
-    frequency = np.asarray(frequency_ghz, dtype=np.float64)
-    budget = timing_budget_grid(path.process, frequency)
-    grid = voltage_for_delay_grid(path, budget.slack_budget_ps, temperature_c)
-    valid = grid.valid & budget.valid
-    values = np.where(valid, grid.values, np.nan)
-    return MaskedGrid(values=values, valid=valid)
-
-
-def crash_voltage_grid(
-    path: CriticalPath,
-    frequency_ghz: ArrayLike,
-    *,
-    crash_fraction: float = 0.035,
-) -> MaskedGrid:
-    """``SafetyAnalyzer.crash_voltage`` over a frequency array.
-
-    Honours the retention floor exactly as the scalar method does; the
-    ``crash_fraction`` validity check stays a real raise because it is a
-    scalar parameter, not a grid axis.
-    """
-    if crash_fraction <= 0:
-        raise ConfigurationError("crash_fraction must be positive")
-    frequency = np.asarray(frequency_ghz, dtype=np.float64)
-    budget = timing_budget_grid(path.process, frequency)
-    crash_delay = budget.slack_budget_ps + crash_fraction * budget.t_clk_ps
-    grid = voltage_for_delay_grid(path, crash_delay)
-    valid = grid.valid & budget.valid
-    values = np.where(
-        valid, np.maximum(grid.values, path.process.v_retention_volts), np.nan
-    )
-    return MaskedGrid(values=values, valid=valid)
 
 
 # -- fault-model kernels ---------------------------------------------------------

@@ -236,15 +236,66 @@ class TestAttack:
         assert outcome.succeeded is not protected
         if protected:
             assert lines.pop(0) == "polling countermeasure deployed"
-        assert lines[2].split() == [
-            outcome.attack,
-            "yes" if outcome.succeeded else "no",
-            str(outcome.faults_observed),
-            str(outcome.attempts),
-            str(outcome.crashes),
-            str(outcome.writes_blocked),
-        ]
-        assert lines[3:] == [f"note: {note}" for note in outcome.notes]
+        _assert_outcome_printed(lines, outcome)
+
+    @pytest.mark.parametrize("protected", [False, True], ids=["open", "protected"])
+    def test_voltjockey_finds_its_offset_by_reconnaissance(
+        self, protected, capsys
+    ):
+        """VoltJockey is outside the prevention matrix; its cell carries
+        no offset, so the attacker probes for a cross-frequency one."""
+        from repro.cpu import COMET_LAKE
+        from repro.engine import get_session
+        from repro.experiments import attack_job
+
+        job = attack_job(COMET_LAKE, "voltjockey", protected=protected)
+        assert job.voltjockey_offset_mv is None
+        argv = ["attack", "--cpu", "Comet Lake", "--attack", "voltjockey"]
+        code = main(argv + (["--protect"] if protected else []))
+        lines = capsys.readouterr().out.splitlines()
+        outcome = get_session().run_job(job)
+        assert code == (0 if protected else 1)
+        assert outcome.succeeded is not protected
+        assert outcome.crashes == 0
+        if protected:
+            assert lines.pop(0) == "polling countermeasure deployed"
+            assert outcome.faults_observed == 0
+            assert outcome.notes == [
+                "reconnaissance found no cross-frequency offset"
+            ]
+        else:
+            assert outcome.faults_observed > 0
+            (note,) = outcome.notes
+            assert note.startswith("cross-frequency offset: -")
+        _assert_outcome_printed(lines, outcome)
+
+
+def _assert_outcome_printed(lines, outcome):
+    """The ``repro attack`` table row and notes show ``outcome``."""
+    assert lines[2].split() == [
+        outcome.attack,
+        "yes" if outcome.succeeded else "no",
+        str(outcome.faults_observed),
+        str(outcome.attempts),
+        str(outcome.crashes),
+        str(outcome.writes_blocked),
+    ]
+    assert lines[3:] == [f"note: {note}" for note in outcome.notes]
+
+
+def _json_cells(cells):
+    """Prevention-matrix cells as ``repro campaign --json`` writes them."""
+    return [
+        {
+            "codename": cell.codename,
+            "protected": cell.protected,
+            "attack": cell.outcome.attack,
+            "faults_observed": cell.outcome.faults_observed,
+            "crashes": cell.outcome.crashes,
+            "succeeded": cell.outcome.succeeded,
+        }
+        for cell in cells
+    ]
 
 
 class TestCampaignMatrix:
@@ -254,18 +305,29 @@ class TestCampaignMatrix:
         path = tmp_path / "matrix.json"
         assert main(["campaign", "--json", str(path)]) == 0
         capsys.readouterr()
-        expected = [
-            {
-                "codename": cell.codename,
-                "protected": cell.protected,
-                "attack": cell.outcome.attack,
-                "faults_observed": cell.outcome.faults_observed,
-                "crashes": cell.outcome.crashes,
-                "succeeded": cell.outcome.succeeded,
-            }
-            for cell in prevention_matrix().cells
-        ]
+        expected = _json_cells(prevention_matrix().cells)
         assert json.loads(path.read_text())["cells"] == expected
+
+    def test_one_cpu_characterizes_only_that_cpu(self, tmp_path, capsys):
+        from repro.engine import reset_session
+        from repro.experiments import prevention_matrix
+
+        expected = _json_cells(prevention_matrix().outcomes(codename="Sky Lake"))
+        path = tmp_path / "sky-lake.json"
+        # --executor builds a fresh session, so its cache starts cold.
+        args = ["campaign", "--cpu", "Sky Lake", "--executor", "serial",
+                "--json", str(path)]
+        try:
+            assert main(args) == 0
+        finally:
+            reset_session()
+        out = capsys.readouterr().out
+        payload = json.loads(path.read_text())
+        assert payload["cells"] == expected
+        # The Sky Lake cells plus its one characterization sweep.
+        assert len(expected) == 6
+        assert payload["counters"]["engine.cache_misses"] == 7
+        assert "misses=7" in out
 
 
 class TestMaximal:

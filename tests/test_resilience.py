@@ -257,6 +257,67 @@ class TestSerialSupervision:
         assert dump.header["context"]["job"]["kind"] == "scripted"
 
 
+class _PoisonFleetTransport:
+    """A coordinator stub whose fleet fails every attempt of every job.
+
+    It answers the two requests :class:`RemoteExecutor` makes with the
+    history a real coordinator would report: each job quarantined after
+    the submitted attempt budget, one ``RuntimeError`` per attempt.
+    """
+
+    def request(self, method, path, message=None, *, headers=None):
+        if path == "/v1/jobs":
+            self.max_attempts = message["max_attempts"]
+            return {"cached": []}, {}
+        failures = [
+            {
+                "attempt": attempt,
+                "error_type": "RuntimeError",
+                "error_message": f"scripted failure #{attempt}",
+            }
+            for attempt in range(1, self.max_attempts + 1)
+        ]
+        done = {
+            fingerprint: {
+                "status": "quarantined",
+                "attempts": self.max_attempts,
+                "failures": failures,
+            }
+            for fingerprint in message["fingerprints"]
+        }
+        return {"done": done}, {}
+
+
+class TestRemoteSupervisionStats:
+    def test_poison_job_books_like_serial(self, tmp_path):
+        """A job failing both of its two attempts: one retry, one
+        quarantine, two failed attempts — remote and serial alike."""
+        from repro.serve import RemoteExecutor
+
+        policy = RetryPolicy(max_attempts=2, backoff_s=0.0)
+        serial = SerialExecutor(policy=policy)
+        (serial_result,) = serial.run_jobs(
+            scripted_batch(tmp_path, count=1, fail_times=99)
+        )
+        remote = RemoteExecutor(
+            "http://coordinator.invalid",
+            policy=policy,
+            poll_interval_s=0.0,
+            transport=_PoisonFleetTransport(),
+        )
+        (remote_result,) = remote.run_jobs(
+            scripted_batch(tmp_path, count=1, fail_times=99)
+        )
+        assert serial.stats.as_dict() == remote.stats.as_dict()
+        assert serial.stats.retries == 1
+        assert serial.stats.quarantined == 1
+        assert serial.failed_attempts == remote.failed_attempts
+        for result in (serial_result, remote_result):
+            assert isinstance(result.payload, Quarantined)
+            assert result.payload.attempts == 2
+            assert result.payload.error_type == "RuntimeError"
+
+
 class TestParallelSupervision:
     def _executor(self, **policy_kwargs):
         policy_kwargs.setdefault("backoff_s", 0.0)

@@ -3,12 +3,11 @@
 The vectorized sweep evaluator (:mod:`repro.vector`) is only admissible
 because it is *bit-identical* to the scalar oracle — same cells, same
 telemetry counters, same trace events, same random-stream consumption.
-This suite is the executable proof: fuzz-sampled physics comparisons per
-process node, full ``run_row`` vs ``run_row_batch`` sweeps per paper
-model (including ``repetitions > 1``), the scalar fold against both
-production sweep paths (``.run()`` and ``EngineSession.characterize``),
-and a pin on the one numpy ``Generator`` equivalence the batch draw loop
-relies on.
+This suite is the executable proof: full ``run_row`` vs
+``run_row_batch`` sweeps per paper model (including ``repetitions > 1``),
+the scalar fold against both production sweep paths (``.run()`` and
+``EngineSession.characterize``), and a pin on the one numpy
+``Generator`` equivalence the batch draw loop relies on.
 """
 
 from __future__ import annotations
@@ -23,52 +22,12 @@ from repro.cpu import COMET_LAKE, KABY_LAKE_R, PAPER_MODEL_TUPLE, SKY_LAKE
 from repro.engine import EngineSession, ResultCache, SerialExecutor
 from repro.faults.margin import FaultModel
 from repro.telemetry import Telemetry
-from repro.timing.constants import INTEL_10NM, INTEL_14NM, INTEL_14NM_PLUS
-from repro.timing.delay_model import DelayModel
-from repro.vector.kernels import raw_delay_grid, scale_grid
 
 #: Coarse sweep: full physics coverage (safe band, fault band, crash) at
 #: a fraction of the default grid's cells.
 COARSE = CharacterizationConfig(
     offset_start_mv=-10, offset_stop_mv=-250, offset_step_mv=10
 )
-
-ALL_PROCESSES = (INTEL_14NM, INTEL_14NM_PLUS, INTEL_10NM)
-
-
-def _fuzz_points(process, seed, count=200):
-    """(V, T) samples spanning sub-threshold through nominal supply."""
-    rng = np.random.default_rng(seed)
-    voltages = rng.uniform(0.0, 1.4, size=count)
-    temperatures = rng.uniform(20.0, 100.0, size=count)
-    return voltages, temperatures
-
-
-class TestPhysicsFuzzIdentity:
-    """Kernel outputs == scalar model outputs on fuzz-sampled (V, T)."""
-
-    @pytest.mark.parametrize("process", ALL_PROCESSES)
-    def test_raw_delay_bitwise_identity(self, process):
-        model = DelayModel(process)
-        voltages, temperatures = _fuzz_points(process, seed=23)
-        for temperature in set(np.round(temperatures, 0).tolist()):
-            grid = raw_delay_grid(process, voltages, temperature)
-            for voltage, value, valid in zip(
-                voltages.tolist(), grid.values.tolist(), grid.valid.tolist()
-            ):
-                if valid:
-                    assert value == model.raw_delay(voltage, temperature)
-
-    @pytest.mark.parametrize("process", ALL_PROCESSES)
-    def test_scale_bitwise_identity(self, process):
-        model = DelayModel(process)
-        voltages, _ = _fuzz_points(process, seed=29)
-        grid = scale_grid(process, voltages)
-        for voltage, value, valid in zip(
-            voltages.tolist(), grid.values.tolist(), grid.valid.tolist()
-        ):
-            if valid:
-                assert value == model.scale(voltage)
 
 
 def _row_identity(model, config, frequency_ghz):
