@@ -995,13 +995,18 @@ def _cmd_campaign(args) -> int:
     from repro.analysis.report import render_table
     from repro.cpu.models import model_by_codename
     from repro.engine import Quarantined
+    from repro.errors import ConfigurationError
 
     session = _session(args)
-    jobs = experiments.prevention_jobs(
-        include_aes=not args.no_aes,
-        codename=model_by_codename(args.cpu).codename if args.cpu else None,
-        **_seed_kwargs(args),
-    )
+    try:
+        jobs = experiments.prevention_jobs(
+            include_aes=not args.no_aes,
+            codename=model_by_codename(args.cpu).codename if args.cpu else None,
+            **_seed_kwargs(args),
+        )
+    except ConfigurationError as exc:
+        print(f"repro campaign: {exc}", file=sys.stderr)
+        return 2
     outcomes = session.run_jobs(jobs)
     rows = []
     quarantined = 0

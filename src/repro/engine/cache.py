@@ -38,10 +38,12 @@ import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
 from repro.errors import ConfigurationError
-from repro.registry.store import ResultStore, encode_object
+
+if TYPE_CHECKING:
+    from repro.registry.store import ResultStore
 
 #: Default in-memory entry bound; full three-model campaigns use ~30.
 DEFAULT_MAX_ENTRIES = 128
@@ -95,8 +97,12 @@ class ResultCache:
         if self.max_disk_entries is not None and self.max_disk_entries < 1:
             raise ConfigurationError("max_disk_entries must be at least 1")
         #: The disk tier, when the cache has a directory.
-        self.disk: Optional[ResultStore] = None
+        self.disk: Optional["ResultStore"] = None
         if self.directory is not None:
+            # The disk tier is the registry's result store; a memory-only
+            # cache never loads repro.registry.
+            from repro.registry.store import ResultStore
+
             self.directory = Path(self.directory)
             self.disk = ResultStore(self.directory)
         self._memory: "OrderedDict[str, Any]" = OrderedDict()
@@ -167,6 +173,8 @@ class ResultCache:
         self.stats.stores += 1
         if self.disk is None:
             return
+        from repro.registry.store import encode_object
+
         self.disk.put(fingerprint, encode_object(payload))
         if self.max_disk_entries is not None:
             self.stats.disk_evictions += self.disk.trim(self.max_disk_entries)

@@ -26,7 +26,7 @@ import os
 import threading
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.core.characterization import (
     CharacterizationConfig,
@@ -46,10 +46,11 @@ from repro.engine.resilience import ChaosPolicy, Quarantined, SupervisionStats
 from repro.engine.seeds import SeedStream, seed_stream
 from repro.errors import ReproError
 from repro.observe.spans import FleetTimeline
-from repro.registry.registry import RunRegistry, code_fingerprint, compute_run_id
-from repro.registry.store import encode_object
 from repro.telemetry import Telemetry
 from repro.telemetry.registry import Registry
+
+if TYPE_CHECKING:
+    from repro.registry.registry import RunRegistry
 
 #: Root seed of the canonical paper reproduction (matches the benchmarks
 #: and the historical ``experiments.CANONICAL_SEED``).
@@ -85,7 +86,7 @@ class EngineSession:
         telemetry: Optional[Telemetry] = None,
         verifier: Optional[Any] = None,
         chaos: Optional[ChaosPolicy] = None,
-        registry: Union[None, str, RunRegistry] = "auto",
+        registry: Union[None, str, "RunRegistry"] = "auto",
     ) -> None:
         self.executor = executor or executor_from_env()
         # `cache if ... is not None`, not `cache or ...`: ResultCache has
@@ -135,15 +136,21 @@ class EngineSession:
         #: blob store as they land, and :meth:`record_run` commits the
         #: run to the sqlite index.  ``"auto"`` follows the environment
         #: (``REPRO_REGISTRY=0`` opts out, ``REPRO_REGISTRY_DIR`` points
-        #: elsewhere); pass ``None`` to disable outright.
+        #: elsewhere); pass ``None`` to disable outright.  The opt-out is
+        #: read before :mod:`repro.registry` is imported, so a session
+        #: that records nothing never loads it.
         if registry == "auto":
-            try:
-                registry = RunRegistry.from_env()
-            except Exception:
-                # A broken registry directory must never take the
-                # campaign down; run unrecorded instead.
-                registry = None
-        self.registry: Optional[RunRegistry] = registry
+            registry = None
+            if os.environ.get("REPRO_REGISTRY", "").strip() != "0":
+                try:
+                    from repro.registry.registry import RunRegistry
+
+                    registry = RunRegistry.from_env()
+                except Exception:
+                    # A broken registry directory must never take the
+                    # campaign down; run unrecorded instead.
+                    registry = None
+        self.registry: Optional["RunRegistry"] = registry
         #: Pending result rows for :meth:`record_run`, keyed by job
         #: fingerprint (first occurrence wins; identical fingerprints
         #: carry identical payloads by construction).
@@ -293,6 +300,8 @@ class EngineSession:
         fingerprint = job.fingerprint()
         if fingerprint in self._registry_rows:
             return
+        from repro.registry.store import encode_object
+
         quarantined = isinstance(payload, Quarantined)
         try:
             row = self.registry.stage_result(
@@ -516,6 +525,8 @@ class EngineSession:
             for name, value in sorted(os.environ.items())
             if name.startswith("REPRO_")
         }
+        from repro.registry.registry import code_fingerprint, compute_run_id
+
         # Schema 3 (the registry schema) additionally pins the resolved
         # result-affecting environment — including *unset* variables,
         # which the REPRO_* scan above cannot see — so reproduction can

@@ -44,6 +44,7 @@ from repro.engine import (
     get_session,
     seed_stream,
 )
+from repro.errors import ConfigurationError
 from repro.testbench import Machine
 
 #: Seed used by all canonical reproductions (matches the benchmarks).
@@ -209,7 +210,19 @@ def prevention_jobs(
     can be sharded across worker processes (``repro campaign --workers``)
     and still reproduce the serial matrix byte for byte.  ``codename``
     keeps one CPU's cells and characterizes only that CPU.
+
+    Raises
+    ------
+    ConfigurationError
+        If ``codename`` is not one of the paper's three CPUs: an empty
+        campaign would report the zero-fault claim as met.
     """
+    paper_codenames = [model.codename for model in PAPER_MODEL_TUPLE]
+    if codename is not None and codename not in paper_codenames:
+        raise ConfigurationError(
+            f"the prevention campaign covers the paper CPUs only "
+            f"({', '.join(paper_codenames)}), not {codename!r}"
+        )
     jobs: List[AttackCampaignJob] = []
     for model in PAPER_MODEL_TUPLE:
         if codename is not None and model.codename != codename:

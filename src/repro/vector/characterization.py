@@ -19,12 +19,25 @@ consumes random state *only* for windows with a non-zero fault
 probability (a crash raises before any draw, and safe cells skip the
 binomial entirely), so the generator stream the scalar path threads
 through a row touches only the narrow fault band — typically a few dozen
-cells out of three hundred.  Replaying exactly those draws — one
-``binomial(ops, p)`` per faultable window, then per faulting window one
-``choice(ops, size=min(count, 16), replace=False)`` and ``min(count, 16)``
-single ``integers(0, 64)`` bit picks — on the row's named seed stream
-reproduces the scalar cells bit for bit without materialising any
-``WindowOutcome``/``ImulRunReport``/``FaultEvent`` objects.
+cells out of three hundred.  Replaying exactly that consumption — one
+``binomial(ops, p)`` per faultable window, then per faulting window the
+state advance of ``choice(ops, size=k, replace=False)`` followed by
+``k = min(count, 16)`` bit picks ``integers(0, 64)`` — on the row's
+named seed stream reproduces the scalar cells bit for bit without
+materialising any ``WindowOutcome``/``ImulRunReport``/``FaultEvent``
+objects.
+
+The positions and bits themselves are never stored in a cell, so the
+faulting window's draws collapse into one bounded-integer call
+(:func:`_window_draw_bounds`).  numpy's ``Generator`` draws every one of
+those numbers with the same per-element Lemire bounded draw: Floyd's
+algorithm inside ``choice`` draws from ``[0, j]`` for
+``j = ops-k … ops-1``, its shuffle from ``[0, i]`` for ``i = k-1 … 1``,
+and the bit picks from ``[0, 63]`` — so ``integers(0, bounds)`` over
+those exclusive upper bounds consumes the bit generator identically,
+including PCG64's buffered 32-bit half-word.
+``tests/test_vector_identity.py::TestGeneratorEquivalencePins`` pins that
+equivalence against the real ``choice`` + ``integers`` pair.
 
 The draw structure above mirrors ``FaultInjector.run_window`` +
 ``ImulLoop.run``; the scalar-vs-vector fuzz suite
@@ -35,7 +48,7 @@ in lockstep.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,6 +64,35 @@ from repro.vector.profile import record_kernel_site
 #: scalar path materialises.  Guarded by the identity suite.
 MAX_RECORDED_EVENTS = 16
 
+_DRAW_BOUNDS: Dict[Tuple[int, int], np.ndarray] = {}
+
+
+def _window_draw_bounds(iterations: int, recorded: int) -> np.ndarray:
+    """Exclusive upper bounds of one faulting window's bounded draws.
+
+    ``rng.integers(0, bounds)`` advances the generator exactly as
+    ``rng.choice(iterations, size=recorded, replace=False)`` followed by
+    ``rng.integers(0, 64, size=recorded)``: Floyd's draws from
+    ``[0, j]`` for ``j = iterations-recorded … iterations-1``, the
+    shuffle's draws from ``[0, i]`` for ``i = recorded-1 … 1``, then the
+    ``recorded`` bit picks from ``[0, 63]``.  (``choice`` only switches
+    to its tail-shuffle branch for ``recorded > iterations // 50`` at
+    ``iterations > 10000``, which ``recorded <= 16`` never reaches.)
+    Cached read-only per ``(iterations, recorded)``.
+    """
+    key = (iterations, recorded)
+    bounds = _DRAW_BOUNDS.get(key)
+    if bounds is None:
+        bounds = np.concatenate(
+            (
+                np.arange(iterations - recorded + 1, iterations + 1, dtype=np.int64),
+                np.arange(recorded, 1, -1, dtype=np.int64),
+                np.full(recorded, 64, dtype=np.int64),
+            )
+        )
+        bounds.flags.writeable = False
+        _DRAW_BOUNDS[key] = bounds
+    return bounds
 
 
 def run_row_batch(
@@ -159,18 +201,15 @@ def run_row_batch(
                         frequency_ghz=frequency_ghz,
                         offset_mv=offset,
                     )
-                recorded = min(count, MAX_RECORDED_EVENTS)
-                # The drawn fault positions are never stored in a
-                # CellResult, but the call must be replayed verbatim: its
-                # bit-generator consumption (including the 32-bit
-                # half-word carry buffer) is internal to numpy and cannot
-                # be imitated by cheaper draws.
-                rng.choice(iterations, size=recorded, replace=False)
-                # One bounded-integer array draw consumes bit-generator
-                # state identically to `recorded` scalar integers(0, 64)
-                # calls (including the 32-bit half-word carry buffer) —
-                # the identity suite pins this equivalence.
-                rng.integers(0, 64, size=recorded)
+                # Advances the stream exactly as the scalar path's
+                # choice(iterations, size=k, replace=False) plus k bit
+                # picks; the values are never stored in a CellResult.
+                rng.integers(
+                    0,
+                    _window_draw_bounds(
+                        iterations, min(count, MAX_RECORDED_EVENTS)
+                    ),
+                )
             fault_count += count
         cells.append(CellResult(frequency_ghz, offset, fault_count, crashed=False))
     windows_counter.inc(windows)

@@ -45,14 +45,15 @@ HEAVY_MODULES = (
     "repro.testbench",
 )
 
-#: Packages the Fig. 2 launch ``repro characterize --cpu "Sky Lake"`` must
-#: not load.
+#: Packages the Fig. 2 launch ``REPRO_REGISTRY=0 repro characterize --cpu
+#: "Sky Lake"`` must not load: it mounts no attack and records no run.
 ATTACK_STACK_MODULES = (
     "repro.attacks",
     "repro.sgx",
     "repro.explore",
     "repro.serve",
     "repro.experiments",
+    "repro.registry",
 )
 
 #: HTTP and TLS modules: only the coordinator and the remote client use
@@ -107,8 +108,9 @@ class TestImportGraph:
 
     def test_characterize_loads_no_attack_stack(self, fresh_python):
         # The Fig. 2 path characterizes only: no attacks, enclaves,
-        # explorer, coordinator or experiment API (CI's import-guard
-        # checks the same launch with -X importtime).
+        # explorer, coordinator or experiment API, and with recording
+        # off no run registry (CI's import-guard checks the same launch
+        # with -X importtime).
         completed = fresh_python(
             REPORT_MODULES
             + "import os\nos.environ['REPRO_REGISTRY'] = '0'\n"
@@ -328,6 +330,17 @@ class TestCampaignMatrix:
         assert len(expected) == 6
         assert payload["counters"]["engine.cache_misses"] == 7
         assert "misses=7" in out
+
+    def test_non_paper_cpu_is_a_usage_error(self, capsys):
+        # Ice Lake is in the catalog but not in the paper's campaign: an
+        # empty matrix must not print "protected-cell faults: 0".
+        assert main(["campaign", "--cpu", "Ice Lake"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "Ice Lake" in captured.err
+        for codename in ("Sky Lake", "Kaby Lake R", "Comet Lake"):
+            assert codename in captured.err
 
 
 class TestMaximal:

@@ -438,6 +438,15 @@ class TestExperimentIntegration:
             # Every job must survive the process-pool boundary.
             assert pickle.loads(pickle.dumps(job)) == job
 
+    def test_prevention_jobs_reject_a_non_paper_cpu(self):
+        from repro.experiments import prevention_jobs
+
+        with pytest.raises(ConfigurationError, match="Sky Lake, Kaby Lake R, Comet Lake"):
+            prevention_jobs(codename="Ice Lake")
+        assert {job.codename for job in prevention_jobs(codename="Sky Lake")} == {
+            "Sky Lake"
+        }
+
     def test_environment_defaults_are_serial(self):
         if os.environ.get("REPRO_EXECUTOR", "serial") == "serial":
             assert isinstance(get_session().executor, (SerialExecutor, ParallelExecutor))

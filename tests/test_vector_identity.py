@@ -6,8 +6,8 @@ telemetry counters, same trace events, same random-stream consumption.
 This suite is the executable proof: full ``run_row`` vs
 ``run_row_batch`` sweeps per paper model (including ``repetitions > 1``),
 the scalar fold against both production sweep paths (``.run()`` and
-``EngineSession.characterize``), and a pin on the one numpy
-``Generator`` equivalence the batch draw loop relies on.
+``EngineSession.characterize``), and pins on the numpy ``Generator``
+equivalences the batch draw loop relies on.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.cpu import COMET_LAKE, KABY_LAKE_R, PAPER_MODEL_TUPLE, SKY_LAKE
 from repro.engine import EngineSession, ResultCache, SerialExecutor
 from repro.faults.margin import FaultModel
 from repro.telemetry import Telemetry
+from repro.vector.characterization import MAX_RECORDED_EVENTS, _window_draw_bounds
 
 #: Coarse sweep: full physics coverage (safe band, fault band, crash) at
 #: a fraction of the default grid's cells.
@@ -68,6 +69,16 @@ class TestRowIdentity:
             offset_start_mv=-10, offset_stop_mv=-250, offset_step_mv=10, repetitions=3
         )
         _row_identity(COMET_LAKE, config, COMET_LAKE.frequency_table.base_ghz)
+
+    @pytest.mark.parametrize("model", PAPER_MODEL_TUPLE, ids=lambda m: m.codename)
+    @pytest.mark.parametrize("end", ("min", "max"))
+    def test_sweep_pool_row_identity(self, model, end):
+        """The e2e sweep-pool configuration (full grid, three windows per
+        cell) at each CPU's lowest and highest frequency: about 30
+        faulting cells, so up to about 90 merged window draws, per row."""
+        config = CharacterizationConfig(repetitions=3)
+        frequencies = config.frequency_list(model)
+        _row_identity(model, config, frequencies[0 if end == "min" else -1])
 
     def test_row_identity_without_stop_after_crash(self):
         """stop_after_crash=False probes past the crash wall — the batch
@@ -138,6 +149,31 @@ class TestSweepIdentity:
         assert scalar.maximal_safe_offset_mv() == vector.maximal_safe_offset_mv()
 
 
+#: ``iterations`` values the merged-draw pin covers: tiny populations
+#: (where ``k`` reaches ``iterations`` and Floyd's first bound is 1),
+#: both sides of ``choice``'s 10,000-element tail-shuffle threshold, the
+#: paper's one million, and the edges of the 32-bit Lemire range.
+MERGED_DRAW_ITERATIONS = (
+    1, 2, 3, 5, 16, 17, 799, 800, 801, 10_000, 10_001, 65_536,
+    1_000_000, 2**31, 2**32 - 1,
+)
+
+
+def _choice_from_draws(iterations, recorded, draws):
+    """``choice(iterations, size=recorded, replace=False)`` rebuilt from
+    its bounded draws: Floyd's ``recorded`` picks, then the shuffle's
+    ``recorded - 1`` swap targets."""
+    floyd, swaps = draws[:recorded], draws[recorded:2 * recorded - 1]
+    positions, seen = [], set()
+    for j, value in zip(range(iterations - recorded, iterations), floyd):
+        value = j if value in seen else value
+        seen.add(value)
+        positions.append(value)
+    for i, j in zip(range(recorded - 1, 0, -1), swaps):
+        positions[i], positions[j] = positions[j], positions[i]
+    return positions
+
+
 class TestGeneratorEquivalencePins:
     """The numpy Generator facts the batch draw loop is built on.
 
@@ -159,11 +195,47 @@ class TestGeneratorEquivalencePins:
                 # Same internal state afterwards: the next draws agree.
                 assert int(a.integers(0, 2**62)) == int(b.integers(0, 2**62))
 
+    @pytest.mark.parametrize("iterations", MERGED_DRAW_ITERATIONS)
+    def test_merged_window_draw_equals_choice_and_bit_picks(self, iterations):
+        """One integers(0, bounds) call leaves the generator exactly where
+        the scalar injector's choice(iterations, size=k, replace=False)
+        plus integers(0, 64, size=k) leave it, for every recorded count
+        k and with or without a pending 32-bit half-word.  Its values
+        rebuild the real positions and bit picks, so a wrongly ordered
+        segment fails here even where rejection-free draws would leave
+        the state unchanged."""
+        for recorded in range(1, MAX_RECORDED_EVENTS + 1):
+            if recorded > iterations:
+                break
+            bounds = _window_draw_bounds(iterations, recorded)
+            assert not bounds.flags.writeable
+            for seed in (7, 2024):
+                for carry in (False, True):
+                    scalar = np.random.default_rng(seed)
+                    merged = np.random.default_rng(seed)
+                    if carry:
+                        scalar.integers(0, 64)
+                        merged.integers(0, 64)
+                    positions = scalar.choice(iterations, size=recorded, replace=False)
+                    bits = scalar.integers(0, 64, size=recorded)
+                    draws = merged.integers(0, bounds).tolist()
+                    case = (iterations, recorded, seed, carry)
+                    assert (
+                        merged.bit_generator.state == scalar.bit_generator.state
+                    ), case
+                    # Not only the same consumption: the same draws, in
+                    # the same order, as the real positions and bits show.
+                    assert _choice_from_draws(
+                        iterations, recorded, draws
+                    ) == positions.tolist(), case
+                    assert draws[2 * recorded - 1:] == bits.tolist(), case
+
     def test_choice_consumption_depends_on_carry_buffer(self):
-        """choice(n, size=k, replace=False) consumes the buffered 32-bit
-        half-word when one is pending — so its stream consumption cannot
-        be imitated by raw 64-bit draws.  This is why the batch path
-        replays choice verbatim instead of substituting cheaper draws."""
+        """choice(n, size=k, replace=False) draws through the buffered
+        32-bit path when its bounds fit in 32 bits, so it consumes a
+        pending half-word — raw 64-bit draws or an advance() cannot stand
+        in for it.  Bounded draws over the same bounds can (see the
+        merged-draw pin above), and that is what the batch path uses."""
         fresh = np.random.default_rng(99)
         fresh.choice(1_000_000, size=4, replace=False)
         fresh_state = fresh.bit_generator.state["has_uint32"]
