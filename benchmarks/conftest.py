@@ -51,43 +51,6 @@ def write_artifact(name: str, content: str) -> Path:
     return path
 
 
-def record_trajectory(
-    bench: str,
-    metric: str,
-    value: float,
-    *,
-    unit: str = "s",
-    lower_is_better: bool = True,
-    context: dict | None = None,
-) -> None:
-    """Append one perf point to the env-selected registry (best effort).
-
-    Benchmarks call this after writing their artifact so every bench run
-    grows the local trajectory; a disabled registry (``REPRO_REGISTRY=0``)
-    or any registry failure silently skips — recording perf history must
-    never fail the bench that produced the number.
-    """
-    try:
-        from repro.registry import RunRegistry, make_point, record_point
-
-        registry = RunRegistry.from_env()
-        if registry is None:
-            return
-        record_point(
-            make_point(
-                bench,
-                metric,
-                value,
-                unit=unit,
-                lower_is_better=lower_is_better,
-                context=context,
-            ),
-            registry=registry,
-        )
-    except Exception:
-        pass
-
-
 def characterize(model: CPUModel, seed: int = 5) -> CharacterizationResult:
     """Engine-cached full Algo 2 sweep for a model.
 

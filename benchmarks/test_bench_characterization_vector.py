@@ -30,7 +30,7 @@ from repro.cpu import PAPER_MODEL_TUPLE
 from repro.observe.profiler import SimProfiler
 from repro.vector.profile import profiled_kernels
 
-from conftest import record_trajectory, write_artifact
+from conftest import write_artifact
 
 #: The committed "before" profile fixture (regenerated by this bench).
 BEFORE_FIXTURE = Path(__file__).parent / "profiles" / (
@@ -117,14 +117,6 @@ def test_vector_sweep_identity_and_speedup(benchmark):
             indent=2,
             sort_keys=True,
         ),
-    )
-    record_trajectory(
-        "characterization_vector",
-        "speedup",
-        speedup,
-        unit="x",
-        lower_is_better=False,
-        context={"cells": cells, "repetitions": CONFIG.repetitions},
     )
     assert speedup >= MIN_SPEEDUP, (
         f"vectorized sweep only {speedup:.2f}x faster than the scalar "

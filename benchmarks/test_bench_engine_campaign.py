@@ -27,7 +27,7 @@ from repro.engine import (
     SerialExecutor,
 )
 
-from conftest import record_trajectory, write_artifact
+from conftest import write_artifact
 
 WORKERS = 4
 
@@ -93,12 +93,6 @@ def test_engine_parallel_parity_and_speedup(benchmark):
             indent=2,
             sort_keys=True,
         ),
-    )
-    record_trajectory(
-        "engine_campaign",
-        "serial_seconds",
-        serial_s,
-        context={"workers": WORKERS, "cpu_count": cpus},
     )
     # The >=2x claim needs real parallelism; on smaller boxes the parity
     # assertions above are the acceptance test and the artifact records

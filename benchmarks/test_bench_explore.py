@@ -14,7 +14,7 @@ The explorer's speed is recorded beside it in two forms:
 
 * ``injections_per_s``, the open map's simulated injections per second
   of its wall time (ARMORY's injections simulated per host second).  It
-  is a wall-clock rate, recorded for the trajectory but not gated: on a
+  is a wall-clock rate, written to the artifact but not gated: on a
   shared host it cannot separate a 2x regression from noise.
 * ``replay_speedup``, the closed-form ``replay_with_fault`` timed against
   the op-by-op oracle ``replay_op_by_op`` on the same injections in the
@@ -42,7 +42,7 @@ from repro.explore import (
     trace_victim,
 )
 
-from conftest import record_trajectory, write_artifact
+from conftest import write_artifact
 
 #: Small but representative plan: spans safe, feasible and crash offsets.
 FREQUENCIES = (0.8, 2.0, 3.2)
@@ -146,32 +146,5 @@ def test_explore_coverage_and_prune_ratio(benchmark, skylake_characterization):
             indent=2,
             sort_keys=True,
         ),
-    )
-    record_trajectory(
-        "explore",
-        "prune_ratio",
-        prune_ratio,
-        unit="frac",
-        lower_is_better=False,
-        context={
-            "points": stats["points_enumerated"],
-            "injections": stats["injections_enumerated"],
-        },
-    )
-    record_trajectory(
-        "explore",
-        "injections_per_s",
-        injections_per_s,
-        unit="1/s",
-        lower_is_better=False,
-        context={"injections_simulated": stats["injections_simulated"]},
-    )
-    record_trajectory(
-        "explore",
-        "replay_speedup",
-        replay["replay_speedup"],
-        unit="x",
-        lower_is_better=False,
-        context={"replays": replay["replays"]},
     )
     assert prune_ratio > 0.0, "pruning tiers retired nothing"

@@ -28,7 +28,7 @@ from repro.experiments import (
     prevention_matrix,
 )
 
-from conftest import record_trajectory, write_artifact
+from conftest import write_artifact
 
 
 def test_prevention_all_cpus(
@@ -81,14 +81,6 @@ def test_prevention_all_cpus(
             indent=2,
             sort_keys=True,
         ),
-    )
-    record_trajectory(
-        "prevention",
-        "windows_per_s",
-        windows_per_s,
-        unit="1/s",
-        lower_is_better=False,
-        context={"fault_windows": windows},
     )
     assert windows > 0, "the matrix executed no fault windows"
     # Claims: every attack injects faults on the undefended machine and

@@ -32,7 +32,7 @@ from repro.engine.jobs import CharacterizationJob, execute_job
 from repro.observe import spans
 from repro.telemetry import NULL_SPANS
 
-from conftest import record_trajectory, write_artifact
+from conftest import write_artifact
 
 BUDGET_ENV = "REPRO_OVERHEAD_BUDGET"
 DEFAULT_BUDGET = 0.01
@@ -116,13 +116,6 @@ def test_span_recording_cost_within_budget():
     write_artifact(
         "span_overhead.json",
         json.dumps(artifact, sort_keys=True, indent=2),
-    )
-    record_trajectory(
-        "span_overhead",
-        "relative_overhead",
-        overhead,
-        unit="ratio",
-        context={"jobs_per_run": len(SHARDS), "repeats": REPEATS},
     )
     assert overhead <= budget, (
         f"span recording overhead {overhead * 100:.3f}% "

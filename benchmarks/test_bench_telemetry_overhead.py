@@ -35,7 +35,7 @@ from time import perf_counter
 
 from repro.kernel.sim import Simulator
 
-from conftest import record_trajectory, write_artifact
+from conftest import write_artifact
 
 #: Relative-overhead budget for the disabled hook path (1% default —
 #: the same order as Table 2's 0.28% headline, with CI headroom).
@@ -146,13 +146,6 @@ def test_disabled_hooks_cost_within_table2_budget():
     write_artifact(
         "telemetry_overhead.json",
         json.dumps(artifact, sort_keys=True, indent=2),
-    )
-    record_trajectory(
-        "telemetry_overhead",
-        "relative_overhead",
-        overhead,
-        unit="ratio",
-        context={"events_per_run": EVENTS_PER_RUN, "repeats": REPEATS},
     )
     assert overhead <= budget, (
         f"disabled-hook dispatch overhead {overhead * 100:.3f}% "

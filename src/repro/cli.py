@@ -18,7 +18,7 @@ Exposes the reproduction's main flows without writing Python::
     python -m repro reproduce <run-id>          # byte-identity re-execution
     python -m repro diff <run-a> <run-b>
     python -m repro trajectory record engine_campaign --from bench.json \\
-        --metric serial_seconds --file benchmarks/trajectories/BENCH_engine_campaign.json
+        --metric serial_seconds   # appends to benchmarks/trajectories/
     python -m repro trajectory check engine_campaign --value 1.9
     python -m repro status --registry
     python -m repro campaign --workers 2 --spans trace.json
@@ -38,6 +38,11 @@ so it is cached per content hash and recorded in the run registry;
 default seeds and every other verb runs seed 5; a given ``--seed`` is
 passed on as is.  The CLI's own machines draw their seeds from named
 streams under it rather than ad-hoc ``seed + N`` offsets.
+
+``runs show`` is the one rendering of a recorded run, its span latency
+included; ``spans`` prints the stored timeline as JSON or exports it as
+a trace.  ``trajectory`` appends to and gates against the committed
+``benchmarks/trajectories/BENCH_<bench>.json`` files only.
 """
 
 from __future__ import annotations
@@ -596,7 +601,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="write the sim-time timeline as a trace file instead of "
-        "printing the digest",
+        "printing the stored document as JSON",
     )
     spans.add_argument(
         "--fmt",
@@ -609,11 +614,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="also write the wall-clock sidecar trace (non-deterministic)",
-    )
-    spans.add_argument(
-        "--json",
-        action="store_true",
-        help="dump the stored timeline document as JSON",
     )
     spans.add_argument("--registry", metavar="DIR", default=None)
 
@@ -716,17 +716,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--file",
         metavar="PATH",
         default=None,
-        help="also append to this BENCH_<name>.json file "
-        "(the committed baseline format)",
-    )
-    t_record.add_argument(
-        "--run", metavar="RUN_ID", default=None, help="attribute to this run id"
-    )
-    t_record.add_argument("--registry", metavar="DIR", default=None)
-    t_record.add_argument(
-        "--no-registry",
-        action="store_true",
-        help="write only the --file, skip the registry trajectory table",
+        help="trajectory file to append to "
+        "(default: benchmarks/trajectories/BENCH_<bench>.json)",
     )
     t_check = trajectory_sub.add_parser(
         "check",
@@ -755,10 +746,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="allowed regression ratio (default: 0.25 = 25%%)",
     )
-    t_list = trajectory_sub.add_parser(
-        "list", help="the benches with recorded trajectories and their latest points"
-    )
-    t_list.add_argument("--registry", metavar="DIR", default=None)
 
     status = sub.add_parser(
         "status", help="render a /proc/cpuinfo-style snapshot of a protected machine"
@@ -771,8 +758,7 @@ def _build_parser() -> argparse.ArgumentParser:
         const="auto",
         default=None,
         help="show run-registry status instead (runs, store size, dedup "
-        "hit-rate, latest trajectory points); optional DIR overrides "
-        "REPRO_REGISTRY_DIR",
+        "hit-rate); optional DIR overrides REPRO_REGISTRY_DIR",
     )
 
     profile = sub.add_parser(
@@ -1401,7 +1387,7 @@ def _cmd_runs(args) -> int:
                     row["status"],
                     row["jobs_total"],
                     row["jobs_executed"],
-                    row["jobs_cached"] + row["jobs_resumed"],
+                    row["jobs_cached"],
                     ", ".join(row["codenames"]) or "-",
                 )
                 for row in rows
@@ -1445,7 +1431,7 @@ def _cmd_runs(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    from repro.registry import diff_runs
+    from repro.registry.diff import diff_runs
 
     registry = _open_registry(args.registry)
     if registry is None:
@@ -1459,8 +1445,6 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_spans(args) -> int:
-    from repro.observe import FleetTimeline
-
     registry = _open_registry(args.registry)
     if registry is None:
         return 2
@@ -1471,13 +1455,11 @@ def _cmd_spans(args) -> int:
               "(recorded before spans existed)",
               file=sys.stderr)
         return 2
-    timeline = FleetTimeline.from_dict(document)
-    if args.json:
-        print(_json.dumps(document, indent=2, sort_keys=True))
-        return 0
     if args.export:
+        from repro.observe import FleetTimeline
         from repro.telemetry.export import write_trace
 
+        timeline = FleetTimeline.from_dict(document)
         path = write_trace(args.export, timeline.to_events(), fmt=args.fmt)
         print(f"span timeline for run {run_id[:12]} written to {path}"
               + (" (open in https://ui.perfetto.dev)"
@@ -1487,13 +1469,12 @@ def _cmd_spans(args) -> int:
             print(f"wall-clock sidecar (non-deterministic) written to "
                   f"{args.wall}")
         return 0
-    print(f"run {run_id[:12]}")
-    print(timeline.render())
+    print(_json.dumps(document, indent=2, sort_keys=True))
     return 0
 
 
 def _trajectory_value(args) -> float:
-    from repro.registry import extract_metric
+    from repro.registry.trajectory import extract_metric
 
     if (args.value is None) == (args.artifact is None):
         raise SystemExit(
@@ -1504,17 +1485,8 @@ def _trajectory_value(args) -> float:
     return extract_metric(args.artifact, args.metric)
 
 
-def _default_baseline(bench: str) -> str:
-    from repro.registry import trajectory_filename
-
-    return str(
-        Path("benchmarks") / "trajectories" / trajectory_filename(bench)
-    )
-
-
 def _cmd_trajectory(args) -> int:
-    from repro.analysis.report import render_table
-    from repro.registry import (
+    from repro.registry.trajectory import (
         DEFAULT_MAX_REGRESS,
         check_point,
         load_trajectory,
@@ -1523,33 +1495,9 @@ def _cmd_trajectory(args) -> int:
         trajectory_filename,
     )
 
-    if args.trajectory_command == "list":
-        registry = _open_registry(args.registry)
-        if registry is None:
-            return 2
-        benches = registry.trajectory_benches()
-        if not benches:
-            print(f"no recorded trajectories in {registry.directory}")
-            return 0
-        rows = []
-        for bench in benches:
-            points = registry.trajectory(bench)
-            latest = points[-1]
-            rows.append(
-                (
-                    bench,
-                    len(points),
-                    latest.get("metric", "?"),
-                    f"{latest.get('value', 0.0):.6g} {latest.get('unit', '')}",
-                )
-            )
-        print(render_table(
-            ["bench", "points", "metric", "latest"],
-            rows,
-            title=f"Perf trajectories — {registry.directory}",
-        ))
-        return 0
-
+    default_file = str(
+        Path("benchmarks") / "trajectories" / trajectory_filename(args.bench)
+    )
     value = _trajectory_value(args)
     if args.trajectory_command == "record":
         point = make_point(
@@ -1558,22 +1506,13 @@ def _cmd_trajectory(args) -> int:
             value,
             unit=args.unit,
             lower_is_better=not args.higher_better,
-            run_id=args.run,
         )
-        registry = None
-        if not args.no_registry:
-            registry = _open_registry(args.registry, required=False)
-        record_point(point, registry=registry, file=args.file)
-        where = []
-        if registry is not None:
-            where.append(f"registry {registry.directory}")
-        if args.file:
-            where.append(str(args.file))
-        print(f"recorded {args.bench}/{args.metric} = {value:.6g} "
-              f"→ {', '.join(where) or 'nowhere (no registry, no --file)'}")
+        file = args.file or default_file
+        record_point(point, file=file)
+        print(f"recorded {args.bench}/{args.metric} = {value:.6g} → {file}")
         return 0
 
-    baseline_path = args.baseline or _default_baseline(args.bench)
+    baseline_path = args.baseline or default_file
     baseline = load_trajectory(baseline_path)
     if not baseline:
         print(f"baseline trajectory {baseline_path} is missing or empty; "
@@ -1605,7 +1544,7 @@ def _cmd_trajectory(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     from repro.analysis.export import write_text
-    from repro.registry import reproduce_run
+    from repro.registry.reproduce import reproduce_run
 
     registry = _open_registry(args.registry)
     if registry is None:
@@ -1635,7 +1574,7 @@ def _cmd_status(args) -> int:
             ("directory", info["directory"]),
             ("recorded runs", info["runs"]),
             ("jobs", f"{jobs['total']} ({jobs['executed']} executed, "
-                     f"{jobs['cached']} cached, {jobs['resumed']} resumed, "
+                     f"{jobs['cached']} cached, "
                      f"{jobs['quarantined']} quarantined)"),
             ("dedup hit-rate", f"{info['dedup_hit_rate']:.0%}"),
             ("dedup by origin",
@@ -1645,60 +1584,9 @@ def _cmd_status(args) -> int:
             ("store size", f"{info['store_bytes'] / 1024:.1f} KiB"),
             ("flight dumps", info["flights"]),
         ]
-        for bench, point in sorted(info["trajectories"].items()):
-            rows.append(
-                (f"trajectory {bench}",
-                 f"{point.get('metric', '?')} = {point.get('value', 0.0):.6g} "
-                 f"{point.get('unit', '')}")
-            )
         print(render_table(
             ["registry", "value"], rows, title="Run registry status"
         ))
-        # Supervision latency from the latest run's recorded span
-        # timeline: queue-wait and execute-time percentiles per job kind
-        # (wall clock, so populated for process runs; serial runs show
-        # execute time with ~zero queue wait), plus the failed-attempt
-        # and abandonment counts the spans carry.
-        latest = registry.runs(limit=1)
-        if latest:
-            from repro.observe import FleetTimeline
-
-            run = latest[0]
-            document = registry.spans_for(run["run_id"])
-            if document is not None:
-                timeline = FleetTimeline.from_dict(document)
-                latency = timeline.latency()
-                attempts = timeline.attempts_by_kind()
-                kinds = sorted(set(latency) | set(attempts))
-                table = []
-                for kind in kinds:
-                    stats = latency.get(kind, {})
-                    queue = stats.get("queue_wait_s", {})
-                    execute = stats.get("exec_s", {})
-                    counts = attempts.get(kind, {})
-                    table.append(
-                        (
-                            kind,
-                            stats.get("jobs", 0),
-                            f"{queue.get('p50', 0.0):.3f}",
-                            f"{queue.get('p95', 0.0):.3f}",
-                            f"{execute.get('p50', 0.0):.3f}",
-                            f"{execute.get('p95', 0.0):.3f}",
-                            counts.get("retried", 0),
-                            counts.get("abandoned", 0),
-                        )
-                    )
-                if table:
-                    print()
-                    print(render_table(
-                        ["job kind", "jobs", "queue p50 s", "queue p95 s",
-                         "exec p50 s", "exec p95 s", "retried", "abandoned"],
-                        table,
-                        title=f"Supervision latency — run "
-                        f"{run['run_id'][:12]} (wall clock, "
-                        f"non-deterministic; "
-                        f"{run['jobs_quarantined']} quarantined)",
-                    ))
         return 0
 
     from repro.kernel import render_system_status

@@ -673,7 +673,7 @@ class FleetTimeline:
 
         Everything except the ``wall`` key is deterministic; ``wall``
         carries the latency attribution and is labelled accordingly
-        wherever it renders (run reports, ``repro status``).
+        wherever it renders (the run report of ``repro runs show``).
         """
         by_kind: Dict[str, Dict[str, float]] = {}
         for record in self._spans:
@@ -689,38 +689,3 @@ class FleetTimeline:
             "attempts": self.attempts_by_kind(),
             "wall": self.latency(),
         }
-
-    def render(self) -> str:
-        """Human-readable digest for ``repro spans``."""
-        lines = [
-            f"trace {self.trace_id or '(empty)'}  "
-            f"spans={len(self._spans)} batches={self._batches}"
-        ]
-        summary = self.summary()
-        for kind, bucket in summary["by_kind"].items():
-            lines.append(
-                f"  {kind:10s} spans={int(bucket['spans']):5d} "
-                f"sim={bucket['sim_s']:.6g}s"
-            )
-        latency = summary["wall"]
-        if latency:
-            lines.append("  wall latency (non-deterministic):")
-            for kind, stats in latency.items():
-                queue_wait = stats["queue_wait_s"]
-                exec_s = stats["exec_s"]
-                lines.append(
-                    f"    {kind:22s} jobs={stats['jobs']:4d} "
-                    f"queue p50={queue_wait['p50']:.4f}s "
-                    f"p95={queue_wait['p95']:.4f}s "
-                    f"exec p50={exec_s['p50']:.4f}s "
-                    f"p95={exec_s['p95']:.4f}s"
-                )
-        attempts = summary["attempts"]
-        if attempts:
-            lines.append("  failed attempts:")
-            for kind, bucket in sorted(attempts.items()):
-                lines.append(
-                    f"    {kind:22s} retried={bucket['retried']} "
-                    f"abandoned={bucket['abandoned']}"
-                )
-        return "\n".join(lines)

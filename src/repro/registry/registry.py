@@ -3,7 +3,7 @@
 A :class:`RunRegistry` lives in one directory (``REPRO_REGISTRY_DIR``,
 default ``~/.repro/registry``)::
 
-    <dir>/index.sqlite            # runs / results / flights / trajectories
+    <dir>/index.sqlite            # runs / results / flights / spans
     <dir>/objects/<sha[:2]>/<sha> # manifests, job specs, result payloads
 
 Recording is two-phase and crash-safe by construction:
@@ -99,13 +99,6 @@ CREATE TABLE IF NOT EXISTS flights (
     sha256 TEXT NOT NULL,
     reason TEXT NOT NULL,
     PRIMARY KEY (run_id, path)
-);
-CREATE TABLE IF NOT EXISTS trajectories (
-    bench TEXT NOT NULL,
-    seq INTEGER NOT NULL,
-    recorded_at TEXT NOT NULL,
-    point_json TEXT NOT NULL,
-    PRIMARY KEY (bench, seq)
 );
 CREATE TABLE IF NOT EXISTS spans (
     run_id TEXT PRIMARY KEY,
@@ -538,43 +531,6 @@ class RunRegistry:
             return None
         return json.loads(self.store.get_bytes(row["timeline_sha"]))
 
-    # -- trajectories ------------------------------------------------------------
-
-    def append_trajectory_point(self, bench: str, point: Dict[str, Any]) -> int:
-        """Append one point to a bench trajectory; returns its sequence."""
-        with self._connect() as db:
-            row = db.execute(
-                "SELECT COALESCE(MAX(seq), -1) + 1 AS next FROM trajectories "
-                "WHERE bench = ?",
-                (bench,),
-            ).fetchone()
-            seq = int(row["next"])
-            db.execute(
-                "INSERT INTO trajectories (bench, seq, recorded_at, point_json) "
-                "VALUES (?, ?, ?, ?)",
-                (bench, seq, _utc_now(), _canonical_json(point)),
-            )
-        return seq
-
-    def trajectory(self, bench: str) -> List[Dict[str, Any]]:
-        """Every recorded point for a bench, oldest first."""
-        with self._connect() as db:
-            rows = db.execute(
-                "SELECT * FROM trajectories WHERE bench = ? ORDER BY seq",
-                (bench,),
-            ).fetchall()
-        return [
-            dict(json.loads(row["point_json"]), _seq=row["seq"]) for row in rows
-        ]
-
-    def trajectory_benches(self) -> List[str]:
-        """The bench names with at least one recorded point."""
-        with self._connect() as db:
-            rows = db.execute(
-                "SELECT DISTINCT bench FROM trajectories ORDER BY bench"
-            ).fetchall()
-        return [row["bench"] for row in rows]
-
     # -- summary -----------------------------------------------------------------
 
     def describe(self) -> Dict[str, Any]:
@@ -585,7 +541,6 @@ class RunRegistry:
                 "SUM(jobs_total) AS jobs, "
                 "SUM(jobs_executed) AS executed, "
                 "SUM(jobs_cached) AS cached, "
-                "SUM(jobs_resumed) AS resumed, "
                 "SUM(jobs_quarantined) AS quarantined "
                 "FROM runs"
             ).fetchone()
@@ -595,32 +550,27 @@ class RunRegistry:
             ).fetchall()
         objects, size = self.store.census()
         jobs = int(runs["jobs"] or 0)
-        reused = int(runs["cached"] or 0) + int(runs["resumed"] or 0)
+        cached = int(runs["cached"] or 0)
         by_origin = {row["source"]: int(row["n"]) for row in origin_rows}
-        local_hits = by_origin.get("cache", 0) + by_origin.get("resumed", 0)
-        remote_hits = by_origin.get("remote-cache", 0)
-        latest: Dict[str, Any] = {}
-        for bench in self.trajectory_benches():
-            points = self.trajectory(bench)
-            latest[bench] = points[-1] if points else None
         return {
             "directory": str(self.directory),
             "runs": int(runs["n"] or 0),
             "jobs": {
                 "total": jobs,
                 "executed": int(runs["executed"] or 0),
-                "cached": int(runs["cached"] or 0),
-                "resumed": int(runs["resumed"] or 0),
+                "cached": cached,
                 "quarantined": int(runs["quarantined"] or 0),
             },
-            "dedup_hit_rate": (reused / jobs) if jobs else 0.0,
+            "dedup_hit_rate": (cached / jobs) if jobs else 0.0,
             # Raw per-job sources ("executed", "cache", "remote",
             # "remote-cache", ...) and the local/remote split of dedup
             # hits, so fleet-wide cache effectiveness is measurable.
             "by_origin": by_origin,
-            "dedup_hits": {"local": local_hits, "remote": remote_hits},
+            "dedup_hits": {
+                "local": by_origin.get("cache", 0),
+                "remote": by_origin.get("remote-cache", 0),
+            },
             "objects": objects,
             "store_bytes": size,
             "flights": int(flights["n"] or 0),
-            "trajectories": latest,
         }

@@ -1,14 +1,11 @@
-"""Registry-backed performance trajectories and the CI regression gate.
+"""Performance trajectories and the CI regression gate.
 
 A *trajectory* is the append-only series of benchmark points for one
-named bench (``engine_campaign``, ``telemetry_overhead``, …).  Points
-live in two places that stay in sync:
-
-* the registry's ``trajectories`` table (the queryable local history,
-  fed automatically by the benchmarks and ``repro trajectory record``);
-* a canonical ``BENCH_<name>.json`` file — sorted-keys, indented,
-  newline-terminated — which is what gets *committed* so CI has a
-  baseline to gate against.
+named bench (``engine_campaign``, ``telemetry_overhead``, …).  It lives
+in one place: a canonical ``BENCH_<name>.json`` file under
+``benchmarks/trajectories/`` — sorted-keys, indented,
+newline-terminated — which is committed so CI has a baseline to gate
+against.
 
 ``repro trajectory check`` compares a candidate point against the best
 baseline value and fails (exit nonzero) when the candidate regresses by
@@ -25,7 +22,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import RegistryError
-from repro.registry.registry import RunRegistry
 
 #: Default regression budget for ``repro trajectory check`` (25%).
 DEFAULT_MAX_REGRESS = 0.25
@@ -46,7 +42,6 @@ def make_point(
     *,
     unit: str = "s",
     lower_is_better: bool = True,
-    run_id: Optional[str] = None,
     context: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """One canonical trajectory point (plain JSON-safe dict)."""
@@ -56,7 +51,6 @@ def make_point(
         "value": float(value),
         "unit": unit,
         "lower_is_better": bool(lower_is_better),
-        "run_id": run_id,
         "context": dict(sorted((context or {}).items())),
     }
 
@@ -102,18 +96,12 @@ def extract_metric(artifact: Union[str, Path, Dict[str, Any]], metric: str) -> f
 
 
 def record_point(
-    point: Dict[str, Any],
-    *,
-    registry: Optional[RunRegistry] = None,
-    file: Optional[Union[str, Path]] = None,
+    point: Dict[str, Any], *, file: Union[str, Path]
 ) -> Dict[str, Any]:
-    """Append a point to the registry trajectory and/or a BENCH file."""
-    if registry is not None:
-        registry.append_trajectory_point(point["bench"], point)
-    if file is not None:
-        points = load_trajectory(file)
-        points.append(point)
-        write_trajectory(file, points)
+    """Append a point to a ``BENCH_<name>.json`` trajectory file."""
+    points = load_trajectory(file)
+    points.append(point)
+    write_trajectory(file, points)
     return point
 
 

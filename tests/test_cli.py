@@ -132,9 +132,10 @@ class TestImportGraph:
 class TestRetiredSurfaces:
     """The live-monitoring commands and options, the sweep-path flags,
     the ``observe replay`` duplicate of ``fuzz --replay``, the
-    campaign's private checkpoint and report files and the
-    ``reproduce --experiment`` copies of the artifact verbs are gone
-    from the parser."""
+    campaign's private checkpoint and report files, the
+    ``reproduce --experiment`` copies of the artifact verbs, the registry
+    side of ``trajectory`` and ``spans --json`` (bare ``spans`` prints
+    that JSON) are gone from the parser."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -152,6 +153,11 @@ class TestRetiredSurfaces:
             ["campaign", "--resume", "d"],
             ["campaign", "--report", "r.json"],
             ["reproduce", "--experiment", "fig2"],
+            ["trajectory", "list"],
+            ["trajectory", "record", "demo", "--value", "1", "--no-registry"],
+            ["trajectory", "record", "demo", "--value", "1", "--registry", "d"],
+            ["trajectory", "record", "demo", "--value", "1", "--run", "abc"],
+            ["spans", "abc", "--json"],
         ],
         ids=[
             "top",
@@ -167,6 +173,11 @@ class TestRetiredSurfaces:
             "campaign-resume",
             "campaign-report",
             "reproduce-experiment",
+            "trajectory-list",
+            "trajectory-record-no-registry",
+            "trajectory-record-registry",
+            "trajectory-record-run",
+            "spans-json",
         ],
     )
     def test_rejected_as_usage_error(self, argv, capsys):

@@ -26,17 +26,18 @@ from repro.errors import RegistryError, RegistryIntegrityError
 from repro.registry import (
     ObjectStore,
     RunRegistry,
-    check_point,
     code_fingerprint,
     compute_run_id,
-    diff_runs,
     encode_object,
+    sha256_hex,
+)
+from repro.registry.diff import diff_runs
+from repro.registry.reproduce import reproduce_run
+from repro.registry.trajectory import (
+    check_point,
     load_trajectory,
     make_point,
     record_point,
-    reproduce_run,
-    sha256_hex,
-    write_trajectory,
 )
 
 CODENAMES = ("Sky Lake", "Kaby Lake R", "Comet Lake")
@@ -444,17 +445,15 @@ class TestDiff:
 
 
 class TestTrajectory:
-    def test_record_and_ratchet_check(self, registry, tmp_path):
+    def test_record_and_ratchet_check(self, tmp_path):
         file = tmp_path / "BENCH_engine_campaign.json"
         for value in (2.0, 1.5, 1.8):
             record_point(
                 make_point("engine_campaign", "serial_seconds", value),
-                registry=registry,
                 file=file,
             )
-        assert len(registry.trajectory("engine_campaign")) == 3
-        assert len(load_trajectory(file)) == 3
         baseline = load_trajectory(file)
+        assert [point["value"] for point in baseline] == [2.0, 1.5, 1.8]
         # The gate ratchets against the *best* point (1.5), not the last.
         ok = check_point(
             baseline,
@@ -518,12 +517,13 @@ class TestTrajectory:
         assert code == 1
         assert "REGRESSION" in capsys.readouterr().out
 
-    def test_cli_record_check_and_list(self, registry, tmp_path, capsys):
+    def test_cli_record_and_check(self, tmp_path, capsys):
         file = tmp_path / "BENCH_demo.json"
         assert main(
             ["trajectory", "record", "demo", "--value", "2.0",
              "--metric", "wall_s", "--file", str(file)]
         ) == 0
+        assert f"demo/wall_s = 2 → {file}" in capsys.readouterr().out
         assert main(
             ["trajectory", "check", "demo", "--value", "2.1",
              "--baseline", str(file)]
@@ -532,8 +532,40 @@ class TestTrajectory:
             ["trajectory", "check", "demo", "--value", "9.0",
              "--baseline", str(file)]
         ) == 1
-        assert main(["trajectory", "list"]) == 0
-        assert "demo" in capsys.readouterr().out
+
+    def test_record_defaults_to_the_committed_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Without --file, record appends where check reads its baseline."""
+        monkeypatch.chdir(tmp_path)
+        default = Path("benchmarks") / "trajectories" / "BENCH_demo.json"
+        for value in ("2.0", "1.5"):
+            assert main(
+                ["trajectory", "record", "demo", "--value", value,
+                 "--metric", "wall_s"]
+            ) == 0
+        assert str(default) in capsys.readouterr().out
+        points = load_trajectory(tmp_path / default)
+        assert [point["value"] for point in points] == [2.0, 1.5]
+        assert "run_id" not in points[0]
+        assert main(["trajectory", "check", "demo", "--value", "1.6"]) == 0
+        assert main(["trajectory", "check", "demo", "--value", "2.0"]) == 1
+
+    def test_record_and_check_leave_the_registry_alone(
+        self, tmp_path, monkeypatch
+    ):
+        registry_dir = tmp_path / "registry"
+        monkeypatch.delenv("REPRO_REGISTRY", raising=False)
+        monkeypatch.setenv("REPRO_REGISTRY_DIR", str(registry_dir))
+        file = tmp_path / "BENCH_demo.json"
+        assert main(
+            ["trajectory", "record", "demo", "--value", "2.0", "--file", str(file)]
+        ) == 0
+        assert main(
+            ["trajectory", "check", "demo", "--value", "2.0",
+             "--baseline", str(file)]
+        ) == 0
+        assert not (registry_dir / "index.sqlite").exists()
 
     def test_check_without_baseline_exits_2(self, tmp_path, capsys):
         code = main(
@@ -543,14 +575,16 @@ class TestTrajectory:
         assert code == 2
         assert "missing or empty" in capsys.readouterr().err
 
-    def test_artifact_metric_extraction(self, registry, tmp_path, capsys):
+    def test_artifact_metric_extraction(self, tmp_path):
         artifact = tmp_path / "bench.json"
         artifact.write_text(json.dumps({"serial_seconds": 1.25, "other": "x"}))
+        file = tmp_path / "BENCH_engine_campaign.json"
         assert main(
             ["trajectory", "record", "engine_campaign",
-             "--from", str(artifact), "--metric", "serial_seconds"]
+             "--from", str(artifact), "--metric", "serial_seconds",
+             "--file", str(file)]
         ) == 0
-        points = registry.trajectory("engine_campaign")
+        points = load_trajectory(file)
         assert points and points[-1]["value"] == 1.25
 
 
@@ -585,16 +619,46 @@ class TestCLIRunsAndStatus:
         assert [run["run_id"] for run in registry.runs()] == [first, second]
 
     def test_status_registry(self, registry, capsys):
-        _record_fuzz_run(registry)
-        record_point(
-            make_point("engine_campaign", "serial_seconds", 1.0),
-            registry=registry,
-        )
+        run_id = _record_fuzz_run(registry)
         assert main(["status", "--registry"]) == 0
         out = capsys.readouterr().out
         assert "recorded runs" in out
         assert "dedup hit-rate" in out
-        assert "engine_campaign" in out
+        assert "resumed" not in out
+        # A run's latency renders in one place: its run report.
+        assert "Supervision latency" not in out
+        assert main(["runs", "show", run_id[:12]]) == 0
+        assert "Latency attribution (spans)" in capsys.readouterr().out
+
+    def test_index_with_the_old_trajectories_table_still_serves_runs(
+        self, registry, capsys
+    ):
+        """Indexes written before trajectories left the registry keep
+        their table and rows; every run verb still works over them."""
+        run_id = _record_fuzz_run(registry)
+        with registry._connect() as db:
+            db.executescript(
+                "CREATE TABLE IF NOT EXISTS trajectories ("
+                "bench TEXT NOT NULL, seq INTEGER NOT NULL, "
+                "recorded_at TEXT NOT NULL, point_json TEXT NOT NULL, "
+                "PRIMARY KEY (bench, seq));"
+            )
+            db.execute(
+                "INSERT INTO trajectories VALUES (?, ?, ?, ?)",
+                ("engine_campaign", 0, "2026-01-01T00:00:00Z",
+                 '{"metric":"serial_seconds","value":1.0}'),
+            )
+        reopened = RunRegistry(registry.directory)
+        assert [run["run_id"] for run in reopened.runs()] == [run_id]
+        assert main(["runs", "list"]) == 0
+        assert run_id[:12] in capsys.readouterr().out
+        assert main(["runs", "show", run_id[:12]]) == 0
+        assert run_id in capsys.readouterr().out
+        assert main(["reproduce", run_id[:12]]) == 0
+        assert main(["status", "--registry"]) == 0
+        with reopened._connect() as db:
+            rows = db.execute("SELECT COUNT(*) AS n FROM trajectories").fetchone()
+        assert rows["n"] == 1
 
     def test_registry_flag_overrides_env(self, registry, tmp_path, capsys):
         other = tmp_path / "other-registry"
@@ -685,3 +749,4 @@ class TestReportSchemas:
         assert info["runs"] == 1
         assert info["jobs"]["total"] == len(CODENAMES)
         assert info["objects"] > 0 and info["store_bytes"] > 0
+        assert "resumed" not in info["jobs"] and "trajectories" not in info

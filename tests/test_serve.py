@@ -947,3 +947,4 @@ class TestRegistryOriginAccounting:
         out = capsys.readouterr().out
         assert "dedup by origin" in out
         assert "local" in out and "remote" in out
+        assert "0 cached, 0 quarantined" in out and "resumed" not in out

@@ -355,7 +355,7 @@ def test_wall_registry_holds_only_per_kind_latency_histograms():
     assert all(h.count == 1 for h in wall.histograms())
 
 
-def test_registry_records_and_serves_span_timelines(tmp_path, monkeypatch):
+def test_registry_records_and_serves_span_timelines(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("REPRO_REGISTRY", raising=False)
     monkeypatch.setenv("REPRO_REGISTRY_DIR", str(tmp_path / "registry"))
     jobs = [FuzzJob(codename="Sky Lake", seed=5, case_index=0, num_actions=3)]
@@ -376,7 +376,15 @@ def test_registry_records_and_serves_span_timelines(tmp_path, monkeypatch):
 
     from repro.cli import main
 
+    capsys.readouterr()
+    # Bare `repro spans RUN` prints the stored document itself as JSON.
     assert main(["spans", run_id[:12]]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == document
+    assert (
+        FleetTimeline.from_dict(printed).deterministic_dict()
+        == timeline.deterministic_dict()
+    )
     export = tmp_path / "stored.trace.json"
     assert main(["spans", run_id[:12], "--export", str(export)]) == 0
     events = json.loads(export.read_text())
