@@ -37,8 +37,9 @@ chaos:
 	python -m repro chaos --seed $${SEED:-0} --budget $${BUDGET:-50}
 
 # Adversarial-schedule fuzzing under the runtime invariant checker
-# (SEED/BUDGET overridable).  Exits nonzero and writes fuzz-repro.json
-# when an invariant is violated.
+# (SEED/BUDGET overridable).  Exits nonzero and writes the shrunk case
+# as a replayable flight dump, fuzz-repro.flight.jsonl, when an invariant
+# is violated.
 fuzz:
 	python -m repro fuzz --seed $${SEED:-0} --budget $${BUDGET:-200}
 

@@ -378,15 +378,15 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--out",
         metavar="PATH",
-        default="fuzz-repro.json",
-        help="shrunk-repro artifact path (written only on a violation)",
+        default="fuzz-repro.flight.jsonl",
+        help="shrunk-repro flight dump path (written only on a violation)",
     )
     fuzz.add_argument(
         "--replay",
         metavar="PATH",
         default=None,
-        help="replay a repro artifact, a flight-recorder dump, or a "
-        "registry run id's recorded dumps under the checker instead of "
+        help="replay a flight dump, or the first recorded dump with a "
+        "schedule of a registry run id, under the checker instead of "
         "fuzzing",
     )
     fuzz.add_argument(
@@ -983,6 +983,10 @@ def _cmd_campaign(args) -> int:
     from repro.engine import Quarantined
     from repro.errors import ConfigurationError
 
+    if args.spans_wall and not args.spans:
+        print("repro campaign: --spans-wall needs --spans PATH for the main "
+              "timeline", file=sys.stderr)
+        return 2
     session = _session(args)
     try:
         jobs = experiments.prevention_jobs(
@@ -1054,10 +1058,7 @@ def _cmd_campaign(args) -> int:
         }
         path = write_text(args.json, _json.dumps(payload, indent=2, sort_keys=True))
         print(f"JSON artifact written to {path}")
-    if args.spans_wall and not args.spans:
-        print("--spans-wall needs --spans PATH for the main timeline",
-              file=sys.stderr)
-    elif args.spans:
+    if args.spans:
         path = session.export_spans(args.spans, wall_path=args.spans_wall)
         print(f"span timeline written to {path} "
               "(open in https://ui.perfetto.dev)")
@@ -1078,9 +1079,9 @@ def _cmd_fuzz(args) -> int:
 
     import hashlib
 
-    from repro.analysis.export import write_text
     from repro.analysis.report import render_table
     from repro.engine import EngineSession, executor_from_env
+    from repro.observe.flight import write_flight_dump
     from repro.verify import InvariantChecker, run_schedule, shrink_schedule
 
     models, jobs = _fuzz_jobs(args, characterize=not args.no_module)
@@ -1123,10 +1124,14 @@ def _cmd_fuzz(args) -> int:
         print(f"  case: {job.codename} #{job.case_index} "
               f"(action {violation['action_index']})")
         shrunk = shrink_schedule(job.schedule())
-        artifact = dict(shrunk.to_dict(), violation=run_schedule(shrunk)["violation"])
-        path = write_text(args.out, _json.dumps(artifact, indent=2, sort_keys=True))
+        path = write_flight_dump(
+            args.out,
+            "invariant-violation",
+            violation=run_schedule(shrunk)["violation"],
+            context={"schedule": shrunk.to_dict()},
+        )
         print(f"  shrunk to {len(shrunk.actions)} action(s); "
-              f"replayable artifact written to {path}")
+              f"replayable flight dump written to {path}")
         print(f"  replay with: repro fuzz --replay {path}")
         return 1
     print("no invariant violations")
@@ -1445,6 +1450,10 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_spans(args) -> int:
+    if args.wall and not args.export:
+        print("repro spans: --wall needs --export PATH for the main trace",
+              file=sys.stderr)
+        return 2
     registry = _open_registry(args.registry)
     if registry is None:
         return 2
@@ -1717,17 +1726,23 @@ def _cmd_work(args) -> int:
 def _fuzz_replay(source: str, registry_dir: Optional[str]) -> int:
     """``repro fuzz --replay``: re-run a recorded schedule under the checker.
 
-    ``source`` is a shrunk repro artifact, a flight dump, or a registry
-    run id whose first recorded dump still on disk is replayed.  Exit 1
-    when the violation reproduces, 0 when the replay runs clean, 2 when
-    there is nothing to replay or the dump is malformed.
+    ``source`` is a flight dump (a ``repro fuzz --out`` artifact or a
+    job's dump), or a registry run id whose first recorded dump on disk
+    that carries a schedule is replayed.  Exit 1 when the violation
+    reproduces, 0 when the replay runs clean, 2 when there is nothing to
+    replay or the dump is malformed.
     """
     from repro.errors import ObserveError
-    from repro.observe import is_flight_dump, load_flight_dump
+    from repro.observe import load_flight_dump
     from repro.verify import FuzzSchedule, run_schedule
 
-    path = source
-    if not Path(path).exists():
+    if Path(source).exists():
+        try:
+            dump = load_flight_dump(source)
+        except ObserveError as error:
+            print(f"{source}: {error}", file=sys.stderr)
+            return 2
+    else:
         # Not a file — maybe a registry run id whose dumps were recorded.
         registry = _open_registry(registry_dir, required=False)
         flights = []
@@ -1735,53 +1750,50 @@ def _fuzz_replay(source: str, registry_dir: Optional[str]) -> int:
             from repro.errors import RegistryError
 
             try:
-                run_id = registry.resolve(path)
+                run_id = registry.resolve(source)
                 flights = registry.flights_for(run_id)
             except RegistryError:
                 flights = []
         if not flights:
-            print(f"{source}: neither a replay file nor a recorded run "
+            print(f"{source}: neither a flight dump nor a recorded run "
                   "with flight dumps", file=sys.stderr)
             return 2
         print(f"run {run_id[:12]}: {len(flights)} recorded flight dump(s)")
         for flight in flights:
             print(f"  {flight['path']}  sha256={flight['sha256'][:12]} "
                   f"({flight['reason']})")
-        available = [f for f in flights if Path(f["path"]).exists()]
-        if not available:
-            print("none of the recorded dump files still exist on disk",
-                  file=sys.stderr)
+        dump = None
+        for flight in flights:
+            try:
+                candidate = load_flight_dump(flight["path"])
+            except ObserveError:
+                continue
+            if candidate.schedule is not None:
+                dump = candidate
+                print(f"replaying {flight['path']}\n")
+                break
+        if dump is None:
+            print("no recorded dump on disk carries a schedule; nothing to "
+                  "replay", file=sys.stderr)
             return 2
-        path = available[0]["path"]
-        print(f"replaying {path}\n")
 
-    if is_flight_dump(path):
-        try:
-            dump = load_flight_dump(path)
-        except ObserveError as error:
-            print(f"{path}: {error}", file=sys.stderr)
-            return 2
-        header = dump.header
-        print(f"flight dump: reason={dump.reason} "
-              f"sim_time={header.get('sim_time_s', 0.0):g}s "
-              f"events={len(dump.events)}")
-        machine = header.get("machine")
-        if machine:
-            print(f"machine: {machine.get('codename')} seed={machine.get('seed')} "
-                  f"spec={str(machine.get('sha256', ''))[:12]}")
-        if header.get("violation"):
-            violation = header["violation"]
-            print(f"recorded violation: [{violation['invariant']}] "
-                  f"{violation['message']}")
-        if dump.schedule is None:
-            print("dump carries no schedule; nothing to replay "
-                  "(inspect the trace tail with repro.observe.load_flight_dump)")
-            return 2
-        schedule = FuzzSchedule.from_dict(dump.schedule)
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            schedule = FuzzSchedule.from_json(handle.read())
-    summary = run_schedule(schedule)
+    header = dump.header
+    print(f"flight dump: reason={dump.reason} "
+          f"sim_time={header.get('sim_time_s', 0.0):g}s "
+          f"events={len(dump.events)}")
+    machine = header.get("machine")
+    if machine:
+        print(f"machine: {machine.get('codename')} seed={machine.get('seed')} "
+              f"spec={str(machine.get('sha256', ''))[:12]}")
+    if header.get("violation"):
+        violation = header["violation"]
+        print(f"recorded violation: [{violation['invariant']}] "
+              f"{violation['message']}")
+    if dump.schedule is None:
+        print("dump carries no schedule; nothing to replay "
+              "(inspect the trace tail with repro.observe.load_flight_dump)")
+        return 2
+    summary = run_schedule(FuzzSchedule.from_dict(dump.schedule))
     print(_json.dumps(summary, indent=2, sort_keys=True))
     if summary["violation"] is not None:
         print(f"\nreplay reproduced: [{summary['violation']['invariant']}] "

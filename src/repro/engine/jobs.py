@@ -478,9 +478,34 @@ class FuzzJob(JobSpec):
         return schedule_for_job(self)
 
     def run(self, telemetry: Telemetry) -> Dict[str, Any]:
-        from repro.verify.fuzz import run_schedule
+        """Run the schedule; a violation also freezes the job's trace ring.
 
-        return run_schedule(self.schedule(), telemetry=telemetry)
+        The dump is ``job-<fingerprint[:12]>.flight.jsonl`` below
+        ``REPRO_FLIGHT_DIR`` (none is written without it), and the
+        payload's ``flight_dump`` holds that file name either way, so
+        the payload does not depend on the dump directory.
+        """
+        from repro.observe.flight import dump_job, job_dump_name
+        from repro.verify.fuzz import replay_schedule
+
+        schedule = self.schedule()
+        summary, machine = replay_schedule(schedule, telemetry=telemetry)
+        violation = summary["violation"]
+        if violation is not None:
+            summary["flight_dump"] = job_dump_name(self)
+            # The header holds the violation as the checker raised it.
+            raised = {k: v for k, v in violation.items() if k != "action_index"}
+            dump_job(
+                self,
+                "invariant-violation",
+                telemetry,
+                sim_time_s=machine.now,
+                crash_count=machine.crash_count,
+                machine=machine.spec_fingerprint(),
+                violation=raised,
+                context={"schedule": schedule.to_dict()},
+            )
+        return summary
 
 
 @dataclass(frozen=True)
@@ -700,11 +725,12 @@ def execute_job(job: JobSpec, *, span_context=None, attempt: int = 1) -> JobResu
 
     An exception escaping the job (including an invariant violation) is
     re-raised unchanged, but first the job's trace tail is frozen into a
-    flight-recorder dump when ``REPRO_FLIGHT_DIR`` selects a directory —
-    in a process-pool worker the traceback alone crosses the boundary,
-    the dump preserves the scene.  That dump is the only reader of the
-    job's trace events, so the job records the last ``FLIGHT_CAPACITY``
-    of them when a directory is set and none otherwise.
+    flight dump when ``REPRO_FLIGHT_DIR`` selects a directory — in a
+    process-pool worker the traceback alone crosses the boundary, the
+    dump preserves the scene.  Flight dumps (this one and a fuzz case's
+    violation dump) are the only readers of the job's trace events, so
+    the job records the last ``FLIGHT_CAPACITY`` of them when a
+    directory is set and none otherwise.
     """
     from repro.observe.flight import FLIGHT_CAPACITY, flight_dir_from_env
     from repro.observe.spans import SpanRecorder

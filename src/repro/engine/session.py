@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import atexit
 import functools
+import json
 import logging
 import os
 import threading
@@ -561,9 +562,10 @@ class EngineSession:
         """Flight dumps belonging to this session's jobs, with hashes.
 
         Dump filenames embed ``fingerprint[:12]`` (see
-        :mod:`repro.observe.flight`), so the session's own dumps can be
-        picked out of a shared ``REPRO_FLIGHT_DIR`` by matching staged
-        fingerprints; quarantine records name their dump path directly.
+        :func:`repro.observe.flight.job_dump_name`), so the session's own
+        dumps can be picked out of a shared ``REPRO_FLIGHT_DIR`` by
+        matching staged fingerprints; quarantine records name their dump
+        path directly.  Each row's reason is the one in its dump's header.
         """
         from repro.observe.flight import flight_dir_from_env
         from repro.registry.store import sha256_hex
@@ -589,16 +591,12 @@ class EngineSession:
                 blob = path.read_bytes()
             except OSError:
                 continue
+            try:
+                reason = json.loads(blob.partition(b"\n")[0])["reason"]
+            except (ValueError, TypeError, KeyError):
+                reason = "unknown"
             records.append(
-                {
-                    "path": key,
-                    "sha256": sha256_hex(blob),
-                    "reason": (
-                        "quarantined-job"
-                        if path.name.startswith("quarantine-")
-                        else "failed-attempt"
-                    ),
-                }
+                {"path": key, "sha256": sha256_hex(blob), "reason": reason}
             )
         return records
 

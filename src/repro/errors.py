@@ -123,9 +123,9 @@ class ChaosError(ReproError):
 class ObserveError(ReproError):
     """An observability operation failed (:mod:`repro.observe`).
 
-    Raised for malformed flight-recorder dumps or run manifests, bad
-    recorder configuration, and metrics-server lifecycle misuse — never
-    from the simulation hot path, which the observe layer only watches.
+    Raised for malformed flight dumps or run manifests and
+    metrics-server lifecycle misuse — never from the simulation hot
+    path, which the observe layer only watches.
     """
 
 

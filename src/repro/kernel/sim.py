@@ -141,10 +141,8 @@ class SimObserver:
     processor calls ``on_ocm`` around each 0x150 transaction and
     ``on_regulator_request`` after each offset request it hands a
     regulator, the fault injector calls ``on_fault_window`` after every
-    sampled window and single-instruction probe, ``Machine.reboot`` calls
-    ``on_crash(machine)``, and the invariant checker calls
-    ``on_violation(violation)`` just before it raises.  Subclasses
-    override the hooks they need.
+    sampled window and single-instruction probe.  Subclasses override the
+    hooks they need.
     """
 
     def after_step(self, simulator: "Simulator", event_time: float) -> None:
@@ -178,12 +176,6 @@ class SimObserver:
         self, conditions: Any, fault_count: int, crashed: bool, instruction: str
     ) -> None:
         """The fault injector sampled one window or single-instruction probe."""
-
-    def on_crash(self, machine: Any) -> None:
-        """The machine is recovering from a machine check."""
-
-    def on_violation(self, violation: Any) -> None:
-        """A runtime invariant tripped; the checker raises next."""
 
 
 class Simulator:

@@ -6,9 +6,9 @@ perturbing the simulation:
 * :class:`SimProfiler` — attributes the discrete-event dispatch loop's
   work (events, sim-time, wall-time) per component/site and exports
   deterministic collapsed-stack and speedscope flamegraphs;
-* :class:`FlightRecorder` — freezes the last N trace events into a
-  replayable JSONL dump when an invariant trips, a machine check fires,
-  or an exception escapes a campaign job;
+* :mod:`repro.observe.flight` — freezes a failing job's trace ring into
+  a replayable JSONL dump named after the job (an invariant violation
+  in a fuzz case, an exception escaping a job, a quarantine verdict);
 * :func:`render_markdown` — the ``repro runs show`` view of a recorded
   run manifest;
 * :mod:`repro.observe.spans` — the fleet-wide span model: deterministic
@@ -20,11 +20,9 @@ from repro.observe.flight import (
     FLIGHT_DIR_ENV,
     FLIGHT_SCHEMA_VERSION,
     FlightDump,
-    FlightRecorder,
     dump_job_failure,
     dump_quarantine,
     flight_dir_from_env,
-    is_flight_dump,
     load_flight_dump,
 )
 from repro.observe.profiler import (
@@ -54,7 +52,6 @@ __all__ = [
     "FLIGHT_SCHEMA_VERSION",
     "FleetTimeline",
     "FlightDump",
-    "FlightRecorder",
     "NULL_SPANS",
     "PROFILE_SCHEMA_VERSION",
     "ProfileBucket",
@@ -67,7 +64,6 @@ __all__ = [
     "dump_job_failure",
     "dump_quarantine",
     "flight_dir_from_env",
-    "is_flight_dump",
     "job_span_id",
     "load_flight_dump",
     "load_manifest",

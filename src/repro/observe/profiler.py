@@ -1,8 +1,8 @@
 """Sim-time profiler for the discrete-event dispatch loop.
 
 :class:`SimProfiler` is a :class:`repro.kernel.sim.SimObserver` on the
-simulator's observer tuple, beside any invariant checker or flight
-recorder (one truth test per event when nothing is attached), and
+simulator's observer tuple, beside any invariant checker (one truth
+test per event when nothing is attached), and
 attributes every processed event to the component that scheduled it:
 the voltage regulator's settle events, the OCM/MSR chain, the polling
 module's recurring poll, the fault injector, the bench runner, spawned

@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.errors import RegistryError
-from repro.registry.store import ObjectStore, sha256_hex
+from repro.registry.store import ObjectStore
 
 #: Environment switch: ``REPRO_REGISTRY=0`` disables automatic recording.
 REGISTRY_ENV = "REPRO_REGISTRY"
@@ -363,20 +363,6 @@ class RunRegistry:
                     ),
                 )
         return run_id
-
-    def register_flight(
-        self, run_id: str, path: Union[str, Path], *, reason: str = "unknown"
-    ) -> Dict[str, Any]:
-        """Index one flight dump (path + sha256) under a recorded run."""
-        data = Path(path).read_bytes()
-        record = {"path": str(path), "sha256": sha256_hex(data), "reason": reason}
-        with self._connect() as db:
-            db.execute(
-                "INSERT OR REPLACE INTO flights (run_id, path, sha256, reason) "
-                "VALUES (?, ?, ?, ?)",
-                (run_id, record["path"], record["sha256"], record["reason"]),
-            )
-        return record
 
     # -- querying ----------------------------------------------------------------
 

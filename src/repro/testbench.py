@@ -146,7 +146,7 @@ class Machine:
         Everything a post-mortem needs to rebuild an equivalent machine:
         model codename, build seed, voltage-plane topology, whether an
         invariant checker is installed — plus a content hash over those
-        fields so flight-recorder dumps from different specs can never be
+        fields so flight dumps from different specs can never be
         conflated.
         """
         import hashlib
@@ -229,10 +229,6 @@ class Machine:
         Kernel modules stay registered (they reload from initramfs on a
         real machine); the MSR and regulator state is wiped.
         """
-        for observer in self.simulator.observers:
-            # Before hardware state is wiped: a flight recorder snapshots
-            # the pre-crash trace tail here.
-            observer.on_crash(self)
         self.processor.reboot()
         self.crash_count += 1
         if settle_s > 0:

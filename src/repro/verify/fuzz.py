@@ -11,10 +11,11 @@ hook.  Domain errors the substrate is *specified* to raise
 a crash-boundary operating point, …) are expected and recorded; an
 :class:`~repro.errors.InvariantViolation` is the fuzzer's finding.
 
-Everything is deterministic: schedules are generated from the PR-2 named
-seed streams, machines are seeded from the same streams, and schedules
-serialize to canonical JSON so a violating case replays bit-for-bit from
-its artifact (see :mod:`repro.verify.shrink` for minimization).
+Everything is deterministic: schedules are generated from the engine's
+named seed streams, machines are seeded from the same streams, and a
+schedule's canonical dict rides in a flight dump's header, so a
+violating case replays bit-for-bit from its dump (see
+:mod:`repro.verify.shrink` for minimization).
 """
 
 from __future__ import annotations
@@ -117,10 +118,6 @@ class FuzzSchedule:
             "actions": [action.to_dict() for action in self.actions],
         }
 
-    def to_json(self) -> str:
-        """Canonical JSON (sorted keys) — the replayable artifact body."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FuzzSchedule":
         schema = data.get("schema")
@@ -135,10 +132,6 @@ class FuzzSchedule:
             unsafe_json=data.get("unsafe_json"),
             source=data.get("source"),
         )
-
-    @classmethod
-    def from_json(cls, blob: str) -> "FuzzSchedule":
-        return cls.from_dict(json.loads(blob))
 
 
 def generate_schedule(stream, codename: str, num_actions: int) -> Tuple[FuzzAction, ...]:
@@ -235,13 +228,18 @@ def run_schedule(
     are tallied, and a machine check triggers the same reboot-and-continue
     recovery the characterization harness uses.
 
-    A :class:`repro.observe.FlightRecorder` rides along carrying the
-    schedule itself, so a tripped invariant leaves a self-contained
-    post-mortem (``summary["flight_dump"]`` when ``REPRO_FLIGHT_DIR``
-    selects a directory) that ``repro fuzz --replay`` accepts directly.
+    No dump is written here, so a shrinker's trial replays leave no
+    files behind: ``FuzzJob.run`` writes a violating case's flight dump
+    and names it in ``summary["flight_dump"]``.
     """
+    return replay_schedule(schedule, telemetry=telemetry)[0]
+
+
+def replay_schedule(
+    schedule: FuzzSchedule, *, telemetry: Optional[Telemetry] = None
+) -> Tuple[Dict[str, Any], Any]:
+    """:func:`run_schedule`'s summary plus the machine it ran on."""
     from repro.core.unsafe_states import UnsafeStateSet
-    from repro.observe import FlightRecorder, flight_dir_from_env
     from repro.testbench import Machine
 
     model = model_by_codename(schedule.codename)
@@ -249,8 +247,6 @@ def run_schedule(
     machine = Machine.build(
         model, seed=schedule.machine_seed, telemetry=telemetry, verify=False
     )
-    recorder = FlightRecorder(machine, dump_dir=flight_dir_from_env())
-    recorder.context["schedule"] = schedule.to_dict()
     checker = InvariantChecker().install(machine)
     unsafe = (
         UnsafeStateSet.from_dict(json.loads(schedule.unsafe_json))
@@ -280,7 +276,7 @@ def run_schedule(
             checker.check_machine()
         except InvariantViolation as error:
             violation = dict(error.to_dict(), action_index=len(schedule.actions))
-    return {
+    summary = {
         "codename": schedule.codename,
         "machine_seed": schedule.machine_seed,
         "source": schedule.source,
@@ -292,10 +288,9 @@ def run_schedule(
         "checks": checker.checks,
         "sim_time_s": machine.now,
         "violation": violation,
-        "flight_dump": (
-            str(recorder.dump_paths[-1]) if recorder.dump_paths else None
-        ),
+        "flight_dump": None,
     }
+    return summary, machine
 
 
 def _apply_action(machine, action: FuzzAction, unsafe) -> bool:

@@ -39,8 +39,8 @@ reproduction's claims rest on:
     session registry without loss or double counting, regardless of the
     executor (serial or process pool).
 
-The checker rides the simulator's observer tuple alongside any profiler
-or flight recorder, in any install order.  With no observer attached
+The checker rides the simulator's observer tuple alongside any profiler,
+in any install order.  With no observer attached
 each notification site iterates an empty tuple, so tier-1 timing results
 stay byte-identical with verification off.
 """
@@ -121,11 +121,6 @@ class InvariantChecker(SimObserver):
         time_s = self._machine.simulator.now if self._machine is not None else 0.0
         violation = InvariantViolation(invariant, message, time_s=time_s, **details)
         self.violations.append(violation)
-        if self._machine is not None:
-            # Let every observer (a flight recorder freezes the trace
-            # tail) see the scene before unwinding destroys it.
-            for observer in self._machine.simulator.observers:
-                observer.on_violation(violation)
         raise violation
 
     # -- simulator observer (sim-monotonic, heap-hygiene) ------------------------

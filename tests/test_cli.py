@@ -354,6 +354,41 @@ class TestCampaignMatrix:
             assert codename in captured.err
 
 
+class TestSpansWallNeedsItsMainTrace:
+    """A wall-clock sidecar without the main trace is a usage error,
+    reported before any work is done."""
+
+    def test_campaign_spans_wall_without_spans(self, tmp_path, capsys):
+        wall = tmp_path / "wall.json"
+        assert main(["campaign", "--cpu", "Sky Lake", "--spans-wall", str(wall)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--spans" in captured.err
+        assert not wall.exists()
+
+    def test_spans_wall_without_export(self, tmp_path, monkeypatch, capsys):
+        from repro.engine import EngineSession, FuzzJob, SerialExecutor
+
+        monkeypatch.setenv("REPRO_REGISTRY_DIR", str(tmp_path / "registry"))
+        monkeypatch.delenv("REPRO_REGISTRY", raising=False)
+        with EngineSession(executor=SerialExecutor()) as session:
+            session.run_jobs(
+                [FuzzJob(codename="Sky Lake", seed=5, case_index=0, num_actions=3)],
+                cache=False,
+            )
+            run_id = session.record_run()
+        assert run_id is not None
+        capsys.readouterr()
+        wall = tmp_path / "wall.json"
+        assert main(["spans", run_id[:12], "--wall", str(wall)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--export" in captured.err
+        assert not wall.exists()
+
+
 class TestMaximal:
     def test_prints_both_tables(self, capsys):
         from repro.experiments import maximal_safe_deployments

@@ -369,8 +369,16 @@ class TestObservers:
             assert fired == [1.0]
         assert observed.processed_events == bare.processed_events
         assert observed.now == bare.now
-        for hook in ("on_crash", "on_violation"):
-            assert getattr(SimObserver(), hook)(None) is None
+        # A post-mortem is the job's trace ring, not an observer hook.
+        hooks = sorted(name for name in vars(SimObserver) if not name.startswith("_"))
+        assert hooks == [
+            "after_event",
+            "after_run_until",
+            "after_step",
+            "on_fault_window",
+            "on_ocm",
+            "on_regulator_request",
+        ]
 
     def test_observer_attached_mid_run_starts_at_next_event(self):
         sim = Simulator()

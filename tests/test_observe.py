@@ -5,9 +5,10 @@ Three contracts under test:
 * the sim-time profiler attributes dispatch-loop work per component and
   its collapsed-stack/speedscope artifacts are byte-identical across
   identical seeded runs (wall-clock strictly segregated);
-* the flight recorder freezes a replayable post-mortem on invariant
-  violations, machine checks and job failures — and the fuzz pipeline's
-  dumps replay through the same entry points as shrunk artifacts;
+* a failing job's trace ring is frozen into a replayable post-mortem
+  named after the job (fuzz-case invariant violations and unhandled
+  exceptions) — and the fuzz pipeline's dumps replay through the same
+  entry point as shrunk artifacts;
 * the engine run manifest records provenance (cache vs execution, seed
   paths, fingerprints) and renders to Markdown.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
+import pickle
 from dataclasses import dataclass
 from typing import Any, ClassVar, Tuple
 
@@ -31,22 +33,26 @@ from repro.engine import (
     SerialExecutor,
     execute_job,
 )
-from repro.errors import InvariantViolation, ObserveError
+from repro.errors import ObserveError
 from repro.kernel.sim import Simulator
 from repro.observe import (
-    FlightRecorder,
     SimProfiler,
     dump_job_failure,
     flight_dir_from_env,
-    is_flight_dump,
     load_flight_dump,
     load_manifest,
     render_markdown,
     resolve_site,
 )
+from repro.observe.flight import (
+    FLIGHT_CAPACITY,
+    dump_job,
+    job_dump_name,
+    write_flight_dump,
+)
 from repro.telemetry import Telemetry
 from repro.testbench import Machine
-from repro.verify import FuzzSchedule, run_schedule, schedule_for_job
+from repro.verify import FuzzSchedule, run_schedule, shrink_schedule
 
 
 def _break_decode_sign(monkeypatch):
@@ -189,7 +195,6 @@ class TestProfilerDeterminism:
 
         def install_others(machine):
             machine.install_invariants()
-            FlightRecorder(machine)
             installed.append(machine)
 
         if order == "checker-first":
@@ -197,7 +202,7 @@ class TestProfilerDeterminism:
         else:
             machine, profiler = self._profiled_run(after=install_others)
         assert installed == [machine]
-        assert len(machine.simulator.observers) == 2  # profiler uninstalled
+        assert len(machine.simulator.observers) == 1  # profiler uninstalled
         assert machine.verifier.checks > 0
         assert profiler.to_collapsed() == alone.to_collapsed()
 
@@ -237,7 +242,7 @@ class TestProfilerDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# FlightRecorder
+# Flight dumps
 # ---------------------------------------------------------------------------
 
 
@@ -245,19 +250,30 @@ def _traced_machine(seed: int = 3) -> Machine:
     return Machine.build(COMET_LAKE, seed=seed, telemetry=Telemetry(max_events=64))
 
 
-class TestFlightRecorder:
+def _machine_dump(machine: Machine, path, reason: str = "manual"):
+    """Freeze ``machine``'s trace ring the way a job dump does."""
+    return write_flight_dump(
+        path,
+        reason,
+        machine.telemetry.tracer.events[-8:],
+        capacity=8,
+        sim_time_s=machine.now,
+        crash_count=machine.crash_count,
+        machine=machine.spec_fingerprint(),
+    )
+
+
+class TestFlightDumps:
     def test_env_knob(self):
         assert flight_dir_from_env({}) is None
         assert flight_dir_from_env({"REPRO_FLIGHT_DIR": "  "}) is None
         assert str(flight_dir_from_env({"REPRO_FLIGHT_DIR": "dumps"})) == "dumps"
 
-    def test_dump_round_trip(self):
+    def test_dump_round_trip(self, tmp_path):
         machine = _traced_machine()
-        recorder = FlightRecorder(machine, capacity=8)
         machine.write_voltage_offset(-50)
         machine.advance(2e-3)
-        text = recorder.make_dump("manual")
-        dump = load_flight_dump(text)
+        dump = load_flight_dump(_machine_dump(machine, tmp_path / "d.jsonl"))
         assert dump.reason == "manual"
         assert dump.header["machine"]["codename"] == COMET_LAKE.codename
         assert dump.header["machine"]["seed"] == 3
@@ -265,37 +281,28 @@ class TestFlightRecorder:
         assert len(dump.events) == dump.header["events"] <= 8
         assert tuple(dump.events) == machine.telemetry.tracer.events[-8:]
 
-    def test_dump_is_deterministic(self):
-        def produce():
+    def test_dump_is_deterministic(self, tmp_path):
+        def produce(name):
             machine = _traced_machine(seed=5)
-            recorder = FlightRecorder(machine, capacity=16)
             machine.write_voltage_offset(-70)
             machine.advance(1e-3)
-            return recorder.make_dump("manual")
+            return _machine_dump(machine, tmp_path / name).read_bytes()
 
-        assert produce() == produce()
+        assert produce("a.jsonl") == produce("b.jsonl")
 
-    def test_violation_dump_written(self, tmp_path, monkeypatch):
-        _break_decode_sign(monkeypatch)
-        machine = _traced_machine()
-        recorder = FlightRecorder(machine, dump_dir=tmp_path)
-        machine.install_invariants()
-        with pytest.raises(InvariantViolation):
+    def test_job_dump_keeps_the_ring_tail(self, tmp_path):
+        machine = Machine.build(COMET_LAKE, seed=3, telemetry=Telemetry())
+        for _ in range(100):
             machine.write_voltage_offset(-50)
-        assert len(recorder.dump_paths) == 1
-        dump = load_flight_dump(recorder.dump_paths[0])
-        assert dump.reason == "invariant-violation"
-        assert dump.header["violation"]["invariant"] == "ocm-roundtrip"
-
-    def test_recorder_attached_after_checker_gets_violation_dump(self, monkeypatch):
-        _break_decode_sign(monkeypatch)
-        machine = _traced_machine()
-        machine.install_invariants()
-        recorder = FlightRecorder(machine)
-        with pytest.raises(InvariantViolation):
-            machine.write_voltage_offset(-50)
-        assert recorder.last_dump is not None
-        assert load_flight_dump(recorder.last_dump).reason == "invariant-violation"
+            machine.advance(1e-3)
+        events = machine.telemetry.tracer.events
+        assert len(events) > FLIGHT_CAPACITY
+        path = dump_job(_BoomJob(), "manual", machine.telemetry, dump_dir=tmp_path)
+        assert path == tmp_path / job_dump_name(_BoomJob())
+        dump = load_flight_dump(path)
+        assert dump.header["capacity"] == FLIGHT_CAPACITY
+        assert tuple(dump.events) == events[-FLIGHT_CAPACITY:]
+        assert dump.header["sim_time_s"] == events[-1].time_s
 
     def test_install_invariants_returns_the_build_time_checker(self):
         machine = Machine.build(COMET_LAKE, seed=3, verify=True)
@@ -303,42 +310,6 @@ class TestFlightRecorder:
         assert machine.install_invariants() is checker
         assert machine.install_invariants(checker) is checker
         assert machine.simulator.observers.count(checker) == 1
-
-    def test_uninstalled_recorder_no_longer_dumps(self, tmp_path):
-        machine = _traced_machine()
-        recorder = FlightRecorder(machine, dump_dir=tmp_path, record_crashes=True)
-        recorder.uninstall()
-        machine.reboot()
-        assert recorder.dump_paths == [] and recorder.last_dump is None
-        assert recorder not in machine.simulator.observers
-
-    def test_crash_dumps_are_opt_in(self, tmp_path):
-        machine = _traced_machine()
-        recorder = FlightRecorder(machine, dump_dir=tmp_path)
-        machine.reboot()
-        assert recorder.dump_paths == []
-        recorder.record_crashes = True
-        machine.reboot()
-        assert len(recorder.dump_paths) == 1
-        assert load_flight_dump(recorder.dump_paths[0]).reason == "machine-check"
-
-    def test_max_dumps_cap(self, tmp_path):
-        machine = _traced_machine()
-        recorder = FlightRecorder(
-            machine, dump_dir=tmp_path, record_crashes=True, max_dumps=2
-        )
-        for _ in range(5):
-            machine.reboot()
-        assert len(recorder.dump_paths) == 2
-        assert recorder.last_dump is not None  # memory copy still current
-
-    def test_no_dir_keeps_dump_in_memory(self):
-        machine = _traced_machine()
-        recorder = FlightRecorder(machine)
-        recorder.record("unhandled-exception", error=RuntimeError("kaput"))
-        assert recorder.dump_paths == []
-        dump = load_flight_dump(recorder.last_dump)
-        assert dump.header["error"] == {"type": "RuntimeError", "message": "kaput"}
 
     def test_loader_rejects_garbage(self, tmp_path):
         with pytest.raises(ObserveError):
@@ -350,21 +321,19 @@ class TestFlightRecorder:
             load_flight_dump(bad_schema + "\n")
         path = tmp_path / "x.json"
         path.write_text("[]\n")
-        assert not is_flight_dump(path)
-        assert not is_flight_dump(tmp_path / "missing.jsonl")
+        with pytest.raises(ObserveError, match="not a flight-recorder dump"):
+            load_flight_dump(path)
 
     def test_loader_rejects_a_truncated_event_line(self, tmp_path):
         machine = _traced_machine()
-        recorder = FlightRecorder(machine, capacity=8)
         machine.write_voltage_offset(-50)
         machine.advance(2e-3)
-        text = recorder.make_dump("manual")
+        text = _machine_dump(machine, tmp_path / "whole.jsonl").read_text()
         cut = text[: text.rindex("\n", 0, len(text) - 1) + 20]
         with pytest.raises(ObserveError, match="line"):
             load_flight_dump(cut)
         path = tmp_path / "cut.jsonl"
         path.write_text(cut)
-        assert is_flight_dump(path)
         with pytest.raises(ObserveError, match="line"):
             load_flight_dump(path)
 
@@ -382,25 +351,16 @@ class TestFlightRecorder:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(type(tmp_path), "replace", killed)
-        recorder = FlightRecorder(_traced_machine(), dump_dir=tmp_path)
         with pytest.raises(KeyboardInterrupt):
-            recorder.record("manual")
+            write_flight_dump(tmp_path / "d.jsonl", "manual")
         names = [entry.name for entry in tmp_path.iterdir()]
         assert len(names) == 1 and ".tmp." in names[0]
         assert not list(tmp_path.glob("*.jsonl"))
 
         monkeypatch.undo()
-        path = FlightRecorder(_traced_machine(), dump_dir=tmp_path).record("manual")
+        path = write_flight_dump(tmp_path / "d.jsonl", "manual")
         assert load_flight_dump(path).reason == "manual"
         assert sorted(tmp_path.glob("*.jsonl")) == [path]
-
-    def test_recorder_on_an_untraced_machine_dumps_the_header(self):
-        machine = Machine.build(COMET_LAKE, seed=3)
-        recorder = FlightRecorder(machine)
-        machine.advance(1e-3)
-        dump = load_flight_dump(recorder.make_dump("manual"))
-        assert dump.events == []
-        assert dump.header["machine"]["seed"] == 3
 
 
 @dataclass(frozen=True)
@@ -456,36 +416,84 @@ class TestJobFailureDumps:
         assert list(tmp_path.glob("job-*.flight.jsonl")) == []
 
 
+def _violating_job(case_index: int = 0) -> FuzzJob:
+    """A case that trips ``ocm-roundtrip`` under the decode-sign mutation."""
+    return FuzzJob(codename="Comet Lake", seed=0, case_index=case_index)
+
+
 class TestFuzzFlightDumps:
-    def test_violating_schedule_dumps_and_replays(self, tmp_path, monkeypatch):
+    def test_violating_job_dumps_under_its_name_and_replays(
+        self, tmp_path, monkeypatch
+    ):
         monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
         _break_decode_sign(monkeypatch)
-        schedule = FuzzSchedule(
-            codename="Comet Lake",
-            machine_seed=1,
-            actions=schedule_for_job(
-                FuzzJob(codename="Comet Lake", seed=0, case_index=0)
-            ).actions,
-        )
-        summary = run_schedule(schedule)
+        job = _violating_job()
+        summary = execute_job(job).payload
         assert summary["violation"] is not None
-        assert summary["flight_dump"] is not None
-        dump = load_flight_dump(summary["flight_dump"])
+        assert summary["flight_dump"] == job_dump_name(job)
+        assert [p.name for p in tmp_path.iterdir()] == [summary["flight_dump"]]
+        dump = load_flight_dump(tmp_path / summary["flight_dump"])
         assert dump.reason == "invariant-violation"
-        assert dump.schedule is not None
+        assert dump.header["capacity"] == FLIGHT_CAPACITY
+        assert dump.header["machine"]["seed"] == job.schedule().machine_seed
+        assert dump.header["crash_count"] == summary["crashes"]
+        assert dump.header["sim_time_s"] == summary["sim_time_s"]
+        violation = dict(dump.header["violation"])
+        assert dict(violation, action_index=summary["violation"]["action_index"]) == (
+            summary["violation"]
+        )
         # The embedded schedule IS the replayable artifact.
         replayed = run_schedule(FuzzSchedule.from_dict(dump.schedule))
-        assert replayed["violation"]["invariant"] == (
-            summary["violation"]["invariant"]
-        )
+        assert replayed["violation"] == summary["violation"]
 
-    def test_clean_schedule_reports_no_dump(self, tmp_path, monkeypatch):
+    def test_every_violating_case_keeps_its_own_dump(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
-        summary = run_schedule(
-            schedule_for_job(FuzzJob(codename="Comet Lake", seed=0, case_index=1))
+        _break_decode_sign(monkeypatch)
+        jobs = [_violating_job(case) for case in range(4)]
+        with EngineSession(executor=SerialExecutor()) as session:
+            payloads = session.run_jobs(jobs, cache=False)
+        assert all(payload["violation"] is not None for payload in payloads)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            job_dump_name(job) for job in jobs
         )
+        assert not list(tmp_path.glob("flight-invariant-violation-*"))
+
+    def test_violating_payload_does_not_depend_on_the_dump_dir(
+        self, tmp_path, monkeypatch
+    ):
+        _break_decode_sign(monkeypatch)
+        job = _violating_job(1)
+        payloads = []
+        for directory in (None, tmp_path / "a", tmp_path / "b"):
+            if directory is None:
+                monkeypatch.delenv("REPRO_FLIGHT_DIR", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_FLIGHT_DIR", str(directory))
+            payloads.append(pickle.dumps(execute_job(job).payload))
+        assert payloads[0] == payloads[1] == payloads[2]
+        assert (tmp_path / "a" / job_dump_name(job)).read_bytes() == (
+            tmp_path / "b" / job_dump_name(job)
+        ).read_bytes()
+
+    def test_schedule_replays_and_shrinks_write_no_dump(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
+        _break_decode_sign(monkeypatch)
+        schedule = _violating_job().schedule()
+        summary = run_schedule(schedule)
+        assert summary["violation"] is not None
+        assert summary["flight_dump"] is None
+        shrunk = shrink_schedule(schedule)
+        assert len(shrunk.actions) < len(schedule.actions)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_clean_job_reports_no_dump(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
+        summary = execute_job(
+            FuzzJob(codename="Comet Lake", seed=0, case_index=1)
+        ).payload
         assert summary["violation"] is None
         assert summary["flight_dump"] is None
+        assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -606,39 +614,24 @@ class TestCLI:
         assert "# Campaign run report" in out
         assert "## Jobs" in out
 
-    def test_fuzz_replay_accepts_flight_dump(self, capsys, tmp_path, monkeypatch):
+    def _violation_dump(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
         _break_decode_sign(monkeypatch)
-        summary = run_schedule(
-            schedule_for_job(FuzzJob(codename="Comet Lake", seed=0, case_index=0))
-        )
-        assert summary["flight_dump"] is not None
-        code, out = self._run(
-            capsys, ["fuzz", "--replay", summary["flight_dump"]]
-        )
-        assert code == 1
-        assert "replay reproduced" in out
+        summary = execute_job(_violating_job()).payload
+        return tmp_path / summary["flight_dump"]
 
-    def test_fuzz_replay_describes_flight_dump(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
-        _break_decode_sign(monkeypatch)
-        summary = run_schedule(
-            schedule_for_job(FuzzJob(codename="Comet Lake", seed=0, case_index=0))
-        )
-        code, out = self._run(
-            capsys, ["fuzz", "--replay", summary["flight_dump"]]
-        )
+    def test_fuzz_replay_accepts_flight_dump(self, capsys, tmp_path, monkeypatch):
+        path = self._violation_dump(tmp_path, monkeypatch)
+        code, out = self._run(capsys, ["fuzz", "--replay", str(path)])
         assert code == 1
         assert "recorded violation" in out
         assert "replay reproduced" in out
 
     def test_fuzz_replay_rejects_a_truncated_dump(self, capsys, tmp_path):
         machine = _traced_machine()
-        recorder = FlightRecorder(machine, dump_dir=tmp_path, record_crashes=True)
         machine.write_voltage_offset(-50)
         machine.advance(2e-3)
-        machine.reboot()
-        path = recorder.dump_paths[0]
+        path = _machine_dump(machine, tmp_path / "d.jsonl")
         text = path.read_text()
         path.write_text(text[: len(text) // 2])
         from repro.cli import main
@@ -649,12 +642,18 @@ class TestCLI:
         assert "is not a trace event" in err
         assert "Traceback" not in err
 
+    def test_fuzz_replay_rejects_a_bare_schedule(self, capsys, tmp_path):
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(_violating_job().schedule().to_dict(), indent=2))
+        from repro.cli import main
+
+        assert main(["fuzz", "--replay", str(path)]) == 2
+        assert "flight dump header is not JSON" in capsys.readouterr().err
+
     def test_fuzz_replay_without_schedule(self, capsys, tmp_path):
-        machine = _traced_machine()
-        recorder = FlightRecorder(machine, dump_dir=tmp_path, record_crashes=True)
-        machine.reboot()
-        code, out = self._run(
-            capsys, ["fuzz", "--replay", str(recorder.dump_paths[0])]
+        path = dump_job_failure(
+            _BoomJob(), Telemetry(), RuntimeError("x"), dump_dir=tmp_path
         )
+        code, out = self._run(capsys, ["fuzz", "--replay", str(path)])
         assert code == 2
         assert "no schedule" in out

@@ -666,6 +666,21 @@ class TestCLIRunsAndStatus:
         assert "no recorded runs" in capsys.readouterr().out
 
 
+def _break_decode_sign(monkeypatch):
+    """Decode loses the two's-complement correction: every undervolt
+    trips the ``ocm-roundtrip`` invariant."""
+    from repro.cpu import ocm
+
+    def broken(value: int) -> int:
+        return (value >> ocm.OFFSET_SHIFT) & 0x7FF
+
+    monkeypatch.setattr(ocm, "decode_offset_field", broken)
+
+
+#: Fuzz cases that violate under the decode-sign mutation.
+_VIOLATING = (("Comet Lake", 0), ("Comet Lake", 1), ("Sky Lake", 0))
+
+
 class TestFlightRegistration:
     def test_dumps_are_recorded_with_hashes(self, registry, tmp_path, monkeypatch):
         from repro.observe.flight import dump_job_failure
@@ -686,7 +701,8 @@ class TestFlightRegistration:
         flights = registry.flights_for(run_id)
         assert [f["path"] for f in flights] == [str(dump)]
         assert flights[0]["sha256"] == sha256_hex(dump.read_bytes())
-        assert flights[0]["reason"] == "failed-attempt"
+        # The reason is the dump header's, not a guess from the file name.
+        assert flights[0]["reason"] == "unhandled-exception"
 
     def test_runs_show_lists_dumps_and_replay_accepts_run_id(
         self, registry, tmp_path, monkeypatch, capsys
@@ -713,13 +729,55 @@ class TestFlightRegistration:
         out = capsys.readouterr().out
         assert "recorded flight dump(s)" in out
 
-    def test_register_flight_api(self, registry, tmp_path):
-        run_id = _record_fuzz_run(registry)
-        dump = tmp_path / "manual.flight.jsonl"
-        dump.write_text('{"kind":"flight-recorder"}\n')
-        record = registry.register_flight(run_id, dump, reason="manual")
-        assert record["sha256"] == sha256_hex(dump.read_bytes())
-        assert registry.flights_for(run_id)[0]["reason"] == "manual"
+    @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "process"])
+    def test_violating_fuzz_cases_each_leave_one_recorded_dump(
+        self, registry, tmp_path, monkeypatch, capsys, workers
+    ):
+        from repro.engine import ParallelExecutor
+        from repro.observe.flight import (
+            dump_job_failure,
+            job_dump_name,
+            load_flight_dump,
+        )
+        from repro.telemetry import Telemetry
+
+        flight_dir = tmp_path / "flights"
+        monkeypatch.setenv("REPRO_FLIGHT_DIR", str(flight_dir))
+        _break_decode_sign(monkeypatch)
+        jobs = [
+            FuzzJob(codename=codename, seed=0, case_index=case)
+            for codename, case in _VIOLATING
+        ]
+        by_name = {job_dump_name(job): job for job in jobs}
+        names = sorted(by_name)
+        assert len(names) == len(jobs)
+        executor = SerialExecutor() if workers is None else ParallelExecutor(workers)
+        session = EngineSession(executor=executor, registry=registry)
+        payloads = session.run_jobs(jobs, cache=False)
+        assert all(payload["violation"] is not None for payload in payloads)
+        assert sorted(payload["flight_dump"] for payload in payloads) == names
+        # One dump per violating case, named after its job: no case
+        # overwrites another's.
+        assert sorted(path.name for path in flight_dir.iterdir()) == names
+        for job, payload in zip(jobs, payloads):
+            dump = load_flight_dump(flight_dir / payload["flight_dump"])
+            assert dump.reason == "invariant-violation"
+            assert dump.schedule == job.schedule().to_dict()
+        # A retry's failed attempt overwrites the first case's dump with a
+        # schedule-less one that sorts first; replay must skip it.
+        dump_job_failure(by_name[names[0]], Telemetry(), RuntimeError("injected"))
+        run_id = session.record_run()
+        session.close()
+        flights = registry.flights_for(run_id)
+        assert [Path(f["path"]).name for f in flights] == names
+        assert [f["reason"] for f in flights] == (
+            ["unhandled-exception"] + ["invariant-violation"] * (len(names) - 1)
+        )
+        capsys.readouterr()
+        assert main(["fuzz", "--replay", run_id[:12]]) == 1
+        out = capsys.readouterr().out
+        assert f"replaying {flight_dir / names[1]}" in out
+        assert "replay reproduced" in out
 
 
 class TestReportSchemas:

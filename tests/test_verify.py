@@ -225,32 +225,46 @@ class TestCleanFuzzing:
 
     def test_schedule_generation_deterministic(self):
         job = fuzz_job(case_index=7)
-        assert schedule_for_job(job).to_json() == schedule_for_job(job).to_json()
+        assert schedule_for_job(job).to_dict() == schedule_for_job(job).to_dict()
 
     def test_run_summary_deterministic(self):
         schedule = fuzz_job(case_index=3).schedule()
         assert run_schedule(schedule) == run_schedule(schedule)
 
     def test_different_cases_get_different_schedules(self):
-        schedules = {fuzz_job(case_index=i).schedule().to_json() for i in range(6)}
+        schedules = {
+            json.dumps(fuzz_job(case_index=i).schedule().to_dict(), sort_keys=True)
+            for i in range(6)
+        }
         assert len(schedules) == 6
 
 
+def _schedule_dump(schedule, path):
+    """The schedule as a header-only flight dump, like ``fuzz --out``."""
+    from repro.observe.flight import write_flight_dump
+
+    return write_flight_dump(path, "manual", context={"schedule": schedule.to_dict()})
+
+
 class TestScheduleArtifacts:
-    def test_json_roundtrip_is_identity(self):
+    def test_flight_dump_roundtrip_is_identity(self, tmp_path):
+        from repro.observe import load_flight_dump
+
         schedule = fuzz_job(case_index=5).schedule()
-        assert FuzzSchedule.from_json(schedule.to_json()) == schedule
+        dump = load_flight_dump(_schedule_dump(schedule, tmp_path / "s.jsonl"))
+        assert FuzzSchedule.from_dict(dump.schedule) == schedule
 
     def test_stale_schema_rejected(self):
-        blob = json.loads(fuzz_job().schedule().to_json())
+        blob = fuzz_job().schedule().to_dict()
         blob["schema"] = SCHEDULE_SCHEMA_VERSION + 1
         with pytest.raises(ConfigurationError):
             FuzzSchedule.from_dict(blob)
 
-    def test_canonical_json_sorted_keys(self):
-        blob = fuzz_job().schedule().to_json()
-        parsed = json.loads(blob)
-        assert blob == json.dumps(parsed, sort_keys=True, indent=2)
+    def test_canonical_json_sorted_keys(self, tmp_path):
+        path = _schedule_dump(fuzz_job().schedule(), tmp_path / "s.jsonl")
+        (line,) = path.read_text().splitlines()
+        parsed = json.loads(line)
+        assert line == json.dumps(parsed, sort_keys=True, separators=(",", ":"))
 
 
 def _break_decode_sign(monkeypatch):
@@ -286,10 +300,13 @@ class TestMutationDetection:
         assert replayed is not None
         assert replayed["invariant"] == "ocm-roundtrip"
 
-    def test_shrunk_artifact_replays_from_json(self, monkeypatch):
+    def test_shrunk_artifact_replays_from_its_dump(self, monkeypatch, tmp_path):
+        from repro.observe import load_flight_dump
+
         _break_decode_sign(monkeypatch)
         shrunk = shrink_schedule(_first_violating_schedule())
-        replayed = FuzzSchedule.from_json(shrunk.to_json())
+        dump = load_flight_dump(_schedule_dump(shrunk, tmp_path / "s.jsonl"))
+        replayed = FuzzSchedule.from_dict(dump.schedule)
         assert run_schedule(replayed)["violation"] is not None
 
     def test_broken_purge_flags_heap_hygiene(self, monkeypatch):
@@ -436,15 +453,18 @@ class TestFuzzCLI:
         assert "Comet Lake" not in out
 
     def test_replay_clean_artifact(self, capsys, tmp_path):
-        artifact = tmp_path / "case.json"
-        artifact.write_text(fuzz_job(case_index=1).schedule().to_json())
+        artifact = _schedule_dump(
+            fuzz_job(case_index=1).schedule(), tmp_path / "case.flight.jsonl"
+        )
         code, out = self._run(capsys, ["fuzz", "--replay", str(artifact)])
         assert code == 0
         assert "ran clean" in out
 
     def test_violation_writes_shrunk_artifact(self, capsys, tmp_path, monkeypatch):
+        from repro.observe import load_flight_dump
+
         _break_decode_sign(monkeypatch)
-        out_path = tmp_path / "repro.json"
+        out_path = tmp_path / "repro.flight.jsonl"
         code, out = self._run(
             capsys,
             [
@@ -454,12 +474,19 @@ class TestFuzzCLI:
         )
         assert code == 1
         assert "INVARIANT VIOLATION" in out
-        artifact = json.loads(out_path.read_text())
-        assert artifact["violation"]["invariant"] == "ocm-roundtrip"
-        assert len(artifact["actions"]) <= 10
-        # The artifact replays: same invariant, straight from disk.
-        replayed = run_schedule(FuzzSchedule.from_json(out_path.read_text()))
-        assert replayed["violation"]["invariant"] == "ocm-roundtrip"
+        # The artifact is a header-only flight dump carrying the shrunk
+        # schedule and its violation.
+        artifact = load_flight_dump(out_path)
+        assert artifact.reason == "invariant-violation"
+        assert artifact.events == []
+        assert artifact.header["violation"]["invariant"] == "ocm-roundtrip"
+        assert len(artifact.schedule["actions"]) <= 10
+        # The artifact replays: same violation, straight from disk.
+        replayed = run_schedule(FuzzSchedule.from_dict(artifact.schedule))
+        assert replayed["violation"] == artifact.header["violation"]
+        code, out = self._run(capsys, ["fuzz", "--replay", str(out_path)])
+        assert code == 1
+        assert "replay reproduced" in out
 
 
 class TestFinalSweep:
