@@ -135,19 +135,24 @@ def quarantine_result(
     """The stand-in result for a poison job, from its failure history.
 
     ``error`` is the terminal exception when the supervisor saw it; it
-    also gets a parent-side flight dump.
+    also gets a parent-side flight dump, written below
+    ``REPRO_FLIGHT_DIR`` when that is set.  The record names the dump by
+    file name either way, so it does not depend on the dump directory.
     """
-    from repro.observe.flight import dump_quarantine
+    from repro.observe.flight import dump_quarantine, job_dump_name
 
     last = failures[-1] if failures else {}
-    path = dump_quarantine(job, error, attempts) if error is not None else None
+    dump = None
+    if error is not None:
+        dump_quarantine(job, error, attempts)
+        dump = job_dump_name(job, "quarantine")
     payload = Quarantined(
         fingerprint=job.fingerprint(),
         kind=job.kind,
         attempts=attempts,
         error_type=str(last.get("error_type", "Error")),
         error_message=str(last.get("error_message", "")),
-        flight_dump=str(path) if path is not None else None,
+        flight_dump=dump,
     )
     return JobResult(
         fingerprint=payload.fingerprint,

@@ -564,29 +564,20 @@ class EngineSession:
         Dump filenames embed ``fingerprint[:12]`` (see
         :func:`repro.observe.flight.job_dump_name`), so the session's own
         dumps can be picked out of a shared ``REPRO_FLIGHT_DIR`` by
-        matching staged fingerprints; quarantine records name their dump
-        path directly.  Each row's reason is the one in its dump's header.
+        matching staged fingerprints, quarantine dumps included.  Each
+        row's reason is the one in its dump's header.
         """
         from repro.observe.flight import flight_dir_from_env
         from repro.registry.store import sha256_hex
 
-        prefixes = {fp[:12] for fp in self._registry_rows}
-        candidates: List[Path] = []
         directory = flight_dir_from_env()
-        if directory is not None and directory.exists():
-            candidates.extend(sorted(directory.glob("*.flight.jsonl")))
-        for info in self.quarantined:
-            dump = info.get("flight_dump")
-            if dump:
-                candidates.append(Path(dump))
-        records, seen = [], set()
-        for path in candidates:
-            key = str(path)
-            if key in seen or not path.exists():
-                continue
+        if directory is None or not directory.exists():
+            return []
+        prefixes = {fp[:12] for fp in self._registry_rows}
+        records = []
+        for path in sorted(directory.glob("*.flight.jsonl")):
             if not any(prefix in path.name for prefix in prefixes):
                 continue
-            seen.add(key)
             try:
                 blob = path.read_bytes()
             except OSError:
@@ -596,7 +587,7 @@ class EngineSession:
             except (ValueError, TypeError, KeyError):
                 reason = "unknown"
             records.append(
-                {"path": key, "sha256": sha256_hex(blob), "reason": reason}
+                {"path": str(path), "sha256": sha256_hex(blob), "reason": reason}
             )
         return records
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import shutil
 import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -45,6 +46,7 @@ from repro.engine.resilience import (
 )
 from repro.errors import ChaosError, ConfigurationError, ReproError
 from repro.observe import load_flight_dump
+from repro.observe.flight import job_dump_name
 
 
 @dataclass(frozen=True)
@@ -246,15 +248,34 @@ class TestSerialSupervision:
         executor = SerialExecutor(
             policy=RetryPolicy(max_attempts=1, backoff_s=0.0)
         )
-        results = executor.run_jobs(
-            scripted_batch(tmp_path / "scratch", count=1, fail_times=99)
-        )
+        (poison_job,) = scripted_batch(tmp_path / "scratch", count=1, fail_times=99)
+        results = executor.run_jobs([poison_job])
         poison = results[0].payload
-        assert poison.flight_dump is not None
-        dump = load_flight_dump(poison.flight_dump)
+        assert poison.flight_dump == job_dump_name(poison_job, "quarantine")
+        dump = load_flight_dump(tmp_path / "flight" / poison.flight_dump)
         assert dump.reason == "quarantined-job"
         assert dump.header["context"]["attempts"] == 1
         assert dump.header["context"]["job"]["kind"] == "scripted"
+
+    def test_quarantine_record_ignores_the_dump_directory(self, tmp_path, monkeypatch):
+        """The record names its dump by file name, so a quarantined job's
+        outcome is the same whether and wherever dumps are written."""
+        records = []
+        for flight_dir in (None, "qa", "qb"):
+            if flight_dir is None:
+                monkeypatch.delenv("REPRO_FLIGHT_DIR", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path / flight_dir))
+            executor = SerialExecutor(
+                policy=RetryPolicy(max_attempts=1, backoff_s=0.0)
+            )
+            # A fresh attempt count, under the same path (it is in the spec).
+            shutil.rmtree(tmp_path / "scratch", ignore_errors=True)
+            jobs = scripted_batch(tmp_path / "scratch", count=1, fail_times=99)
+            records.append(executor.run_jobs(jobs)[0].payload.as_dict())
+        assert records[0] == records[1] == records[2]
+        assert records[0]["flight_dump"].startswith("quarantine-")
+        assert (tmp_path / "qb" / records[0]["flight_dump"]).is_file()
 
 
 class _PoisonFleetTransport:

@@ -22,7 +22,12 @@ from repro.cpu import COMET_LAKE, KABY_LAKE_R, PAPER_MODEL_TUPLE, SKY_LAKE
 from repro.engine import EngineSession, ResultCache, SerialExecutor
 from repro.faults.margin import FaultModel
 from repro.telemetry import Telemetry
-from repro.vector.characterization import MAX_RECORDED_EVENTS, _window_draw_bounds
+from repro.vector import characterization as vector_characterization
+from repro.vector.characterization import (
+    MAX_RECORDED_EVENTS,
+    _RawWindowDraws,
+    _window_draw,
+)
 
 #: Coarse sweep: full physics coverage (safe band, fault band, crash) at
 #: a fraction of the default grid's cells.
@@ -158,6 +163,10 @@ MERGED_DRAW_ITERATIONS = (
     1_000_000, 2**31, 2**32 - 1,
 )
 
+#: Every Floyd bound just above 2**31: its Lemire threshold
+#: ``(2**32 - B) % B`` is nearly 2**31, so about half its draws reject.
+REJECTING = 2**31 + MAX_RECORDED_EVENTS
+
 
 def _choice_from_draws(iterations, recorded, draws):
     """``choice(iterations, size=recorded, replace=False)`` rebuilt from
@@ -172,6 +181,22 @@ def _choice_from_draws(iterations, recorded, draws):
     for i, j in zip(range(recorded - 1, 0, -1), swaps):
         positions[i], positions[j] = positions[j], positions[i]
     return positions
+
+
+def _count_redraws(monkeypatch):
+    """Count the rows whose deferred pass found a rejection: a one-item
+    list the patched ``_draw_band`` increments."""
+    redraws = [0]
+    draw_band = vector_characterization._draw_band
+
+    def counting(*args, exact, **kwargs):
+        drawn = draw_band(*args, exact=exact, **kwargs)
+        if not exact and drawn is None:
+            redraws[0] += 1
+        return drawn
+
+    monkeypatch.setattr(vector_characterization, "_draw_band", counting)
+    return redraws
 
 
 class TestGeneratorEquivalencePins:
@@ -207,7 +232,7 @@ class TestGeneratorEquivalencePins:
         for recorded in range(1, MAX_RECORDED_EVENTS + 1):
             if recorded > iterations:
                 break
-            bounds = _window_draw_bounds(iterations, recorded)
+            bounds = _window_draw(iterations, recorded).bounds
             assert not bounds.flags.writeable
             for seed in (7, 2024):
                 for carry in (False, True):
@@ -233,9 +258,10 @@ class TestGeneratorEquivalencePins:
     def test_choice_consumption_depends_on_carry_buffer(self):
         """choice(n, size=k, replace=False) draws through the buffered
         32-bit path when its bounds fit in 32 bits, so it consumes a
-        pending half-word — raw 64-bit draws or an advance() cannot stand
-        in for it.  Bounded draws over the same bounds can (see the
-        merged-draw pin above), and that is what the batch path uses."""
+        pending half-word.  A bare advance() or a count of raw 64-bit
+        words cannot stand in for it; raw words can once the pending
+        half-word is tracked alongside them, which is what the deferred
+        pass does (see the raw-word pins below)."""
         fresh = np.random.default_rng(99)
         fresh.choice(1_000_000, size=4, replace=False)
         fresh_state = fresh.bit_generator.state["has_uint32"]
@@ -246,6 +272,157 @@ class TestGeneratorEquivalencePins:
         carrying_state = carrying.bit_generator.state["has_uint32"]
 
         assert fresh_state != carrying_state
+
+    @pytest.mark.parametrize("iterations", MERGED_DRAW_ITERATIONS + (REJECTING,))
+    def test_raw_window_draws_equal_bounded_integers(self, iterations):
+        """Raw words drawn for a window leave PCG64 where
+        integers(0, _window_draw(ops, k).bounds) leaves it (128-bit state
+        and pending half-word) exactly when the row-end check finds no
+        rejection, for every k, with and without a half-word carried in,
+        across interleaved binomial calls; the half-words give back
+        integers' own values.  At ``REJECTING`` about half the Floyd
+        draws reject, so both answers of the check are pinned."""
+        outcomes = set()
+        for recorded in range(1, MAX_RECORDED_EVENTS + 1):
+            if recorded > iterations:
+                break
+            window = _window_draw(iterations, recorded)
+            # A lead window shifts the window under test: k=1 takes two
+            # half-words and leaves none pending, k=2 takes five and
+            # leaves one.
+            for lead in (None, 1, 2):
+                if lead is not None and lead > iterations:
+                    continue
+                for seed in (7, 2024):
+                    exact = np.random.default_rng(seed)
+                    deferred = np.random.default_rng(seed)
+                    raw = _RawWindowDraws(deferred.bit_generator)
+                    for rng in (exact, deferred):
+                        rng.binomial(1_000_000, 3e-5)
+                    if lead is not None:
+                        exact.integers(0, _window_draw(iterations, lead).bounds)
+                        raw.draw(_window_draw(iterations, lead))
+                        if raw.rejected():
+                            # The streams part here; binomial's own
+                            # rejection loop could even rejoin them.
+                            continue
+                        for rng in (exact, deferred):
+                            rng.binomial(iterations, 0.25)
+                    start = raw.halfwords
+                    values = exact.integers(0, window.bounds)
+                    raw.draw(window)
+                    exact_state = exact.bit_generator.state
+                    deferred_state = deferred.bit_generator.state
+                    assert deferred_state["has_uint32"] == 0
+                    halves = raw.halves()
+                    same = (
+                        exact_state["state"] == deferred_state["state"]
+                        and exact_state["has_uint32"] == raw.carry
+                        and (
+                            not raw.carry
+                            or exact_state["uinteger"] == int(halves[raw.halfwords])
+                        )
+                    )
+                    case = (iterations, recorded, lead, seed)
+                    rejected = raw.rejected()
+                    assert same is not rejected, case
+                    outcomes.add(rejected)
+                    if not rejected:
+                        drawn = window.bounds[window.bounds > 1].astype(np.uint64)
+                        x = halves[start:start + window.halfwords].astype(np.uint64)
+                        lemire = ((x * drawn) >> np.uint64(32)).tolist()
+                        assert lemire == values[window.bounds > 1].tolist(), case
+        assert False in outcomes
+        if iterations == REJECTING:
+            assert True in outcomes
+
+    def test_binomial_leaves_carried_half_word_alone(self):
+        """binomial consumes whole 64-bit words: it advances PCG64 but
+        never touches has_uint32/uinteger, so the deferred pass can draw
+        binomials between windows that carry a half-word."""
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            rng.integers(0, 64)  # leaves a 32-bit half-word pending
+            before = rng.bit_generator.state
+            assert before["has_uint32"] == 1
+            for ops, p in ((10**6, 3e-6), (10**6, 0.02), (2**31, 0.4), (5, 0.5)):
+                rng.binomial(ops, p)
+            after = rng.bit_generator.state
+            assert after["state"] != before["state"]
+            assert after["has_uint32"] == before["has_uint32"]
+            assert after["uinteger"] == before["uinteger"]
+
+    def test_forced_rejection_row_is_redrawn_exactly(self, monkeypatch):
+        """At ``REJECTING`` iterations about half the Floyd draws reject, so
+        the deferred pass must hand the row to the exact redraw — and the
+        row, counters included, still equals the scalar oracle and the
+        exact pass alone."""
+        config = CharacterizationConfig(
+            offset_start_mv=-10, offset_stop_mv=-250, offset_step_mv=10,
+            iterations=REJECTING,
+        )
+        base = COMET_LAKE.frequency_table.base_ghz
+
+        def row(method):
+            telemetry = Telemetry(max_events=0)
+            framework = CharacterizationFramework(COMET_LAKE, config=config, seed=2024)
+            cells = getattr(framework, method)(base, telemetry=telemetry)
+            counters = {c.name: int(c.value) for c in telemetry.registry.counters()}
+            return pickle.dumps(cells), counters
+
+        redraws = _count_redraws(monkeypatch)
+        batch = row("run_row_batch")
+        assert redraws == [1]
+        assert batch == row("run_row")
+        monkeypatch.setattr(vector_characterization, "_HALFWORD_VIEW", False)
+        assert row("run_row_batch") == batch
+        assert redraws == [1]
+
+    @pytest.mark.parametrize("seed", (1, 5, 7, 11, 2024))
+    def test_sweeps_equal_the_exact_pass(self, seed, monkeypatch):
+        """The three-CPU repetitions=3 sweep (the sweep-pool grid) is the
+        same with the deferred pass as on the exact pass alone, redraws
+        included (``_HALFWORD_VIEW = False`` is the big-endian route)."""
+        config = CharacterizationConfig(repetitions=3)
+
+        def sweeps():
+            telemetry = Telemetry(max_events=0)
+            cells = []
+            for model in PAPER_MODEL_TUPLE:
+                framework = CharacterizationFramework(model, config=config, seed=seed)
+                for frequency in config.frequency_list(model):
+                    cells.append(
+                        framework.run_row_batch(frequency, telemetry=telemetry)
+                    )
+            counters = {c.name: int(c.value) for c in telemetry.registry.counters()}
+            return pickle.dumps(cells), counters
+
+        redraws = _count_redraws(monkeypatch)
+        deferred = sweeps()
+        assert redraws[0] >= 1
+        monkeypatch.setattr(vector_characterization, "_HALFWORD_VIEW", False)
+        assert sweeps() == deferred
+
+    def test_tracer_takes_the_exact_pass_once(self, monkeypatch):
+        """With a tracer attached the row is drawn once, exactly, so its
+        fault.* events are emitted once."""
+        passes = []
+        draw_band = vector_characterization._draw_band
+
+        def recording(*args, exact, **kwargs):
+            passes.append(exact)
+            return draw_band(*args, exact=exact, **kwargs)
+
+        monkeypatch.setattr(vector_characterization, "_draw_band", recording)
+        base = KABY_LAKE_R.frequency_table.base_ghz
+        CharacterizationFramework(KABY_LAKE_R, config=COARSE, seed=2024).run_row_batch(
+            base, telemetry=Telemetry()
+        )
+        assert passes == [True]
+        CharacterizationFramework(KABY_LAKE_R, config=COARSE, seed=2024).run_row_batch(
+            base, telemetry=Telemetry(max_events=0)
+        )
+        assert passes[1] is False
 
     def test_shared_fault_model_does_not_change_rows(self):
         """run_row_batch caches one FaultModel per framework; the cache is
