@@ -45,8 +45,14 @@ from repro.errors import ConfigurationError
 if TYPE_CHECKING:
     from repro.registry.store import ResultStore
 
-#: Default in-memory entry bound; full three-model campaigns use ~30.
-DEFAULT_MAX_ENTRIES = 128
+#: Default in-memory entry bound, sized so one session's traffic fits.
+#: Measured stores (seed 5): the paper reproduction 126, a 256-bit
+#: open + protected explore pair 200 and a 1024-bit pair 754, all
+#: executed once and never evicted.  An explore shard payload is under
+#: 1 KB pickled; the largest payload, one CPU's folded
+#: ``CharacterizationResult``, is 1.1-1.7 MB in memory (0.15-0.23 MB
+#: pickled), and the paper reproduction holds three of them.
+DEFAULT_MAX_ENTRIES = 1024
 
 #: Environment variable naming the persistent cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, ClassVar, Dict, List, Optional, Tuple
 
 from repro.core.characterization import (
     CharacterizationConfig,
@@ -31,6 +31,9 @@ from repro.cpu.models import model_by_codename
 from repro.engine.seeds import SeedStream, seed_stream
 from repro.errors import ConfigurationError
 from repro.telemetry import Telemetry
+
+if TYPE_CHECKING:
+    from repro.faults.margin import FaultModel
 
 #: Bumped whenever job execution semantics change, so stale persistent
 #: cache entries from older engine versions can never be replayed.
@@ -62,14 +65,25 @@ def environment_fingerprint() -> Dict[str, str]:
     return {name: os.environ.get(name, "") for name in RESULT_AFFECTING_ENV}
 
 
+#: Leaf types :func:`_canonical` returns as they are (``bool`` is an ``int``).
+_SCALARS = (str, int, float, type(None))
+
+
 def _canonical(value: Any) -> Any:
-    """Reduce a field value to JSON-stable primitives."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {k: _canonical(v) for k, v in dataclasses.asdict(value).items()}
+    """Reduce a field value to JSON-stable primitives.
+
+    Scalars (most of a job's leaves) return before the dataclass test,
+    which is the walk's dearest check, and a sequence keeps its scalar
+    items without a call per item.
+    """
+    if isinstance(value, _SCALARS):
+        return value
     if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
+        return [v if isinstance(v, _SCALARS) else _canonical(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _canonical(v) for k, v in sorted(value.items())}
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {k: _canonical(v) for k, v in dataclasses.asdict(value).items()}
     return value
 
 
@@ -81,14 +95,24 @@ class JobSpec:
     kind: ClassVar[str] = "job"
 
     def identity(self) -> Dict[str, Any]:
-        """The canonical identity dict the fingerprint is computed from."""
+        """The canonical identity dict the fingerprint is computed from.
+
+        Memoized per instance beside the fingerprint and under the same
+        key, the resolved result-affecting environment; the returned dict
+        is shared, so callers must not mutate it.
+        """
+        env = environment_fingerprint()
+        memo = self.__dict__.get("_identity_memo")
+        if memo is not None and memo[0] == env:
+            return memo[1]
         payload: Dict[str, Any] = {
             "kind": self.kind,
             "schema": JOB_SCHEMA_VERSION,
-            "env": environment_fingerprint(),
+            "env": env,
         }
         for field in dataclasses.fields(self):
             payload[field.name] = _canonical(getattr(self, field.name))
+        object.__setattr__(self, "_identity_memo", (env, payload))
         return payload
 
     def fingerprint(self) -> str:
@@ -107,6 +131,17 @@ class JobSpec:
         digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
         object.__setattr__(self, "_fingerprint_memo", (env, digest))
         return digest
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """Pickle the fields and the fingerprint memo, not the identity.
+
+        A pickled spec is what a process-pool worker receives and what
+        the run registry stores as the spec blob; the identity dict would
+        roughly double it and is rebuilt on demand from the fields.
+        """
+        state = dict(self.__dict__)
+        state.pop("_identity_memo", None)
+        return state
 
     def seed_path(self) -> Tuple[str, ...]:
         """The named seed-stream path this job's randomness hangs off."""
@@ -565,14 +600,24 @@ class ExplorePointJob(JobSpec):
         )
 
     def probe_point(
-        self, frequency_ghz: float, offset_mv: int, telemetry: Telemetry
+        self,
+        frequency_ghz: float,
+        offset_mv: int,
+        telemetry: Telemetry,
+        *,
+        fault_model: FaultModel,
+        unsafe: Optional[UnsafeStateSet],
     ) -> Dict[str, Any]:
-        """Probe one operating point on a fresh (optionally defended) machine."""
+        """Probe one operating point on a fresh (optionally defended) machine.
+
+        ``fault_model`` classifies the realized conditions and ``unsafe``
+        is the deployed defense's set (``None`` when unprotected); both
+        are read-only here, so one of each serves every point of a job.
+        """
         from repro.core.polling_module import PollingCountermeasure
-        from repro.faults.margin import FaultModel
         from repro.testbench import Machine
 
-        model = model_by_codename(self.codename)
+        model = fault_model.model
         with telemetry.spans.phase(
             f"point@{frequency_ghz:.6f}/{offset_mv}"
         ) as point_phase:
@@ -582,8 +627,7 @@ class ExplorePointJob(JobSpec):
                 telemetry=telemetry,
             )
             settle = model.regulator_latency_s * 1.2
-            if self.protect:
-                unsafe = UnsafeStateSet.from_dict(json.loads(self.unsafe_json))
+            if unsafe is not None:
                 module = PollingCountermeasure(machine, unsafe)
                 machine.modules.insmod(module)
                 settle += 4.0 * module.period_s
@@ -592,7 +636,6 @@ class ExplorePointJob(JobSpec):
             machine.advance(settle)
             point_phase.end_sim = machine.now
         realized = machine.conditions(0)
-        fault_model = FaultModel(model)
         probabilities = {
             instruction: fault_model.fault_probability(
                 realized.frequency_ghz,
@@ -623,8 +666,18 @@ class ExplorePointJob(JobSpec):
         }
 
     def run(self, telemetry: Telemetry) -> List[Dict[str, Any]]:
+        from repro.faults.margin import FaultModel
+
+        fault_model = FaultModel(model_by_codename(self.codename))
+        unsafe = (
+            UnsafeStateSet.from_dict(json.loads(self.unsafe_json))
+            if self.protect
+            else None
+        )
         return [
-            self.probe_point(frequency, offset, telemetry)
+            self.probe_point(
+                frequency, offset, telemetry, fault_model=fault_model, unsafe=unsafe
+            )
             for frequency, offset in self.points
         ]
 

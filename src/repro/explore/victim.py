@@ -18,7 +18,9 @@ single-fault adversary of the ARMORY model).
   and finishes the exponentiation the fault lands in with one ``pow``:
   everything after a single fault is fault-free arithmetic on the
   corrupted value.  The other CRT half is the golden one, read from its
-  last traced multiply.
+  last traced multiply.  A faulted multiply's tail power depends on the
+  op alone, so the trace computes it once and every fault model replayed
+  at that op reuses it.
 * :func:`replay_op_by_op` is the oracle the closed form is held against:
   it signs again through ``BigIntALU.modexp``, op by op, corrupting the
   one targeted multiply.
@@ -173,6 +175,15 @@ class VictimTrace:
             start += len(squares)
         return halves
 
+    @functools.cached_property
+    def _tails(self) -> Dict[int, int]:
+        """Each replayed multiply op's tail power, by op index.
+
+        Filled by :func:`replay_with_fault`: the tail depends on the op
+        alone, so every fault model replayed at that op shares it.
+        """
+        return {}
+
 
 @functools.lru_cache(maxsize=TRACE_MEMO_SIZE)
 def trace_victim(key: RSAKey, message: int) -> VictimTrace:
@@ -238,7 +249,8 @@ def replay_with_fault(
 
     * a faulted multiply ``result * acc`` leaves ``result = v``; every
       later multiply is by ``acc`` squared once per bit, so the half is
-      ``v * acc ** (2 * (e >> (k+1))) % m``;
+      ``v * acc ** (2 * (e >> (k+1))) % m``.  That tail power depends on
+      the op alone and is computed once per trace (``VictimTrace._tails``);
     * a faulted squaring leaves ``acc = v``; the half is the result so
       far (the last multiply before it, or 1) times ``v ** (e >> (k+1))``.
 
@@ -267,7 +279,10 @@ def replay_with_fault(
         result = trace.ops[half.start + prior].product % m if prior >= 0 else 1 % m
         faulted = result * pow(value, rest, m) % m
     else:
-        faulted = value * pow(op.rhs, rest << 1, m) % m
+        tail = trace._tails.get(op_index)
+        if tail is None:
+            tail = trace._tails[op_index] = pow(op.rhs, rest << 1, m)
+        faulted = value * tail % m
 
     if op.region == REGION_SP:
         s_p = faulted

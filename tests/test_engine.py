@@ -141,6 +141,162 @@ class TestJobSpecs:
         assert result.counters.get("faults.windows", 0) > 0
 
 
+#: An unsafe-state set in ``UnsafeStateSet.to_dict()`` JSON for the pins.
+PIN_UNSAFE = (
+    '{"crash": {"20": [-150]}, "system": "Sky Lake", '
+    '"unsafe": {"20": [-150, -140]}}'
+)
+
+
+def _pinned_jobs():
+    """One instance of every JobSpec subclass, with nested dataclass,
+    tuple and optional fields, and its fingerprint as recorded before
+    identities were memoized and ``_canonical`` took its scalar fast
+    path (``REPRO_VERIFY`` unset)."""
+    from repro.engine import (
+        BatchCharacterizationJob,
+        ExploreInjectionJob,
+        ExplorePointJob,
+        FuzzJob,
+    )
+
+    config = CharacterizationConfig(
+        repetitions=3, frequencies_ghz=(1.0, 2.5), offset_stop_mv=-120
+    )
+    return [
+        (
+            CharacterizationRowJob(
+                codename="Sky Lake", frequency_ghz=2.5, config=config, seed=5
+            ),
+            "ef422c3800a0d92cdeee73ede3a2467078c38cd240865ce3b901be8f0c7cddb3",
+        ),
+        (
+            BatchCharacterizationJob(
+                codename="Kaby Lake R",
+                frequencies_ghz=(1.0, 2.5),
+                config=config,
+                seed=5,
+            ),
+            "7fea99ddf0c3616b4d61ad09a26b7c28bfcf6f2a553151ebebefaf78bc1006d1",
+        ),
+        (
+            CharacterizationJob(
+                codename="Comet Lake", config=CharacterizationConfig(), seed=7
+            ),
+            "e26315cd68c0d1445b809a477f86cc69b1592ee88b02d35478294f9e22e0f520",
+        ),
+        (
+            AttackCampaignJob(
+                codename="Sky Lake",
+                attack="plundervolt",
+                protected=True,
+                seed=11,
+                unsafe_json=PIN_UNSAFE,
+                offsets_mv=(-100, -150),
+                frequency_ghz=2.0,
+            ),
+            "fe7471b7165c05137c21e6730820a3bd4c65fb66503a00a018b6125570f04cb2",
+        ),
+        (
+            OverheadJob(codename="Sky Lake", seed=3, unsafe_json=PIN_UNSAFE),
+            "e7ae00e0c458b5add6bbb9b12b62e96264ef061a8bdcfa539ad8af89b41af8de",
+        ),
+        (
+            FuzzJob(
+                codename="Sky Lake", seed=0, case_index=4, unsafe_json=PIN_UNSAFE
+            ),
+            "9e0d3675c7f48a0055872e7b8a50d7a6cb9b112c07c9f33256173c61548d9793",
+        ),
+        (
+            ExplorePointJob(
+                codename="Sky Lake",
+                points=((2.0, -120), (3.2, -200)),
+                protect=True,
+                seed=5,
+                unsafe_json=PIN_UNSAFE,
+            ),
+            "fb537554184cb1ea1eaad484e9a09a3fd2b753c3489afb91bf2d6e98a174d44d",
+        ),
+        (
+            ExploreInjectionJob(
+                key_bits=256,
+                key_seed=42,
+                message=0xDEADBEEF,
+                reps=((0, "flip:0"), (17, "trunc64")),
+                seed=5,
+            ),
+            "e58132847526106f3b84acb0cb2e3da9ec0f0ffe2eb70d10f7f212da8bcf6ae7",
+        ),
+    ]
+
+
+class TestFingerprintPins:
+    """Job fingerprints address the result cache and the run registry
+    (run ids hash them), so they are pinned as literals."""
+
+    @pytest.mark.parametrize(
+        "index", range(8), ids=lambda i: type(_pinned_jobs()[i][0]).__name__
+    )
+    def test_fingerprint_is_pinned(self, index, monkeypatch):
+        monkeypatch.delenv("REPRO_VERIFY", raising=False)
+        job, expected = _pinned_jobs()[index]
+        assert job.fingerprint() == expected
+        # A fresh instance whose identity was walked first hashes the same.
+        fresh, _ = _pinned_jobs()[index]
+        fresh.identity()
+        assert fresh.fingerprint() == expected
+
+    def test_every_job_kind_is_pinned(self):
+        from repro.engine.jobs import JobSpec
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        pinned = {type(job) for job, _ in _pinned_jobs()}
+        shipped = {
+            cls for cls in subclasses(JobSpec) if cls.__module__.startswith("repro.")
+        }
+        assert pinned == shipped
+
+    def test_verify_knob_is_pinned(self, monkeypatch):
+        monkeypatch.setenv("REPRO_VERIFY", "1")
+        job, _ = _pinned_jobs()[-1]
+        assert job.fingerprint() == (
+            "18253d635d97e5785667b75f36a6c37e41634f1b03a83a16d79ec3bce95b62e9"
+        )
+
+
+class TestIdentityMemo:
+    def _job(self):
+        return CharacterizationJob(codename="Comet Lake", config=COARSE, seed=5)
+
+    def test_identity_is_walked_once_per_environment(self, monkeypatch):
+        monkeypatch.delenv("REPRO_VERIFY", raising=False)
+        job = self._job()
+        first = job.identity()
+        assert job.identity() is first
+        monkeypatch.setenv("REPRO_VERIFY", "1")
+        changed = job.identity()
+        assert changed is not first
+        assert changed["env"] == {"REPRO_VERIFY": "1"}
+        assert {k: v for k, v in changed.items() if k != "env"} == {
+            k: v for k, v in first.items() if k != "env"
+        }
+
+    def test_pickled_spec_leaves_the_identity_home(self):
+        job = self._job()
+        job.fingerprint()
+        spec = pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL)
+        job.identity()
+        assert pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL) == spec
+        clone = pickle.loads(spec)
+        assert "_identity_memo" not in clone.__dict__
+        assert clone.fingerprint() == job.fingerprint()
+        assert clone.identity() == job.identity()
+
+
 class TestResultCache:
     def test_memory_hit_preserves_identity(self):
         cache = ResultCache()

@@ -140,12 +140,54 @@ class TestReplayEquivalence:
     )
     def test_every_default_injection_matches_the_oracle(self, key):
         trace = trace_victim(key, MESSAGE)
-        for op_index in range(trace.op_count):
-            for model in DEFAULT_FAULT_MODELS:
-                expected, _ = oracle_replay(key, op_index, model)
-                assert (
-                    replay_with_fault(trace, op_index, corruptor(model)) == expected
-                ), (op_index, model)
+        expected = {
+            (op_index, model): oracle_replay(key, op_index, model)[0]
+            for op_index in range(trace.op_count)
+            for model in DEFAULT_FAULT_MODELS
+        }
+        # Cold: a fresh copy of the trace per replay, so no op's tail
+        # power is memoized yet.
+        for (op_index, model), signature in expected.items():
+            cold = dataclasses.replace(trace)
+            assert (
+                replay_with_fault(cold, op_index, corruptor(model)) == signature
+            ), ("cold", op_index, model)
+        # Warm: one copy replays everything twice, models in reverse the
+        # second time, so every multiply's tail is read back from the memo
+        # by a model other than the one that computed it.
+        warm = dataclasses.replace(trace)
+        for models in (DEFAULT_FAULT_MODELS, DEFAULT_FAULT_MODELS[::-1]):
+            for op_index in range(trace.op_count):
+                for model in models:
+                    assert (
+                        replay_with_fault(warm, op_index, corruptor(model))
+                        == expected[op_index, model]
+                    ), ("warm", op_index, model)
+
+    def test_multiply_tail_is_computed_once_per_op(self, monkeypatch):
+        import builtins
+
+        import repro.explore.victim as victim
+
+        trace = dataclasses.replace(trace_victim(KEY, MESSAGE))
+        calls = []
+
+        def counting_pow(*args):
+            calls.append(args)
+            return builtins.pow(*args)
+
+        monkeypatch.setattr(victim, "pow", counting_pow, raising=False)
+        multiplies = [
+            half.start + position
+            for half in trace._halves.values()
+            for position, square in enumerate(half.squares)
+            if not square
+        ]
+        assert multiplies
+        for model in DEFAULT_FAULT_MODELS:
+            for op_index in multiplies:
+                replay_with_fault(trace, op_index, corruptor(model))
+        assert len(calls) == len(multiplies)
 
     @settings(max_examples=60, deadline=None)
     @given(bits=st.sampled_from([64, 128, 256, 512]),
@@ -338,6 +380,86 @@ class TestJobSpecs:
         assert shards > 0
         assert keys.hits - keys_before.hits == shards
         assert traces.hits - traces_before.hits == shards
+
+    def test_explore_pair_replays_each_injection_shard_once(
+        self, skylake_characterization
+    ):
+        # A 256-bit pair stores ~200 results: the default cache must hold
+        # them all, so the protected map replays nothing the open map did.
+        unsafe_json = json.dumps(
+            skylake_characterization.unsafe_states.to_dict(), sort_keys=True
+        )
+        cache = ResultCache()
+        session = EngineSession(
+            executor=SerialExecutor(), cache=cache, registry=None
+        )
+        plans = [
+            ExplorePlan(
+                codename=PLAN.codename,
+                frequencies_ghz=PLAN.frequencies_ghz,
+                offsets_mv=PLAN.offsets_mv,
+                key_bits=256,
+                protect=protect,
+                unsafe_json=unsafe_json if protect else None,
+            )
+            for protect in (False, True)
+        ]
+        run_explore(plans[0], session=session, rows_per_job=8)
+        after_open = dataclasses.replace(cache.stats)
+        document = run_explore(plans[1], session=session, rows_per_job=8)
+        injection_shards = -(-document["stats"]["injections_simulated"] // 8)
+        point_shards = -(-document["stats"]["points_probed"] // 8)
+        assert injection_shards > 128
+        assert cache.stats.hits - after_open.hits == injection_shards
+        assert cache.stats.misses - after_open.misses == point_shards
+        assert cache.stats.evictions == 0
+        assert cache.stats.stores == after_open.stores + point_shards
+
+    def test_point_job_parses_its_inputs_once(
+        self, monkeypatch, skylake_characterization
+    ):
+        import repro.faults.margin as margin
+        from repro.core.unsafe_states import UnsafeStateSet
+
+        unsafe_json = json.dumps(
+            skylake_characterization.unsafe_states.to_dict(), sort_keys=True
+        )
+        points = ((2.0, -120), (3.2, -200), (0.8, -40))
+
+        def job(chunk):
+            return ExplorePointJob(
+                codename="Sky Lake",
+                points=chunk,
+                protect=True,
+                seed=5,
+                unsafe_json=unsafe_json,
+            )
+
+        singles = [
+            record
+            for point in points
+            for record in job((point,)).run(Telemetry(max_events=0))
+        ]
+        parses, builds = [], []
+        from_dict = UnsafeStateSet.from_dict.__func__
+        monkeypatch.setattr(
+            UnsafeStateSet,
+            "from_dict",
+            classmethod(lambda cls, data: parses.append(1) or from_dict(cls, data)),
+        )
+
+        class CountingFaultModel(margin.FaultModel):
+            def __post_init__(self):
+                builds.append(1)
+                super().__post_init__()
+
+        # The job's classifier, not the machines' own fault models.
+        monkeypatch.setattr(margin, "FaultModel", CountingFaultModel)
+        shared = job(points).run(Telemetry(max_events=0))
+        assert (len(parses), len(builds)) == (1, 1)
+        assert json.dumps(shared, sort_keys=True) == json.dumps(
+            singles, sort_keys=True
+        )
 
     def test_victim_memos_are_bounded(self):
         assert RSAKey.generate.cache_parameters()["maxsize"] is not None
