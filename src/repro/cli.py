@@ -1224,9 +1224,14 @@ def _cmd_spec(args) -> int:
     from repro.analysis.export import overhead_to_csv, write_text
     from repro.analysis.report import render_table
     from repro.cpu.models import model_by_codename
+    from repro.errors import ReproError
 
     model = model_by_codename(args.cpu)
-    report = experiments.table2_overhead(model=model, **_seed_kwargs(args))
+    try:
+        report = experiments.table2_overhead(model=model, **_seed_kwargs(args))
+    except ReproError as error:
+        print(f"spec: {error}", file=sys.stderr)
+        return 2
     rows = [
         (
             row.name,

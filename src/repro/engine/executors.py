@@ -23,7 +23,8 @@ a worker exception is an error result, a timeout is the lease's
 expiry, and ``BrokenProcessPool`` expires every open lease, exactly as
 a SIGKILLed fleet worker's lease expires.  The ledger decides retry,
 requeue or quarantine; none of it can perturb results, because a
-retried job replays its exact seed stream.
+retried job replays its exact seed stream.  Every result lands through
+:meth:`SupervisedBatch.land`, which stamps its ledger record on it.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from repro.engine.resilience import (
     execute_supervised,
 )
 from repro.errors import ConfigurationError
+from repro.observe.spans import note_queue_wait
 
 #: Environment variables steering executor selection.
 EXECUTOR_ENV = "REPRO_EXECUTOR"
@@ -76,27 +78,6 @@ class Executor(ABC):
         #: deltas into ``engine.retries`` / ``engine.requeues`` /
         #: ``engine.quarantined`` counters after every batch.
         self.stats = SupervisionStats()
-        #: Failed-attempt records (fingerprint, kind, attempt,
-        #: error_type) accumulated until the session drains them into the
-        #: fleet timeline as ``attempt`` spans.
-        self.failed_attempts: List[Dict[str, str]] = []
-
-    def _record_failed_attempt(
-        self, job: JobSpec, attempt: int, error_type: str
-    ) -> None:
-        self.failed_attempts.append(
-            {
-                "fingerprint": job.fingerprint(),
-                "kind": job.kind,
-                "attempt": int(attempt),
-                "error_type": error_type,
-            }
-        )
-
-    def drain_failed_attempts(self) -> List[Dict[str, str]]:
-        """Return and clear the accumulated failed-attempt records."""
-        drained, self.failed_attempts = self.failed_attempts, []
-        return drained
 
     @abstractmethod
     def run_jobs(
@@ -165,10 +146,10 @@ def quarantine_result(
 class SupervisedBatch:
     """One ``run_jobs`` call on an attempt ledger.
 
-    The ledger decides retry, requeue and quarantine; the batch books
-    each transition on its executor (stats, failed attempts, backoff,
-    quarantine stand-ins).  Keys are batch positions, or fingerprints
-    for the remote executor.
+    The ledger decides retry, requeue and quarantine; the batch applies
+    the backoff, lands quarantine stand-ins and lands every result
+    through :meth:`land`.  Keys are batch positions, or fingerprints for
+    the remote executor.
     """
 
     def __init__(
@@ -187,19 +168,27 @@ class SupervisedBatch:
         for key, job in jobs:
             self.table.submit(key, job, self.executor.policy.max_attempts)
 
-    def land(self, key: Hashable, result: JobResult) -> None:
+    def land(
+        self, key: Hashable, result: JobResult, submitted: Optional[float] = None
+    ) -> None:
+        """The one step every result takes: stamp its ledger record
+        (a remote result brings the coordinator's), note the queue wait
+        since ``submitted``, book it and report progress."""
+        record = self.table.jobs.get(key)
+        if record is not None:
+            result.attempts = record.attempts
+            result.failures = list(record.failures)
+        if submitted is not None:
+            note_queue_wait(result.spans, result.span_wall, submitted)
+        self.executor.stats.book(result)
         self.results[key] = result
         if self.progress is not None:
             self.progress(len(self.results), result)
 
     def settle(self, key: Hashable, state: str, error: BaseException) -> None:
-        """Book the failed attempt that left ``key`` in ``state``."""
-        record = self.table.jobs[key]
-        self.executor._record_failed_attempt(
-            record.job, record.attempts, record.failures[-1]["error_type"]
-        )
+        """Land the quarantine stand-in when ``key``'s failed attempt was its last."""
         if state == JOB_QUARANTINED:
-            self.executor.stats.quarantined += 1
+            record = self.table.jobs[key]
             self.land(
                 key,
                 quarantine_result(
@@ -212,7 +201,6 @@ class SupervisedBatch:
         state = self.table.fail(key, type(error).__name__, str(error))
         self.settle(key, state, error)
         if state == JOB_PENDING:
-            self.executor.stats.retries += 1
             time.sleep(
                 self.executor.policy.backoff_for(self.table.jobs[key].attempts)
             )
@@ -223,8 +211,6 @@ class SupervisedBatch:
         Chaos injection never applies here: an inline kill would take
         the calling process down.
         """
-        from repro.observe.spans import note_queue_wait
-
         while True:
             lease = self.table.lease("inline", 1, None)
             if lease is None:
@@ -240,9 +226,7 @@ class SupervisedBatch:
                 self.fail(key, error)
             else:
                 self.table.complete(key)
-                result.attempts = record.attempts
-                note_queue_wait(result.spans, result.span_wall, submitted)
-                self.land(key, result)
+                self.land(key, result, submitted)
 
 
 class SerialExecutor(Executor):
@@ -331,8 +315,6 @@ class ParallelExecutor(Executor):
         from concurrent.futures import FIRST_COMPLETED, Future, wait
         from concurrent.futures.process import BrokenProcessPool
 
-        from repro.observe.spans import note_queue_wait
-
         jobs = list(jobs)
         if not jobs:
             return []
@@ -409,8 +391,7 @@ class ParallelExecutor(Executor):
                         batch.fail(index, error)
                     else:
                         table.complete(index)
-                        note_queue_wait(result.spans, result.span_wall, submitted)
-                        batch.land(index, result)
+                        batch.land(index, result, submitted)
                 if broken is not None:
                     raise broken
 
@@ -422,8 +403,6 @@ class ParallelExecutor(Executor):
                     if not future.cancel():
                         abandoned.add(future)
                     self.stats.timeouts += 1
-                    if state == JOB_PENDING:
-                        self.stats.retries += 1
                     batch.settle(
                         index,
                         state,
@@ -436,7 +415,6 @@ class ParallelExecutor(Executor):
                     for index, state in table.expire(
                         lease_id, LEASE_EXPIRED, f"process pool broke: {error}"
                     ):
-                        self.stats.requeues += 1
                         batch.settle(index, state, error)
                 in_flight.clear()
                 abandoned.clear()

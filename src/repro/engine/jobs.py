@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, ClassVar, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.characterization import (
     CharacterizationConfig,
@@ -753,6 +753,9 @@ class JobResult:
     #: bookkeeping and run reports only, and is therefore deliberately
     #: *not* part of any fingerprint.
     attempts: int = 1
+    #: The failed attempts before it, from the job's ledger record (see
+    #: ``attempts``); the class default also serves older pickles.
+    failures: Sequence[Dict[str, Any]] = ()
     #: Histogram snapshots (:meth:`repro.telemetry.registry.Histogram.marshal`)
     #: observed while the job ran — the rest of the worker telemetry,
     #: marshalled home alongside the counters so percentile columns
@@ -821,6 +824,7 @@ def execute_job(job: JobSpec, *, span_context=None, attempt: int = 1) -> JobResu
         fingerprint=job.fingerprint(),
         payload=payload,
         counters=counters,
+        attempts=attempt,
         histograms=histograms,
         spans=spans,
         span_wall=span_wall,

@@ -20,7 +20,9 @@ from:
   byte (the ``repro chaos`` double-run contract).
 * :class:`SupervisionStats` — what the supervisor did: retries,
   timeouts, requeues, pool respawns, quarantines, degraded-inline jobs.
-  The engine session folds the deltas into ``engine.retries`` /
+  Retries, requeues and quarantines are counted from each landed
+  result's ledger record by one rule, :meth:`SupervisionStats.book`;
+  the engine session folds the deltas into ``engine.retries`` /
   ``engine.requeues`` / ``engine.quarantined`` telemetry counters.
 * :class:`Quarantined` — the payload standing in for a poison job's
   result after every attempt failed: the campaign continues, the
@@ -36,10 +38,11 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Any, ClassVar, Dict, Optional
+from typing import Any, ClassVar, Dict, Optional, Sequence
 
 from repro.engine.jobs import JobResult, JobSpec, execute_job
-from repro.errors import ChaosError, ConfigurationError
+from repro.engine.leases import LEASE_EXPIRED
+from repro.errors import ChaosError, ConfigurationError, ReproError
 
 #: Environment knobs steering the default retry policy.
 JOB_RETRIES_ENV = "REPRO_JOB_RETRIES"
@@ -289,7 +292,11 @@ class ChaosPolicy:
 
 @dataclass
 class SupervisionStats:
-    """What a supervised executor did over its lifetime (cumulative)."""
+    """What a supervised executor did over its lifetime (cumulative).
+
+    Timeouts, respawns and degraded jobs are counted where the executor
+    acts; the rest are outcomes of jobs, counted by :meth:`book`.
+    """
 
     retries: int = 0
     timeouts: int = 0
@@ -297,6 +304,19 @@ class SupervisionStats:
     respawns: int = 0
     quarantined: int = 0
     degraded: int = 0
+
+    def book(self, result: JobResult) -> None:
+        """Count a landed result: each lease expiry is a requeue, each
+        other failure that was tried again a retry."""
+        quarantined = isinstance(result.payload, Quarantined)
+        if result.failures:
+            retried = len(result.failures) - quarantined
+            for index, failure in enumerate(result.failures):
+                if failure.get("error_type") == LEASE_EXPIRED:
+                    self.requeues += 1
+                elif index < retried:
+                    self.retries += 1
+        self.quarantined += quarantined
 
     def copy(self) -> "SupervisionStats":
         return replace(self)
@@ -341,6 +361,17 @@ class Quarantined:
         }
 
 
+def refuse_partial(payloads: Sequence[Any], scope: str, unit: str) -> None:
+    """Raise :class:`~repro.errors.ReproError` if any payload is
+    quarantined: a fold over the rest would be silently wrong."""
+    lost = sum(1 for payload in payloads if isinstance(payload, Quarantined))
+    if lost:
+        raise ReproError(
+            f"{scope} lost {lost} {unit}(s) to quarantine; "
+            "see the run report's quarantine list"
+        )
+
+
 @dataclass(frozen=True)
 class SupervisedTask:
     """One attempt shipped to a worker: the job, which try, what chaos.
@@ -368,8 +399,6 @@ def execute_supervised(task: SupervisedTask) -> JobResult:
     """
     if task.chaos is not None:
         task.chaos.apply(task.job.fingerprint(), task.attempt)
-    result = execute_job(
+    return execute_job(
         task.job, span_context=task.span_context, attempt=task.attempt
     )
-    result.attempts = task.attempt
-    return result

@@ -43,9 +43,10 @@ from repro.engine.jobs import (
     environment_fingerprint,
     execute_job,
 )
-from repro.engine.resilience import ChaosPolicy, Quarantined, SupervisionStats
+from repro.engine.resilience import (
+    ChaosPolicy, Quarantined, SupervisionStats, refuse_partial,
+)
 from repro.engine.seeds import SeedStream, seed_stream
-from repro.errors import ReproError
 from repro.observe.spans import FleetTimeline
 from repro.telemetry import Telemetry
 from repro.telemetry.registry import Registry
@@ -224,11 +225,19 @@ class EngineSession:
         finally:
             self._sync_supervision(supervision_before)
         self._merge_telemetry(results)
-        failures = self.executor.drain_failed_attempts()
+        # An attempt span per failure on each result; a remote batch hands
+        # one result back for every copy of a fingerprint, spanned once.
+        failures = {
+            (id(result), index): dict(
+                failure, fingerprint=job.fingerprint(), kind=job.kind
+            )
+            for job, result in zip(jobs, results)
+            for index, failure in enumerate(result.failures)
+        }
         self.timeline.end_batch(
             context,
             results,
-            failures=failures,
+            failures=failures.values(),
             wall_s=perf_counter() - started,
         )
         self._observe_wall_latency(results)
@@ -416,15 +425,9 @@ class EngineSession:
             # folded sweep is cached) so they are supervised, traced and
             # recorded like any other job.
             payloads = self.run_jobs(job.batch_jobs(), cache=False)
-            lost = sum(1 for p in payloads if isinstance(p, Quarantined))
-            if lost:
-                # A sweep folded from partial rows would be silently
-                # wrong; characterization demands every row.
-                raise ReproError(
-                    f"characterization sweep for {model.codename} lost "
-                    f"{lost} batch job(s) to quarantine; see the run "
-                    "report's quarantine list"
-                )
+            refuse_partial(
+                payloads, f"characterization sweep for {model.codename}", "batch job"
+            )
             # Each batch payload is a chunk of rows, in frequency order.
             result = job.fold([row for payload in payloads for row in payload])
         else:

@@ -44,6 +44,7 @@ from repro.engine import (
     get_session,
     seed_stream,
 )
+from repro.engine.resilience import refuse_partial
 from repro.errors import ConfigurationError
 from repro.testbench import Machine
 
@@ -128,7 +129,9 @@ def table2_overhead(
         seed=seed,
         unsafe_json=_unsafe_json(characterization(model)),
     )
-    return get_session().run_job(job)
+    report = get_session().run_job(job)
+    refuse_partial([report], f"Table 2 overhead run for {model.codename}", "job")
+    return report
 
 
 @dataclass
@@ -241,6 +244,7 @@ def prevention_matrix(
     session = session or get_session()
     jobs = prevention_jobs(seed=seed, include_aes=include_aes)
     outcomes = session.run_jobs(jobs)
+    refuse_partial(outcomes, "prevention matrix", "attack cell")
     matrix = PreventionMatrix()
     for job, outcome in zip(jobs, outcomes):
         matrix.cells.append(PreventionCell(job.codename, job.protected, outcome))

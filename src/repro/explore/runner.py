@@ -105,17 +105,11 @@ def run_explore(
         1 if len(point_plan.candidates) % rows_per_job else 0
     )
     payloads = session.run_jobs(jobs)
-    from repro.engine.resilience import Quarantined
-    from repro.errors import ReproError
+    from repro.engine.resilience import refuse_partial
 
-    lost = sum(1 for payload in payloads if isinstance(payload, Quarantined))
-    if lost:
-        # An exploitability map folded from partial shards would silently
-        # understate the exploitable set; exhaustiveness demands every shard.
-        raise ReproError(
-            f"explore plan lost {lost} job shard(s) to quarantine; "
-            "see the run report's quarantine list"
-        )
+    # A map folded from partial shards would silently understate the
+    # exploitable set; exhaustiveness demands every shard.
+    refuse_partial(payloads, "explore plan", "job shard")
 
     point_records: List[Dict] = []
     for payload in payloads[:split]:

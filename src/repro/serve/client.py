@@ -46,7 +46,6 @@ from repro.engine.executors import (
     quarantine_result,
 )
 from repro.engine.jobs import JobResult, JobSpec
-from repro.engine.leases import LEASE_EXPIRED
 from repro.engine.resilience import ChaosPolicy, RetryPolicy
 from repro.errors import CoordinatorUnreachableError, ServeProtocolError
 from repro.registry.store import encode_object
@@ -179,9 +178,10 @@ class RemoteExecutor(Executor):
     """Shards batches through a coordinator; degrades to inline on loss.
 
     Satisfies the full :class:`Executor` contract — results in input
-    order, ``stats``/``failed_attempts`` bookkeeping, quarantine
-    semantics — so the engine session cannot tell the fleet from a
-    local pool except by reading ``result.origin``.
+    order, each landed through :meth:`SupervisedBatch.land` with the
+    coordinator's attempt history on it, quarantine semantics — so the
+    engine session cannot tell the fleet from a local pool except by
+    reading ``result.origin``.
     """
 
     name = "remote"
@@ -205,57 +205,21 @@ class RemoteExecutor(Executor):
 
     # -- landing results ---------------------------------------------------------
 
-    def _book_failures(self, job: JobSpec, entry: Dict) -> None:
-        """Fold the coordinator's failure history into local bookkeeping.
-
-        Each entry becomes an ``attempt`` span in the fleet timeline via
-        :attr:`failed_attempts`; lease expiries count as requeues (the
-        fleet analogue of a pool respawn), every other failure that was
-        tried again as a retry.  As on the local executors and the
-        coordinator, the failure that quarantined the job is no retry.
-        """
-        failures = entry.get("failures", [])
-        quarantined = entry.get("status") == "quarantined"
-        retried = len(failures) - 1 if quarantined else len(failures)
-        for index, failure in enumerate(failures):
-            error_type = str(failure.get("error_type", "Error"))
-            self._record_failed_attempt(
-                job, int(failure.get("attempt", 0)), error_type
-            )
-            if error_type == LEASE_EXPIRED:
-                self.stats.requeues += 1
-            elif index < retried:
-                self.stats.retries += 1
-
-    def _land(
-        self,
-        entry: Dict[str, Any],
-        job: JobSpec,
-        cached: bool,
-        submitted_s: float,
-    ) -> JobResult:
-        from repro.observe.spans import note_queue_wait
-
-        self._book_failures(job, entry)
+    @staticmethod
+    def _land(entry: Dict[str, Any], job: JobSpec, cached: bool) -> JobResult:
+        """The result a ``done`` entry describes, with its ledger record."""
         attempts = int(entry.get("attempts", 1))
+        failures = list(entry.get("failures", []))
         if entry.get("status") == "quarantined":
-            self.stats.quarantined += 1
-            result = quarantine_result(job, attempts, entry.get("failures", []))
+            result = quarantine_result(job, attempts, failures)
             result.origin = protocol.ORIGIN_REMOTE
-            return result
-        blob = protocol.decode_payload(str(entry["payload"]))
-        result: JobResult = pickle.loads(blob)
-        result.attempts = attempts
-        if cached:
-            # Replayed from the fleet store: nothing queued or executed
-            # for this submission, so no queue-wait annotation.
-            result.origin = protocol.ORIGIN_REMOTE_CACHE
         else:
-            result.origin = protocol.ORIGIN_REMOTE
-            # The whole remote hop (queue + execution + transfer) since
-            # this client submitted, visible as the job span's
-            # queue_wait_s in the fleet timeline.
-            note_queue_wait(result.spans, result.span_wall, submitted_s)
+            result = pickle.loads(protocol.decode_payload(str(entry["payload"])))
+            result.origin = (
+                protocol.ORIGIN_REMOTE_CACHE if cached else protocol.ORIGIN_REMOTE
+            )
+        result.attempts = attempts
+        result.failures = failures
         return result
 
     # -- the executor contract ---------------------------------------------------
@@ -322,14 +286,19 @@ class RemoteExecutor(Executor):
                 if fingerprint not in pending:
                     continue
                 pending.discard(fingerprint)
+                result = self._land(
+                    entry, by_fingerprint[fingerprint], fingerprint in cached
+                )
+                # The whole remote hop (queue + execution + transfer)
+                # since this client submitted is the job span's queue
+                # wait; a result replayed from the fleet store was never
+                # queued for this submission.
                 batch.land(
                     fingerprint,
-                    self._land(
-                        entry,
-                        by_fingerprint[fingerprint],
-                        fingerprint in cached,
-                        submitted_s,
-                    ),
+                    result,
+                    None
+                    if result.origin == protocol.ORIGIN_REMOTE_CACHE
+                    else submitted_s,
                 )
             if not pending:
                 break

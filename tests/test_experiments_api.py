@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cpu import COMET_LAKE, SKY_LAKE
+from repro.errors import ReproError
 from repro.experiments import (
     characterization,
     maximal_safe_deployments,
@@ -92,3 +93,66 @@ class TestDefenseComparison:
         # Polling is the cheapest defense of the three.
         assert comparison.polling_overhead < 0.01
         assert comparison.polling_overhead < comparison.minefield_overhead
+
+
+def _poisoned_session(**kwargs):
+    """A serial session that quarantines a job at its first failure."""
+    from repro.engine import EngineSession, ResultCache, RetryPolicy, SerialExecutor
+
+    kwargs.setdefault("cache", ResultCache())
+    return EngineSession(
+        executor=SerialExecutor(policy=RetryPolicy(max_attempts=1, backoff_s=0.0)),
+        registry=None,
+        **kwargs,
+    )
+
+
+class TestQuarantinedJobs:
+    """A fold over a quarantined job raises the one-line quarantine error
+    instead of handing the stand-in back as a result."""
+
+    def test_prevention_matrix(self, monkeypatch):
+        from repro.attacks import AttackOutcome
+        from repro.engine import AttackCampaignJob
+        from repro.experiments import prevention_jobs
+
+        poisoned = prevention_jobs(include_aes=False)[0]
+
+        def run(self, telemetry):
+            if self == poisoned:
+                raise RuntimeError("poisoned cell")
+            return AttackOutcome(attack=self.attack, succeeded=False)
+
+        monkeypatch.setattr(AttackCampaignJob, "run", run)
+        with pytest.raises(ReproError, match="prevention matrix lost 1 attack cell"):
+            prevention_matrix(include_aes=False, session=_poisoned_session())
+
+    def _poison_table2(self, monkeypatch):
+        from repro.engine import OverheadJob, get_session
+        from repro.engine import session as session_module
+
+        def run(self, telemetry):
+            raise RuntimeError("poisoned overhead run")
+
+        monkeypatch.setattr(OverheadJob, "run", run)
+        # The shared cache serves the characterization; the seed keeps
+        # the overhead job itself a miss.
+        monkeypatch.setattr(
+            session_module, "_session", _poisoned_session(cache=get_session().cache)
+        )
+
+    def test_table2_overhead(self, monkeypatch):
+        self._poison_table2(monkeypatch)
+        with pytest.raises(ReproError, match="Table 2 overhead run for Comet Lake lost 1 job"):
+            table2_overhead(seed=97)
+
+    def test_spec_cli_exits_with_the_message(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        self._poison_table2(monkeypatch)
+        assert main(["spec", "--cpu", "Comet Lake", "--seed", "97"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [
+            "spec: Table 2 overhead run for Comet Lake lost 1 job(s) to "
+            "quarantine; see the run report's quarantine list"
+        ]

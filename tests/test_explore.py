@@ -31,7 +31,7 @@ from repro.engine import (
     SerialExecutor,
 )
 from repro.engine.cache import ResultCache
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.faults.alu import BigIntALU
 from repro.explore import (
     DEFAULT_FAULT_MODELS,
@@ -473,3 +473,28 @@ class TestJobSpecs:
         second = job.run(Telemetry(max_events=0))
         assert first == second
         assert first[0]["verdict"] == "exploitable"
+
+
+def test_quarantined_shard_fails_the_map(monkeypatch):
+    """A map folded without one shard would understate the exploitable
+    set, so a quarantined shard raises the quarantine error."""
+    from repro.engine import RetryPolicy
+
+    healthy = ExploreInjectionJob.run
+    poisoned = []
+
+    def run(self, telemetry):
+        if not poisoned or poisoned[0] == self:
+            poisoned.append(self)
+            raise RuntimeError("poisoned shard")
+        return healthy(self, telemetry)
+
+    monkeypatch.setattr(ExploreInjectionJob, "run", run)
+    session = EngineSession(
+        executor=SerialExecutor(policy=RetryPolicy(max_attempts=1, backoff_s=0.0)),
+        cache=ResultCache(),
+        registry=None,
+    )
+    with pytest.raises(ReproError, match="explore plan lost 1 job shard"):
+        run_explore(PLAN, session=session)
+    assert len(poisoned) == 1

@@ -2,10 +2,12 @@
 
 One set of supervision scenarios runs against the ledger itself (on an
 injected clock), the inline :class:`SerialExecutor`, a two-worker
-:class:`ParallelExecutor` and a clocked :class:`Coordinator` driven
-through its request handlers.  Each driver reports the job's final
-state, its consumed attempts and the error type of each failed attempt,
-and all of them must agree.
+:class:`ParallelExecutor`, a clocked :class:`Coordinator` driven
+through its request handlers, and a :class:`RemoteExecutor` whose
+coordinator reports the scenario's history.  Each driver reports the
+job's final state, its consumed attempts and the error type of each
+failed attempt, and all of them must agree; each executor must also
+book the same retries, requeues and quarantines.
 
 Two combinations cannot happen and are not generated: nothing can die
 under the inline runner (there is no process boundary), and the inline
@@ -16,11 +18,18 @@ result can only be the late result of an attempt past its deadline.
 from __future__ import annotations
 
 import os
-from typing import List, NamedTuple, Tuple
+import pickle
+from typing import Dict, List, NamedTuple, Tuple
 
 import pytest
 
-from repro.engine import ParallelExecutor, Quarantined, RetryPolicy, SerialExecutor
+from repro.engine import (
+    JobResult,
+    ParallelExecutor,
+    Quarantined,
+    RetryPolicy,
+    SerialExecutor,
+)
 from repro.engine.leases import (
     JOB_DONE,
     JOB_LEASED,
@@ -29,7 +38,7 @@ from repro.engine.leases import (
     LEASE_EXPIRED,
     LeaseTable,
 )
-from repro.serve import protocol
+from repro.serve import RemoteExecutor, protocol
 from tests.test_resilience import ScriptedJob
 from tests.test_serve import _clocked_coordinator, _submit_message, _tiny_job
 
@@ -46,22 +55,26 @@ class Scenario(NamedTuple):
     #: (its holder goes away mid-lease) or "ok".
     script: Tuple[str, ...]
     expected: Outcome
+    #: What an executor books for it: (retries, requeues, quarantined).
+    booked: Tuple[int, int, int]
 
 
 SCENARIOS = {
     "flaky-retries-to-success": Scenario(
         3, ("error", "error", "ok"),
         Outcome(JOB_DONE, 3, ["RuntimeError", "RuntimeError"]),
+        (2, 0, 0),
     ),
     "poison-quarantined-at-budget": Scenario(
         2, ("error", "error"),
         Outcome(JOB_QUARANTINED, 2, ["RuntimeError", "RuntimeError"]),
+        (1, 0, 1),
     ),
     "casualty-keeps-its-attempt": Scenario(
-        3, ("die", "ok"), Outcome(JOB_DONE, 2, [LEASE_EXPIRED]),
+        3, ("die", "ok"), Outcome(JOB_DONE, 2, [LEASE_EXPIRED]), (0, 1, 0),
     ),
     "casualty-on-last-attempt-quarantined": Scenario(
-        1, ("die",), Outcome(JOB_QUARANTINED, 1, [LEASE_EXPIRED]),
+        1, ("die",), Outcome(JOB_QUARANTINED, 1, [LEASE_EXPIRED]), (0, 1, 1),
     ),
 }
 
@@ -98,7 +111,7 @@ class LedgerDriver:
 
     def duplicate(self) -> bool:
         """Land two results for one job; whether the second was refused."""
-        self.run(Scenario(1, ("ok",), None))
+        self.run(Scenario(1, ("ok",), None, None))
         return self.table.complete("job") is False
 
 
@@ -141,25 +154,28 @@ class CoordinatorDriver:
         )
 
     def duplicate(self) -> bool:
-        self.run(Scenario(1, ("ok",), None))
+        self.run(Scenario(1, ("ok",), None, None))
         return self._result("lease-1", 1, "ok")["duplicate"] is True
 
 
 class _ExecutorDriver:
-    """A scripted job beside a healthy one, through a real executor."""
+    """A scripted job beside a healthy one, through a real executor.
+
+    ``booked`` holds the (retries, requeues, quarantined) the executor
+    counted for the last scenario.
+    """
 
     def __init__(self, tmp_path) -> None:
         self.scratch = str(tmp_path / "scratch")
+        self.booked: Tuple[int, int, int] = (0, 0, 0)
 
-    def executor(self, policy: RetryPolicy):
+    def executor(self, policy: RetryPolicy, scenario: Scenario, jobs):
         raise NotImplementedError
 
     def _outcome(self, executor, job, result) -> Outcome:
-        failures = [
-            record["error_type"]
-            for record in executor.failed_attempts
-            if record["fingerprint"] == job.fingerprint()
-        ]
+        stats = executor.stats
+        self.booked = (stats.retries, stats.requeues, stats.quarantined)
+        failures = [failure["error_type"] for failure in result.failures]
         if isinstance(result.payload, Quarantined):
             return Outcome(JOB_QUARANTINED, result.payload.attempts, failures)
         assert result.payload == {"name": job.name, "value": 0}
@@ -177,6 +193,7 @@ class _ExecutorDriver:
         # A broken pool charges every job in flight an attempt, so the
         # dying job waits until the bystander has landed: the scenario
         # then charges only the job it scripts.
+        os.makedirs(self.scratch, exist_ok=True)
         landed = os.path.join(self.scratch, "other.landed")
         job = ScriptedJob(
             name="job",
@@ -192,7 +209,9 @@ class _ExecutorDriver:
                 open(landed, "w").close()
 
         with self.executor(
-            RetryPolicy(max_attempts=scenario.budget, backoff_s=0.0)
+            RetryPolicy(max_attempts=scenario.budget, backoff_s=0.0),
+            scenario,
+            (job, other),
         ) as executor:
             results = executor.run_jobs([job, other], progress=progress)
         assert results[1].payload == {"name": "other", "value": 10}
@@ -200,12 +219,12 @@ class _ExecutorDriver:
 
 
 class SerialDriver(_ExecutorDriver):
-    def executor(self, policy: RetryPolicy):
+    def executor(self, policy: RetryPolicy, scenario: Scenario, jobs):
         return SerialExecutor(policy=policy)
 
 
 class PoolDriver(_ExecutorDriver):
-    def executor(self, policy: RetryPolicy):
+    def executor(self, policy: RetryPolicy, scenario: Scenario, jobs):
         return ParallelExecutor(2, policy=policy)
 
     def duplicate(self) -> bool:
@@ -221,11 +240,72 @@ class PoolDriver(_ExecutorDriver):
         )
 
 
+class _ScriptedFleet:
+    """A coordinator stub that reports each job's scripted history.
+
+    ``scripts`` maps a fingerprint to its attempts (see
+    :class:`Scenario`); a dying attempt is a lease expiry, a script
+    without "ok" ends quarantined.
+    """
+
+    def __init__(self, scripts: Dict[str, Tuple[str, ...]], payloads) -> None:
+        self.scripts = scripts
+        self.payloads = payloads
+
+    def _entry(self, fingerprint: str) -> dict:
+        script = self.scripts[fingerprint]
+        entry = {
+            "attempts": len(script),
+            "failures": [
+                {
+                    "attempt": attempt,
+                    "error_type": LEASE_EXPIRED if event == "die" else "RuntimeError",
+                    "error_message": "scripted",
+                }
+                for attempt, event in enumerate(script, 1)
+                if event != "ok"
+            ],
+        }
+        if "ok" not in script:
+            return dict(entry, status="quarantined")
+        result = JobResult(
+            fingerprint=fingerprint, payload=self.payloads[fingerprint], counters={}
+        )
+        return dict(
+            entry,
+            status="ok",
+            payload=protocol.encode_payload(pickle.dumps(result)),
+        )
+
+    def request(self, method, path, message=None, *, headers=None):
+        if path == "/v1/jobs":
+            return {"cached": []}, {}
+        return {"done": {fp: self._entry(fp) for fp in message["fingerprints"]}}, {}
+
+
+class RemoteDriver(_ExecutorDriver):
+    def executor(self, policy: RetryPolicy, scenario: Scenario, jobs):
+        job, other = jobs
+        return RemoteExecutor(
+            "http://coordinator.invalid",
+            policy=policy,
+            poll_interval_s=0.0,
+            transport=_ScriptedFleet(
+                {job.fingerprint(): scenario.script, other.fingerprint(): ("ok",)},
+                {
+                    job.fingerprint(): {"name": job.name, "value": 0},
+                    other.fingerprint(): {"name": other.name, "value": 10},
+                },
+            ),
+        )
+
+
 DRIVERS = {
     "ledger": LedgerDriver,
     "serial": SerialDriver,
     "pool": PoolDriver,
     "coordinator": CoordinatorDriver,
+    "remote": RemoteDriver,
 }
 
 #: Nothing can die under the inline runner.
@@ -243,7 +323,10 @@ class TestSupervisionScenarios:
     )
     def test_every_driver_agrees(self, tmp_path, driver, scenario):
         spec = SCENARIOS[scenario]
-        assert DRIVERS[driver](tmp_path).run(spec) == spec.expected
+        runner = DRIVERS[driver](tmp_path)
+        assert runner.run(spec) == spec.expected
+        if isinstance(runner, _ExecutorDriver):
+            assert runner.booked == spec.booked
 
     @pytest.mark.parametrize("driver", ["ledger", "pool", "coordinator"])
     def test_duplicate_result_loses_to_the_first(self, tmp_path, driver):

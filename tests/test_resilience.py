@@ -332,7 +332,8 @@ class TestRemoteSupervisionStats:
         assert serial.stats.as_dict() == remote.stats.as_dict()
         assert serial.stats.retries == 1
         assert serial.stats.quarantined == 1
-        assert serial.failed_attempts == remote.failed_attempts
+        assert serial_result.failures == remote_result.failures
+        assert [f["attempt"] for f in serial_result.failures] == [1, 2]
         for result in (serial_result, remote_result):
             assert isinstance(result.payload, Quarantined)
             assert result.payload.attempts == 2

@@ -15,6 +15,7 @@ surfaces built on top.
 from __future__ import annotations
 
 import json
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, ClassVar, Dict, Tuple
@@ -28,6 +29,7 @@ from repro.engine import (
     FuzzJob,
     JobSpec,
     ParallelExecutor,
+    ResultCache,
     RetryPolicy,
     SerialExecutor,
 )
@@ -183,6 +185,86 @@ def test_retry_leaves_attempt_span_with_same_fingerprint(tmp_path):
     assert payload == {"name": "once", "value": 7}
     # The attempt shows up in the summary the report renders.
     assert timeline.attempts_by_kind()["flaky-span"]["retried"] == 1
+
+
+def _scripted_failures_run(executor, scratch, trace):
+    """Jobs failing 0, 1, 2 and every time under a budget of 3.
+
+    Returns the executor's stats, each landed result's failures and the
+    exported span trace.  ``scratch`` starts empty, so every executor
+    replays the same script under the same fingerprints.
+    """
+    shutil.rmtree(scratch, ignore_errors=True)
+    jobs = [
+        FlakyJob(name=f"fails-{fails}", scratch=str(scratch), fail_times=fails)
+        for fails in (0, 1, 2, 99)
+    ]
+    landed = []
+    run_jobs = executor.run_jobs
+
+    def recording(*args, **kwargs):
+        results = run_jobs(*args, **kwargs)
+        landed.extend(results)
+        return results
+
+    executor.run_jobs = recording
+    with EngineSession(executor=executor, cache=ResultCache(), registry=None) as session:
+        session.run_jobs(jobs, cache=False)
+        session.export_spans(trace)
+    return (
+        executor.stats.as_dict(),
+        [list(result.failures) for result in landed],
+        trace.read_bytes(),
+    )
+
+
+def test_serial_and_pool_book_failures_alike(tmp_path):
+    """Retries and a quarantine leave the same stats, ledger records and
+    span export (attempt spans included) on either executor."""
+    policy = RetryPolicy(max_attempts=3, backoff_s=0.0)
+    scratch = tmp_path / "scratch"
+    serial = _scripted_failures_run(
+        SerialExecutor(policy=policy), scratch, tmp_path / "serial.json"
+    )
+    pool = _scripted_failures_run(
+        ParallelExecutor(2, policy=policy), scratch, tmp_path / "pool.json"
+    )
+    stats, failures, trace = serial
+    assert stats == {
+        "retries": 5, "timeouts": 0, "requeues": 0,
+        "respawns": 0, "quarantined": 1, "degraded": 0,
+    }
+    assert [[f["attempt"] for f in record] for record in failures] == [
+        [], [1], [1, 2], [1, 2, 3]
+    ]
+    assert pool == serial
+    attempts = [
+        event for event in json.loads(trace)["traceEvents"]
+        if event.get("cat") == "attempt"
+    ]
+    assert len(attempts) == 6
+
+
+def test_remote_duplicate_fingerprint_spans_its_attempts_once(tmp_path):
+    """The remote executor hands one result back for both copies of a
+    poisoned fingerprint; its failed attempts become one set of spans."""
+    from repro.serve import RemoteExecutor
+    from tests.test_resilience import _PoisonFleetTransport
+
+    job = FlakyJob(name="poison", scratch=str(tmp_path), fail_times=99)
+    executor = RemoteExecutor(
+        "http://coordinator.invalid",
+        policy=RetryPolicy(max_attempts=2, backoff_s=0.0),
+        poll_interval_s=0.0,
+        transport=_PoisonFleetTransport(),
+    )
+    with EngineSession(executor=executor, cache=ResultCache(), registry=None) as session:
+        first, second = session.run_jobs([job, job], cache=False)
+        timeline = session.timeline
+    assert first is second
+    attempts = [r for r in timeline.spans if r["kind"] == "attempt"]
+    assert [r["attrs"]["attempt"] for r in attempts] == [1, 2]
+    assert (executor.stats.retries, executor.stats.quarantined) == (1, 1)
 
 
 def test_chaos_run_leaves_consistent_span_tree(tmp_path):
